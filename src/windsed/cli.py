@@ -49,7 +49,6 @@ forecast:                   # required by `dispatch` and `study`
     - [[site_a, 1], [site_b, 1]]
 
 pce:
-  order: 1
   levels: [1, 2]
 
 mc:
@@ -72,7 +71,6 @@ class ExperimentConfig:
     wind_data: dict = field(default_factory=dict)
     wind_synthetic: dict = field(default_factory=dict)
     forecast: dict = field(default_factory=dict)
-    pce_order: int = 1
     pce_levels: tuple = (1, 2)
     mc_schedule: tuple = (10, 100)
     mc_realizations: int = 2
@@ -95,8 +93,8 @@ class ExperimentConfig:
         if "case" not in raw:
             raise ConfigError("config needs a `case` path")
         wind = raw.get("wind") or {}
-        pce_block = raw.get("pce") or {}
-        mc_block = raw.get("mc") or {}
+        pce_block = _block(raw, "pce", {"levels"})
+        mc_block = _block(raw, "mc", {"schedule", "realizations"})
         cfg = cls(
             case_path=str(raw["case"]),
             segments=int(raw.get("segments", 3)),
@@ -106,7 +104,6 @@ class ExperimentConfig:
             wind_data=dict(wind.get("data") or {}),
             wind_synthetic=dict(wind.get("synthetic") or {}),
             forecast=dict(raw.get("forecast") or {}),
-            pce_order=int(pce_block.get("order", 1)),
             pce_levels=tuple(int(l) for l in pce_block.get("levels", (1, 2))),
             mc_schedule=tuple(int(n) for n in mc_block.get("schedule", (10, 100))),
             mc_realizations=int(mc_block.get("realizations", 2)),
@@ -124,6 +121,16 @@ class ExperimentConfig:
                    if k not in ("out", "jobs")}
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _block(raw: dict, name: str, known: set) -> dict:
+    block = raw.get(name) or {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"`{name}` must be a mapping")
+    unknown = set(block) - known
+    if unknown:
+        raise ConfigError(f"unknown `{name}` keys: {sorted(unknown)}")
+    return block
 
 
 def _mean_profile(value) -> np.ndarray:
@@ -315,7 +322,7 @@ def cmd_study(cfg: ExperimentConfig, outdir: Path, verify: bool) -> int:
     report = estimate.convergence_study(
         model, spec.dimension, levels=cfg.pce_levels,
         mc_schedule=cfg.mc_schedule, realizations=cfg.mc_realizations,
-        seed=cfg.seed, order=cfg.pce_order, jobs=cfg.jobs)
+        seed=cfg.seed, jobs=cfg.jobs)
     (outdir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (outdir / "report_long.csv").write_text(report.long_table(), encoding="utf-8")
     for lvl, _n, err in report.pce_errors:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import MaternKernel
-from .wind_kl import HOURS, PowerCurve, build_power_curve, kl_decompose
+from .wind_kl import (HOURS, PowerCurve, WindDataError, build_power_curve,
+                      kl_decompose)
 
 _PHILOX_TAG_DATAGEN = 0xDA7A0001
 
@@ -78,21 +79,31 @@ def write_wind_csv(path, rows):
 
 def read_wind_csv(path):
     """Parse a wind CSV into ((timestamp, speed) records, (speed, power)
-    scatter arrays)."""
+    scatter arrays).  A bad header or row raises WindDataError naming the
+    file and line."""
     records = []
     speeds = []
     powers = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["timestamp", "speed_mps"]:
-            raise ValueError(f"{path}: not a wind CSV (header {header})")
-        has_power = len(header) > 2 and header[2] == "power_mw"
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2 or not parts[0]:
-                continue
-            records.append((parts[0], float(parts[1])))
-            if has_power:
-                speeds.append(float(parts[1]))
-                powers.append(float(parts[2]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header[:2] != ["timestamp", "speed_mps"]:
+                raise WindDataError(f"{path}: line 1: not a wind CSV (header {header})")
+            has_power = len(header) > 2 and header[2] == "power_mw"
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) < 2 or not parts[0]:
+                    continue
+                try:
+                    speed = float(parts[1])
+                    power = float(parts[2]) if has_power else None
+                except (ValueError, IndexError):
+                    raise WindDataError(
+                        f"{path}: line {lineno}: bad row {line.strip()!r}") from None
+                records.append((parts[0], speed))
+                if has_power:
+                    speeds.append(speed)
+                    powers.append(power)
+    except UnicodeDecodeError as exc:
+        raise WindDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records, (np.array(speeds), np.array(powers))

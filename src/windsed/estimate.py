@@ -85,17 +85,10 @@ def pce_estimate(model, dimension: int, level: int, order: int = 1,
     weighted node sum of the quadrature."""
     grid = build_sparse_grid(dimension, level)
     idxset = MultiIndexSet.total_degree(dimension, order)
-    pool_map = None
+    values = None
     if jobs > 1:
-        surrogate = _project_parallel(model, grid, idxset, jobs)
-    else:
-        surrogate = project(model, grid, idxset)
-    return surrogate.mean()
-
-
-def _project_parallel(model, grid, idxset, jobs):
-    values = np.asarray(parallel_map(model, grid.nodes, jobs), dtype=float)
-    return project(model, grid, idxset, values=values)
+        values = np.asarray(parallel_map(model, grid.nodes, jobs), dtype=float)
+    return project(model, grid, idxset, values=values).mean()
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ def fit_power_law(counts, errors) -> PowerLawFit | None:
 
 
 def convergence_study(model, dimension: int, levels, mc_schedule,
-                      realizations: int = 10, seed: int = 0, order: int = 1,
+                      realizations: int = 10, seed: int = 0,
                       jobs: int = 1) -> ConvergenceReport:
     """Run the dual convergence experiment at the given quadrature levels and
     MC sample counts; nested quadrature nodes are evaluated once and shared

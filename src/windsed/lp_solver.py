@@ -166,6 +166,21 @@ class Basis:
         return Basis(self.basic.copy(), self.status.copy())
 
 
+def make_basis(lp: LinearProgram, basic=None) -> Basis:
+    """Basis with column basic[i] in slot i; by default every row's logical
+    (the slack start).  Each nonbasic column sits at its finite bound of
+    smaller magnitude, or is free at zero when it has none."""
+    lower = np.concatenate([lp.col_lower, lp.row_lower])
+    upper = np.concatenate([lp.col_upper, lp.row_upper])
+    status = np.where(np.abs(lower) <= np.abs(upper), AT_LOWER, AT_UPPER).astype(np.int8)
+    status[(lower == -INF) & (upper == INF)] = FREE_NB
+    if basic is None:
+        basic = np.arange(lp.num_cols, lp.num_cols + lp.num_rows)
+    basic = np.array(basic, dtype=np.int64)
+    status[basic] = BASIC
+    return Basis(basic, status)
+
+
 @dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded | iteration_limit
@@ -267,22 +282,7 @@ class _Simplex:
     # -- basis management ---------------------------------------------------
 
     def start_cold(self):
-        ncols = self.n + self.m
-        self.status = np.full(ncols, AT_LOWER, dtype=np.int8)
-        for j in range(ncols):
-            lo, up = self.lower[j], self.upper[j]
-            if lo == -INF and up == INF:
-                self.status[j] = FREE_NB
-            elif lo == -INF:
-                self.status[j] = AT_UPPER
-            elif up == INF:
-                self.status[j] = AT_LOWER
-            else:
-                self.status[j] = AT_LOWER if abs(lo) <= abs(up) else AT_UPPER
-        self.basic = np.arange(self.n, self.n + self.m, dtype=np.int64)
-        self.status[self.basic] = BASIC
-        self.factors = _Factors(self.fmat, self.basic)
-        self._recompute_x()
+        self.start_warm(make_basis(self.lp))
 
     def start_warm(self, basis: Basis):
         if basis.basic.shape != (self.m,) or basis.status.shape != (self.n + self.m,):
@@ -376,46 +376,33 @@ class _Simplex:
         if np.isfinite(span):
             best_t = span
             best_pos = -1
-        rate = -sigma * delta  # movement of basic vars per unit step
-        xb = self.x[self.basic]
-        lob = self.lower[self.basic]
-        upb = self.upper[self.basic]
-        ftol = opts.feas_tol
         idx = np.flatnonzero(np.abs(delta) > opts.pivot_tol)
-        cand_t = np.full(len(idx), INF)
-        cand_bound = np.zeros(len(idx))
-        for k, i in enumerate(idx):
-            r = rate[i]
-            xi, lo, up = xb[i], lob[i], upb[i]
-            # An infeasible basic moving away from its violated bound never
-            # blocks (its phase-1 cost charges the move); one moving back
-            # blocks at the bound it crosses first.
-            if r > 0:
-                if phase1 and xi > up + ftol:
-                    continue
-                if phase1 and xi < lo - ftol:
-                    cand_t[k] = (lo - xi) / r
-                    cand_bound[k] = lo
-                elif up != INF:
-                    cand_t[k] = max((up - xi) / r, 0.0)
-                    cand_bound[k] = up
-            else:
-                if phase1 and xi < lo - ftol:
-                    continue
-                if phase1 and xi > up + ftol:
-                    cand_t[k] = max((up - xi) / r, 0.0)
-                    cand_bound[k] = up
-                elif lo != -INF:
-                    cand_t[k] = max((lo - xi) / r, 0.0)
-                    cand_bound[k] = lo
         if len(idx):
+            rate = -sigma * delta[idx]  # movement of basic vars per unit step
+            basic = self.basic[idx]
+            xb = self.x[basic]
+            lob = self.lower[basic]
+            upb = self.upper[basic]
+            rising = rate > 0
+            if phase1:
+                below = xb < lob - opts.feas_tol
+                above = xb > upb + opts.feas_tol
+            else:
+                below = above = np.zeros_like(rising)
+            # A basic moving up blocks at its upper bound, or at its lower
+            # bound if it starts below it; moving down, the mirror image.  An
+            # infeasible basic moving away from its violated bound never
+            # blocks (its phase-1 cost charges the move).
+            cand_bound = np.where(rising, np.where(below, lob, upb),
+                                  np.where(above, upb, lob))
+            cand_t = np.maximum((cand_bound - xb) / rate, 0.0)
+            cand_t[np.where(rising, above, below)] = INF
             tmin = cand_t.min()
             if tmin < best_t:
                 # among near-minimal ratios prefer the largest pivot magnitude
                 close = np.flatnonzero(cand_t <= tmin + 1e-9)
                 if self.use_bland:
-                    order = np.argsort(self.basic[idx[close]])
-                    k = close[order[0]]
+                    k = close[np.argmin(basic[close])]
                 else:
                     k = close[np.argmax(np.abs(delta[idx[close]]))]
                 best_t = cand_t[k]
@@ -482,18 +469,23 @@ class _Simplex:
                 self.use_bland = False
             self._pivot(q, sigma, delta, t, pos, leave_bound)
 
+    def run_phases(self) -> str:
+        """Phase 1 (re-checked on a fresh factorization before declaring
+        infeasibility), then phase 2 once feasible."""
+        status = self.run_phase(phase1=True)
+        if status == "infeasible":
+            self._refactorize()
+            status = self.run_phase(phase1=True)
+        if status == "feasible":
+            status = self.run_phase(phase1=False)
+        return status
+
     def solve(self, warm: Basis | None) -> LpSolution:
         if warm is not None:
             self.start_warm(warm)
         else:
             self.start_cold()
-        status = self.run_phase(phase1=True)
-        if status == "infeasible":
-            # certify on a fresh factorization before declaring infeasible
-            self._refactorize()
-            status = self.run_phase(phase1=True)
-        if status == "feasible":
-            status = self.run_phase(phase1=False)
+        status = self.run_phases()
         if status == "optimal":
             # guard against drift: refactorize and confirm, resuming if needed
             for _ in range(3):
@@ -503,19 +495,23 @@ class _Simplex:
                 q = self._choose_entering(d)
                 if viol <= self.opts.feas_tol and q < 0:
                     break
-                status = self.run_phase(phase1=viol > self.opts.feas_tol)
-                if status == "feasible":
-                    status = self.run_phase(phase1=False)
+                status = self.run_phases()
                 if status != "optimal":
                     break
             else:
                 raise LpError("could not certify optimality after repeated refactorization")
         return self._solution(status)
 
+    def objective(self) -> float:
+        """c.x over the structural columns.  An elementwise product and a
+        numpy sum, not a dot: at dispatch sizes a BLAS dot wakes OpenBLAS
+        helper threads that then spin between solves."""
+        return float(np.sum(self.cost[: self.n] * self.x[: self.n]))
+
     def _solution(self, status: str) -> LpSolution:
         d, y = self._reduced_costs(self.cost)
         x = self.x[: self.n]
-        obj = float(self.cost[: self.n] @ x)
+        obj = self.objective()
         xb = self.x[self.basic]
         viol = float(
             max(
@@ -559,14 +555,59 @@ class RepeatSolver:
     after a bound move it is also still optimal (bound moves leave reduced
     costs untouched), so such re-solves cost two triangular solves and a
     pricing pass, no pivots.
+
+    The first solve starts from `start` when given (a crash basis built for
+    the LP's structure, which may cut the cold solve's phase 1 to a few
+    repairs), else from the slack basis.  A solve that fails numerically is
+    retried once from that same start basis, through the same phases and
+    feasibility certification; `restarts` counts these retries.
+    `restart_from` replaces the start basis and makes the next solve begin
+    there, so a caller can pin a sweep's starting point.
     """
 
-    def __init__(self, lp: LinearProgram, opts: SolveOptions | None = None):
+    def __init__(self, lp: LinearProgram, opts: SolveOptions | None = None,
+                 start: Basis | None = None):
         self.lp = lp
         self.opts = opts or SolveOptions()
         lp.validate()
         self._sim = _Simplex(lp, self.opts)
+        self._start_basis = start
         self._started = False
+        self.restarts = 0
+
+    def _start(self):
+        if self._start_basis is None:
+            self._sim.start_cold()
+        else:
+            self._sim.start_warm(self._start_basis)
+        self._started = True
+
+    def basis(self) -> Basis:
+        """The current basis (after a solve: the optimal one)."""
+        return Basis(self._sim.basic.copy(), self._sim.status.copy())
+
+    def restart_from(self, basis: Basis):
+        """Begin the next solve, and any retry, from `basis`."""
+        self._start_basis = basis
+        self._started = False
+
+    def _optimize(self) -> str:
+        sim = self._sim
+        status = sim.run_phases()
+        if status == "optimal":
+            # phase 2 exits on a full pricing pass, so dual feasibility is
+            # already certified with the live factors; re-verify the primal
+            # side and resume if the incremental x drifted.
+            for _ in range(3):
+                if sim._infeasibility() <= sim.opts.feas_tol:
+                    break
+                sim._refactorize()
+                status = sim.run_phases()
+                if status != "optimal":
+                    break
+            else:
+                raise LpError("could not certify feasibility in repeat solve")
+        return status
 
     def _run(self) -> str:
         sim = self._sim
@@ -576,45 +617,17 @@ class RepeatSolver:
         sim.iterations = 0
         sim.stall = 0
         sim.use_bland = False
-        if not self._started:
-            sim.start_cold()
-            self._started = True
-        else:
+        if self._started:
             # statuses survive; nonbasic variables snap to the moved bounds
             sim._recompute_x()
+        else:
+            self._start()
         try:
-            status = sim.run_phase(phase1=True)
-            if status == "infeasible":
-                sim._refactorize()
-                status = sim.run_phase(phase1=True)
-            if status == "feasible":
-                status = sim.run_phase(phase1=False)
-            if status == "optimal":
-                # phase 2 exits on a full pricing pass, so dual feasibility is
-                # already certified with the live factors; re-verify the
-                # primal side and resume if the incremental x drifted.
-                for _ in range(3):
-                    if sim._infeasibility() <= sim.opts.feas_tol:
-                        break
-                    sim._refactorize()
-                    status = sim.run_phase(phase1=True)
-                    if status == "feasible":
-                        status = sim.run_phase(phase1=False)
-                    if status != "optimal":
-                        break
-                else:
-                    raise LpError("could not certify feasibility in repeat solve")
-            return status
+            return self._optimize()
         except LpError:
-            # rebuild from scratch once before giving up
-            self._started = False
-            sim.factors = None
-            sim.start_cold()
-            self._started = True
-            status = sim.run_phase(phase1=True)
-            if status == "feasible":
-                status = sim.run_phase(phase1=False)
-            return status
+            self.restarts += 1
+            self._start()
+            return self._optimize()
 
     def solve(self) -> LpSolution:
         """Solve against the LP's current bound arrays (mutate lp.row_lower
@@ -626,5 +639,4 @@ class RepeatSolver:
         status = self._run()
         if status != "optimal":
             raise LpError(f"repeat solve ended {status}")
-        sim = self._sim
-        return float(sim.cost[: sim.n] @ sim.x[: sim.n])
+        return self._sim.objective()

@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
 from .lp_solver import (Basis, LinearProgram, LpError, LpSolution,
-                        RepeatSolver, SolveOptions, solve_lp)
+                        RepeatSolver, SolveOptions, make_basis, solve_lp)
 
 INF = float("inf")
 
@@ -53,6 +54,24 @@ class DispatchInstance:
 
     def balance_row(self, i: int, t: int) -> int:
         return i * self.case.periods + t
+
+    def start_basis(self) -> Basis:
+        """Triangular crash basis: the shed column basic in each balance
+        row, the flow column in each flow row, the logical in each ramp row.
+
+        Ordered by rows, the basis matrix is block upper triangular with +-1
+        on its diagonal, so it always factorizes.  With every other column
+        at its slack-start bound, each flow starts at zero and each shed at
+        its bus's residual load, so phase 1 only has to repair buses whose
+        committed p_min (or wind) exceeds their load."""
+        n_bal = len(self.case.buses) * self.case.periods
+        shed0 = self.n_seg + self.n_flow + self.n_angle
+        ramp0 = self.lp.num_cols + n_bal + self.n_flow
+        basic = np.concatenate([
+            np.arange(shed0, shed0 + self.n_shed),
+            np.arange(self.n_seg, self.n_seg + self.n_flow),
+            np.arange(ramp0, self.lp.num_cols + self.lp.num_rows)])
+        return make_basis(self.lp, basic)
 
     def _balance_base(self) -> np.ndarray:
         """Renewable-independent balance constant D - sum(p_min * x)."""
@@ -281,7 +300,8 @@ def solve_dispatch(case: GridCase, renewable, segments: int = 3,
                    opts: SolveOptions | None = None,
                    warm: Basis | None = None) -> DispatchSolution:
     inst = build_instance(case, renewable, segments)
-    sol = solve_lp(inst.lp, opts, warm_basis=warm)
+    sol = solve_lp(inst.lp, opts,
+                   warm_basis=inst.start_basis() if warm is None else warm)
     if sol.status != "optimal":
         raise DispatchError(
             f"dispatch LP unexpectedly {sol.status}: shedding should make the "
@@ -294,7 +314,10 @@ class SedEvaluator:
 
     The instance LP is built once; each evaluation regenerates the renewable
     injection from the germ, moves the balance-row bounds, and re-solves from
-    the previous optimal basis.  Safe to use from one worker at a time.
+    the previous optimal basis.  The first build solves the zero germ from
+    the crash basis and keeps its optimal basis as the anchor, which travels
+    with the evaluator when it is pickled to a worker.  Safe to use from one
+    worker at a time.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3,
@@ -311,6 +334,7 @@ class SedEvaluator:
         self.dim = spec.dimension
         self._inst = None
         self._solver = None
+        self._anchor: Basis | None = None  # optimal basis at the zero germ
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -342,16 +366,37 @@ class SedEvaluator:
             out[j] = curve(np.exp(mean_log + germ[cols] @ modes_t))
         return out
 
-    def solve(self, germ) -> DispatchSolution:
+    def _build(self):
+        """Build the LP at the zero germ and its solver.  A rebuild (in a
+        worker, after unpickling) starts from the anchor; the first build
+        solves from the crash basis to find it."""
+        self._inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
+                                    self.segments)
+        if self._anchor is not None:
+            self._solver = RepeatSolver(self._inst.lp, self.opts, self._anchor)
+            return
+        self._solver = RepeatSolver(self._inst.lp, self.opts,
+                                    self._inst.start_basis())
+        try:
+            self._solver.solve_value()
+        except LpError as exc:
+            raise DispatchError(f"dispatch LP failed at the zero germ: {exc}") from exc
+        self._anchor = self._solver.basis()
+
+    def _load(self, germ) -> np.ndarray:
+        """Check the germ and move the LP to its scenario, building the
+        instance and its solver on first use."""
         germ = np.asarray(germ, dtype=float)
         if germ.shape != (self.dim,):
             raise DispatchError(f"germ has shape {germ.shape}, spec needs ({self.dim},)")
         power = self._power_for(germ)
         if self._inst is None:
-            self._inst = build_instance(self.case, power, self.segments)
-            self._solver = RepeatSolver(self._inst.lp, self.opts)
-        else:
-            self._inst.set_renewable(power)
+            self._build()
+        self._inst.set_renewable(power)
+        return germ
+
+    def solve(self, germ) -> DispatchSolution:
+        germ = self._load(germ)
         sol = self._solver.solve()
         if sol.status != "optimal":
             raise DispatchError(
@@ -360,39 +405,65 @@ class SedEvaluator:
 
     def __call__(self, germ) -> float:
         """Q(germ) only: skips schedule extraction on the hot path."""
-        germ = np.asarray(germ, dtype=float)
-        if germ.shape != (self.dim,):
-            raise DispatchError(f"germ has shape {germ.shape}, spec needs ({self.dim},)")
-        power = self._power_for(germ)
-        if self._inst is None:
-            self._inst = build_instance(self.case, power, self.segments)
-            self._solver = RepeatSolver(self._inst.lp, self.opts)
-        else:
-            self._inst.set_renewable(power)
+        germ = self._load(germ)
         try:
             value = self._solver.solve_value()
         except LpError as exc:
             raise DispatchError(f"dispatch LP failed at germ {germ!r}: {exc}") from exc
         return value + self._inst.objective_offset
 
-    def _germ_sort_key(self) -> np.ndarray:
+    def _germ_scale(self) -> np.ndarray:
         """Weight per germ coordinate ~ how strongly it moves total wind."""
-        key = np.zeros(self.dim)
+        scale = np.zeros(self.dim)
         layout, _ = self.spec.germ_layout()
         for site in self.spec.sites:
             lam = site.kl_basis().eigenvalues
             for mode in range(1, site.truncation + 1):
-                key[layout[(site.label, mode)]] += math.sqrt(lam[mode - 1])
-        return key
+                scale[layout[(site.label, mode)]] += math.sqrt(lam[mode - 1])
+        return scale
+
+    def _visit_order(self, germs: np.ndarray) -> np.ndarray:
+        """Greedy nearest-neighbour tour through the germs, in coordinates
+        scaled by how strongly each moves total wind, from the germ nearest
+        the zero germ.  Each step goes to the nearest unvisited germ among
+        the current one's 8 nearest, widening the search when all of those
+        are visited."""
+        z = germs * self._germ_scale()
+        n = len(z)
+        tree = cKDTree(z)
+        near8 = tree.query(z, k=min(8, n))[1]
+        free = np.ones(n, dtype=bool)
+        order = np.empty(n, dtype=np.int64)
+        cur = int(np.argmin(np.einsum("ij,ij->i", z, z)))
+        for step in range(n):
+            order[step] = cur
+            free[cur] = False
+            if step + 1 == n:
+                break
+            near = near8[cur][free[near8[cur]]]
+            k = near8.shape[1]
+            while not len(near):
+                k *= 4
+                near = tree.query(z[cur], k=min(k, n))[1]
+                near = near[free[near]]
+            cur = int(near[0])
+        return order
 
     def evaluate_batch(self, germs) -> np.ndarray:
-        """Q for a batch of germs, visited in sorted order so consecutive
-        scenarios stay close and warm starts need few pivots; results return
-        in input order, so the estimate is unchanged."""
+        """Q for a batch of germs.  The batch starts from the anchor basis
+        and visits its germs along a nearest-neighbour tour, so consecutive
+        scenarios stay close and warm starts need few pivots.  Its values
+        depend on its germs alone, not on what the evaluator solved before,
+        so pool results do not depend on which worker ran which chunk.
+        Results return in input order."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
-        order = np.argsort(germs @ self._germ_sort_key(), kind="stable")
         out = np.empty(len(germs))
-        for i in order:
+        if not len(germs):
+            return out
+        if self._inst is None:
+            self._build()
+        self._solver.restart_from(self._anchor)
+        for i in self._visit_order(germs):
             out[i] = self(germs[i])
         return out
 

@@ -24,7 +24,7 @@ def write_config(tmp_path, **overrides):
                 "site_b": {"mean_wind": 8.0, "matern_l": 9.79, "matern_nu": 0.78},
             },
         },
-        "pce": {"order": 1, "levels": [1, 2]},
+        "pce": {"levels": [1, 2]},
         "mc": {"schedule": [10, 30], "realizations": 2},
     }
     cfg.update(overrides)
@@ -61,6 +61,44 @@ def test_unknown_key_is_config_error(tmp_path):
     raw["tyop"] = 1
     path.write_text(yaml.safe_dump(raw))
     assert main(["kl", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("block,key", [("pce", "order"), ("mc", "sampels")])
+def test_unknown_block_key_is_config_error(tmp_path, capsys, block, key):
+    path = write_config(tmp_path)
+    raw = yaml.safe_load(path.read_text())
+    raw[block][key] = 1
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["study", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_non_mapping_block_is_config_error(tmp_path):
+    assert main(["study", "--config", str(write_config(tmp_path, mc=[10, 30]))]) == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("time,speed\n2004-01-01T00:00:00,7.5\n", 1),
+    ("timestamp,speed_mps,power_mw\n2004-01-01T00:00:00,7.5,40.0\n"
+     "2004-01-01T00:10:00,fast,40.0\n", 3),
+    ("timestamp,speed_mps,power_mw\n2004-01-01T00:00:00,7.5,n/a\n", 2),
+    ("timestamp,speed_mps,power_mw\n2004-01-01T00:00:00,7.5\n", 2),
+])
+def test_kl_malformed_wind_csv_is_data_error(tmp_path, capsys, text, line):
+    csv = tmp_path / "site_a.csv"
+    csv.write_text(text)
+    path = write_config(tmp_path, wind={"data": {"site_a": str(csv)}})
+    assert main(["kl", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(csv) in err and f"line {line}:" in err
+
+
+def test_kl_non_utf8_wind_csv_is_data_error(tmp_path, capsys):
+    csv = tmp_path / "site_a.csv"
+    csv.write_bytes(b"timestamp,speed_mps\n2004-01-01T00:00:00,\xff7.5\n")
+    path = write_config(tmp_path, wind={"data": {"site_a": str(csv)}})
+    assert main(["kl", "--config", str(path)]) == 3
+    assert str(csv) in capsys.readouterr().err
 
 
 def test_bad_case_path_is_data_error(tmp_path):

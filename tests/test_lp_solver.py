@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lp_oracle import random_lp, vertex_enumeration
-from windsed.lp_solver import (Basis, LinearProgram, RepeatSolver,
-                               SolveOptions, solve_lp)
+from ratio_test_reference import ratio_test_loop
+from windsed import lp_solver
+from windsed.lp_solver import (Basis, LinearProgram, LpError, RepeatSolver,
+                               SolveOptions, make_basis, solve_lp)
 
 INF = np.inf
 
@@ -152,3 +154,116 @@ def test_lp_text_round_trip():
     s1 = solve_lp(lp)
     s2 = solve_lp(lp2)
     assert s1.status == s2.status
+
+
+def test_ratio_test_matches_reference_loop(monkeypatch):
+    """Every ratio test on the random oracle LPs, in both phases and under
+    Bland's rule, agrees bit for bit with the per-candidate loop."""
+    vectorized = lp_solver._Simplex._ratio_test
+    seen = {True: 0, False: 0, "bland": 0}
+    force_bland = [False]
+
+    def checked(sim, q, sigma, delta, phase1):
+        sim.use_bland |= force_bland[0]
+        got = vectorized(sim, q, sigma, delta, phase1)
+        assert got == ratio_test_loop(sim, q, sigma, delta, phase1)
+        seen[phase1] += 1
+        seen["bland"] += sim.use_bland
+        # coarsened columns make near-tied ratios and pivots common
+        bland = sim.use_bland
+        for coarse in (np.round(delta, 1), np.sign(delta) * (1 + 1e-10 * np.arange(len(delta)))):
+            for sim.use_bland in (False, True):
+                for p1 in (False, True):
+                    assert vectorized(sim, q, sigma, coarse, p1) == \
+                        ratio_test_loop(sim, q, sigma, coarse, p1)
+        sim.use_bland = bland
+        return got
+
+    monkeypatch.setattr(lp_solver._Simplex, "_ratio_test", checked)
+    rng = np.random.default_rng(2718)
+    for k in range(120):
+        force_bland[0] = k % 4 == 0
+        solve_lp(simple_lp(*random_lp(rng)))
+    assert seen[True] >= 100 and seen[False] >= 50 and seen["bland"] >= 20
+
+
+def test_ratio_test_matches_reference_on_near_ties():
+    """Basic values a few 1e-9 apart, some outside their bounds, against
+    pivot columns drawn from a few magnitudes: ratios tie, nearly tie and
+    sit just outside the tie window."""
+    rng = np.random.default_rng(99)
+    m, n = 12, 3
+    for _ in range(300):
+        row_lo = rng.choice([-INF, -1.0, 0.0], m)
+        row_up = np.where(rng.random(m) < 0.3, INF, row_lo + rng.choice([0.0, 1.0], m))
+        row_up[row_lo == -INF] = rng.choice([INF, 1.0])
+        lp = LinearProgram(n, m, np.zeros(n), [], [], [], row_lo, row_up,
+                           np.zeros(n), rng.choice([1.0, INF], n))
+        sim = lp_solver._Simplex(lp, SolveOptions())
+        sim.start_cold()
+        bound = np.where(np.isfinite(row_lo), row_lo, np.where(np.isfinite(row_up), row_up, 0.0))
+        sim.x[sim.basic] = bound + rng.choice([-2e-7, -1e-8, 0.0, 3e-9, 5e-8, 0.5], m)
+        delta = rng.choice([-2.0, -1.0, -0.5, 0.0, 1e-10, 0.5, 1.0, 2.0], m)
+        q, sigma = int(rng.integers(n)), float(rng.choice([-1.0, 1.0]))
+        for sim.use_bland in (False, True):
+            for phase1 in (False, True):
+                assert sim._ratio_test(q, sigma, delta, phase1) == \
+                    ratio_test_loop(sim, q, sigma, delta, phase1)
+
+
+def test_make_basis_defaults_to_slack_start():
+    lp = simple_lp([1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [-INF], [4.0],
+                   [0.0, -INF, -INF], [2.0, 3.0, INF])
+    basis = make_basis(lp)
+    assert basis.basic.tolist() == [3]
+    assert basis.status.tolist() == [lp_solver.AT_LOWER, lp_solver.AT_UPPER,
+                                     lp_solver.FREE_NB, lp_solver.BASIC]
+    crash = make_basis(lp, [0])
+    assert crash.basic.tolist() == [0]
+    assert crash.status[0] == lp_solver.BASIC
+    assert crash.status[3] == lp_solver.AT_UPPER  # row logical at |4| < |-inf|
+    assert solve_lp(lp, warm_basis=crash).objective == pytest.approx(
+        solve_lp(lp).objective, abs=1e-12)
+
+
+def test_repeat_solver_restarts_after_failed_update(monkeypatch):
+    """A factor update that fails mid-solve triggers one rebuild from the
+    start basis, which still reaches the optimum."""
+    lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                   [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
+    want = solve_lp(lp).objective
+    for start in (None, make_basis(lp)):
+        rs = RepeatSolver(lp, start=start)
+        real = lp_solver._Factors.update
+        calls = []
+
+        def failing(self, row, eta, pivot_tol):
+            calls.append(row)
+            if len(calls) == 1:
+                raise LpError("forced update failure")
+            return real(self, row, eta, pivot_tol)
+
+        monkeypatch.setattr(lp_solver._Factors, "update", failing)
+        sol = rs.solve()
+        monkeypatch.undo()
+        assert rs.restarts == 1
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(want, rel=1e-12)
+        assert sol.max_bound_violation <= 1e-9
+        assert len(calls) >= 2  # the rebuilt solve pivoted again
+
+
+def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
+    lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                   [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
+    rs = RepeatSolver(lp)
+    want = rs.solve_value()
+    optimal = rs.basis()
+    lp.row_lower[0] = 4.0
+    moved = rs.solve_value()
+    assert moved == pytest.approx(solve_lp(lp).objective, rel=1e-12)
+    lp.row_lower[0] = 2.0
+    rs.restart_from(optimal)
+    sol = rs.solve()
+    assert sol.iterations == 0
+    assert sol.objective == pytest.approx(want, rel=1e-12)

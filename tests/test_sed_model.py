@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from windsed import estimate as est
 from windsed import forecast as fc
 from windsed.grid_model import linearize_cost, parse_case
-from windsed.lp_solver import LinearProgram
+from windsed import lp_solver
+from windsed.lp_solver import LinearProgram, SolveOptions, solve_lp
 from windsed.sed_model import (DispatchError, SedEvaluator, build_instance,
                                solve_dispatch)
 
@@ -195,3 +197,86 @@ def test_solution_csv_export(case3):
     lines = sol.to_csv().splitlines()
     assert lines[0] == "entity,index,period,value"
     assert len(lines) == 1 + 24 * (2 + 3 + 3 + 3)
+
+
+@pytest.mark.parametrize("name", ["case3", "case118"])
+def test_start_basis_factorizes_with_flows_at_zero(name, request):
+    case = request.getfixturevalue(name)
+    inst = build_instance(case, np.zeros((len(case.renewable_sites), case.periods)))
+    sim = lp_solver._Simplex(inst.lp, SolveOptions())
+    sim.start_warm(inst.start_basis())  # raises LpError if singular
+    T = case.periods
+    flows = sim.x[inst.n_seg:inst.n_seg + inst.n_flow]
+    shed = sim.x[inst.shed_col(0, 0):inst.shed_col(0, 0) + inst.n_shed]
+    assert np.all(flows == 0.0)
+    assert np.allclose(shed, inst.lp.row_lower[:len(case.buses) * T], atol=1e-9)
+    assert len(set(inst.start_basis().basic)) == inst.lp.num_rows
+
+
+def test_crash_start_matches_slack_start(case3, spec3):
+    ev = SedEvaluator(case3, spec3)
+    rng = np.random.default_rng(5)
+    for germ in [np.zeros(spec3.dimension), *rng.standard_normal((4, spec3.dimension))]:
+        inst = build_instance(case3, ev._power_for(germ))
+        crash = solve_lp(inst.lp, warm_basis=inst.start_basis())
+        slack = solve_lp(inst.lp)
+        assert crash.status == slack.status == "optimal"
+        assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
+
+
+def test_118_zero_germ_matches_highs(case118, spec118):
+    """The crash-started cold solve of the 118-bus LP reaches HiGHS's
+    optimum in well under half the slack start's ~11k pivots."""
+    from scipy.optimize import linprog
+
+    power = SedEvaluator(case118, spec118)._power_for(np.zeros(spec118.dimension))
+    sol = solve_dispatch(case118, power)  # no warm basis: the crash start
+    inst = build_instance(case118, power)
+    lp = inst.lp
+    A = lp.matrix()
+    eq = lp.row_lower == lp.row_upper
+    ub = ~eq & np.isfinite(lp.row_upper)
+    assert not np.any(~eq & np.isfinite(lp.row_lower))  # ramp rows: <= only
+    bounds = [(lo if np.isfinite(lo) else None, up if np.isfinite(up) else None)
+              for lo, up in zip(lp.col_lower, lp.col_upper)]
+    ref = linprog(lp.objective, A_ub=A[ub], b_ub=lp.row_upper[ub], A_eq=A[eq],
+                  b_eq=lp.row_lower[eq], bounds=bounds, method="highs")
+    assert ref.status == 0 and sol.status == "optimal"
+    assert sol.objective - inst.objective_offset == pytest.approx(ref.fun, rel=1e-9)
+    assert sol.iterations < 5000
+
+
+def test_batch_values_do_not_depend_on_history(case3, spec3):
+    """Every batch starts from the zero germ's optimal basis, so what the
+    evaluator solved before cannot move a batch's values, even at roundoff."""
+    germs = fc.sample_germs(8, 48, spec3.dimension)
+    fresh = SedEvaluator(case3, spec3).evaluate_batch(germs)
+    used = SedEvaluator(case3, spec3)
+    used.evaluate_batch(fc.sample_germs(9, 30, spec3.dimension))
+    used(2.0 * np.ones(spec3.dimension))
+    assert np.array_equal(used.evaluate_batch(germs), fresh)
+
+
+def test_pool_values_equal_in_process_chunks(case3, spec3):
+    """Pool results equal the same chunks evaluated in one process, however
+    the chunks fall to the workers."""
+    germs = fc.sample_germs(10, 96, spec3.dimension)
+    ev = SedEvaluator(case3, spec3)
+    ev(np.ones(spec3.dimension))  # workers inherit a moved basis
+    pooled = np.array(est.parallel_map(ev, germs, jobs=2))
+    local = SedEvaluator(case3, spec3)
+    chunks = np.array_split(germs, 16)
+    assert np.array_equal(
+        pooled, np.concatenate([local.evaluate_batch(c) for c in chunks]))
+
+
+def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
+    ev = SedEvaluator(case3, spec3)
+    germs = fc.sample_germs(11, 200, spec3.dimension)
+    germs[50] = germs[7]  # duplicates are visited too
+    germs[120] = 0.01
+    order = ev._visit_order(germs)
+    assert sorted(order.tolist()) == list(range(len(germs)))
+    assert order[0] == 120
+    assert ev._visit_order(germs[:1]).tolist() == [0]
+    assert ev.evaluate_batch(np.empty((0, spec3.dimension))).shape == (0,)
