@@ -274,10 +274,11 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
         germ = np.array([float(v) for v in germ_arg.split(",")])
     else:
         germ = np.zeros(spec.dimension)
-    if dump_lp:
-        inst = build_instance(case, evaluator._power_for(germ), cfg.segments)
-        (outdir / "dispatch.lp").write_text(inst.lp.to_text(), encoding="utf-8")
     sol = evaluator.solve(germ)
+    if dump_lp:
+        power = spec.power(germ, [s.site_label for s in case.renewable_sites])
+        inst = build_instance(case, power, cfg.segments)
+        (outdir / "dispatch.lp").write_text(inst.lp.to_text(), encoding="utf-8")
     (outdir / "dispatch.csv").write_text(sol.to_csv(), encoding="utf-8")
     summary = {
         "objective": sol.objective,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .forecast import MaternKernel
 from .wind_kl import (HOURS, PowerCurve, WindDataError, build_power_curve,
-                      kl_decompose)
+                      kl_decompose, reconstruct)
 
 _PHILOX_TAG_DATAGEN = 0xDA7A0001
 
@@ -54,9 +54,7 @@ def synthetic_wind_table(site: SyntheticSite, days: int, seed: int,
     rng = np.random.Generator(np.random.Philox(
         key=[np.uint64(seed), np.uint64(_PHILOX_TAG_DATAGEN)]))
     xi = rng.standard_normal((days, HOURS))
-    modes = basis.eigenvectors * np.sqrt(basis.eigenvalues)
-    w_log = basis.mean + xi @ modes.T          # (days, 24)
-    speeds = np.exp(w_log)
+    speeds = np.exp(reconstruct(basis, xi, HOURS))  # (days, 24)
     day0 = datetime.date.fromisoformat(start)
     rows = []
     for d in range(days):

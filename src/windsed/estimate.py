@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pce import MultiIndexSet, PCESurrogate, build_sparse_grid, project
+from .pce import PCESurrogate, build_sparse_grid
 
 _PHILOX_TAG_MC = 0x3C000000
 
@@ -45,27 +45,30 @@ def _eval_chunk(chunk):
 def _apply(model, germs):
     batch = getattr(model, "evaluate_batch", None)
     if batch is not None:
-        return list(batch(germs))
-    return [model(g) for g in germs]
+        return np.asarray(batch(germs), dtype=float)
+    return np.array([model(g) for g in germs], dtype=float)
 
 
-def parallel_map(model, germs, jobs: int = 1):
-    """Evaluate the model at each germ, optionally across processes.
+def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
+    """Model values at each germ, in germ order.
 
-    Work is dispatched in contiguous chunks and reassembled in germ order, so
-    the reduction does not depend on the worker count.  Models exposing an
-    `evaluate_batch` method (warm-startable dispatch evaluators) get whole
-    chunks at once.
+    The germs are cut into min(16, max(1, n // 64)) contiguous chunks, a
+    number fixed by the germ count alone.  The chunks run in this process
+    when jobs <= 1 or there is only one, else on one pool of `jobs`
+    workers.  Models exposing an `evaluate_batch` method (warm-startable
+    dispatch evaluators) get whole chunks at once; since a batch's values
+    depend on its germs alone, the result does not depend on `jobs` or on
+    the pool's start method.
     """
     germs = np.atleast_2d(np.asarray(germs, dtype=float))
-    if jobs <= 1 or len(germs) < 64:
-        return _apply(model, germs)
-    n_chunks = min(len(germs), 8 * jobs)
-    chunks = np.array_split(germs, n_chunks)
-    with multiprocessing.Pool(jobs, initializer=_init_worker,
-                              initargs=(model,)) as pool:
-        parts = pool.map(_eval_chunk, chunks)
-    return [v for part in parts for v in part]
+    chunks = np.array_split(germs, min(16, max(1, len(germs) // 64)))
+    if jobs <= 1 or len(chunks) == 1:
+        parts = [_apply(model, chunk) for chunk in chunks]
+    else:
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(model,)) as pool:
+            parts = pool.map(_eval_chunk, chunks)
+    return np.concatenate(parts)
 
 
 def mc_estimate(model, dimension: int, n_samples: int, seed: int,
@@ -74,21 +77,15 @@ def mc_estimate(model, dimension: int, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     rng = _mc_stream(seed, 0, 0)
-    germs = rng.standard_normal((n_samples, dimension))
-    vals = np.asarray(parallel_map(model, germs, jobs), dtype=float)
+    vals = parallel_map(model, rng.standard_normal((n_samples, dimension)), jobs)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
-def pce_estimate(model, dimension: int, level: int, order: int = 1,
-                 jobs: int = 1) -> float:
-    """Expected value as the zeroth PCE coefficient; identical to the plain
+def pce_estimate(model, dimension: int, level: int, jobs: int = 1) -> float:
+    """Expected value as the zeroth PCE coefficient, which is the plain
     weighted node sum of the quadrature."""
     grid = build_sparse_grid(dimension, level)
-    idxset = MultiIndexSet.total_degree(dimension, order)
-    values = None
-    if jobs > 1:
-        values = np.asarray(parallel_map(model, grid.nodes, jobs), dtype=float)
-    return project(model, grid, idxset, values=values).mean()
+    return grid.integrate(parallel_map(model, grid.nodes, jobs))
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ def convergence_study(model, dimension: int, levels, mc_schedule,
                       jobs: int = 1) -> ConvergenceReport:
     """Run the dual convergence experiment at the given quadrature levels and
     MC sample counts; nested quadrature nodes are evaluated once and shared
-    across levels."""
+    across levels, and all evaluations go through one `parallel_map` call."""
     levels = sorted(levels)
     mc_schedule = sorted(mc_schedule)
     if len(levels) < 2 or len(mc_schedule) < 2:
@@ -187,18 +184,22 @@ def convergence_study(model, dimension: int, levels, mc_schedule,
     if realizations < 1:
         raise ValueError("need at least one realization")
 
-    cache: dict = {}
+    # every germ of the study goes through one map: the nested nodes of all
+    # levels, each once in first-seen order, then each MC realization's draws
+    grids = [build_sparse_grid(dimension, lvl) for lvl in levels]
+    row_of: dict = {}
+    for grid in grids:
+        for node in grid.nodes:
+            row_of.setdefault(tuple(node), len(row_of))
+    draws = [_mc_stream(seed, i + 1, j).standard_normal((n, dimension))
+             for i, n in enumerate(mc_schedule) for j in range(realizations)]
+    germs = np.concatenate([np.array(list(row_of)), *draws])
+    values = parallel_map(model, germs, jobs)
+
     pce_records = []
-    for lvl in levels:
-        grid = build_sparse_grid(dimension, lvl)
-        keys = [tuple(node) for node in grid.nodes]
-        missing = [k for k in keys if k not in cache]
-        if missing:
-            vals = parallel_map(model, [np.array(k) for k in missing], jobs)
-            cache.update(zip(missing, vals))
-        values = np.array([cache[k] for k in keys])
-        c0 = grid.integrate(values)
-        pce_records.append(PceRecord(lvl, len(grid), c0))
+    for lvl, grid in zip(levels, grids):
+        rows = [row_of[tuple(node)] for node in grid.nodes]
+        pce_records.append(PceRecord(lvl, len(grid), grid.integrate(values[rows])))
 
     pce_errors = []
     for cur, nxt in zip(pce_records, pce_records[1:]):
@@ -210,12 +211,11 @@ def convergence_study(model, dimension: int, levels, mc_schedule,
 
     mc_records = []
     means = {}
+    start = len(row_of)
     for i, n in enumerate(mc_schedule):
         for j in range(realizations):
-            rng = _mc_stream(seed, i + 1, j)
-            germs = rng.standard_normal((n, dimension))
-            vals = np.asarray(parallel_map(model, germs, jobs), dtype=float)
-            mean = float(vals.mean())
+            mean = float(values[start:start + n].mean())
+            start += n
             means[(i, j)] = mean
             mc_records.append(McRecord(n, j, mean))
 
@@ -247,7 +247,7 @@ def cross_validate(surrogate: PCESurrogate, model, n_test: int, seed: int,
         raise ValueError("need at least one test sample")
     rng = _mc_stream(seed, 0x7E57, 0)
     germs = rng.standard_normal((n_test, surrogate.dimension))
-    truth = np.asarray(parallel_map(model, germs, jobs), dtype=float)
+    truth = parallel_map(model, germs, jobs)
     approx = np.array([surrogate(g) for g in germs])
     ref = float(truth.mean())
     if ref == 0:

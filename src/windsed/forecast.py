@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn, kv
 
-from .wind_kl import HOURS, KLBasis, PowerCurve, kl_decompose
+from .wind_kl import HOURS, KLBasis, PowerCurve, kl_decompose, reconstruct
 
 _PHILOX_TAG_SCENARIO = 0x5EED0001
 
@@ -258,6 +258,34 @@ class ForecastSpec:
     def dimension(self) -> int:
         return self.germ_layout()[1]
 
+    def germ_columns(self) -> dict:
+        """Germ coordinate of each of a site's modes, by site label.
+        Memoized: the power mapping runs once per evaluation."""
+        cached = getattr(self, "_columns_cache", None)
+        if cached is None:
+            layout, _ = self.germ_layout()
+            cached = {s.label: np.array([layout[(s.label, mode)]
+                                         for mode in range(1, s.truncation + 1)])
+                      for s in self.sites}
+            object.__setattr__(self, "_columns_cache", cached)
+        return cached
+
+    def power(self, germs, labels=None) -> np.ndarray:
+        """Hourly power per site, shape (..., n_sites, 24), for germs of
+        shape (..., dimension): each site's truncated KL expansion of its
+        germ coordinates (`wind_kl.reconstruct`) is a log-wind field, which
+        is exponentiated and pushed through the site's power curve.  Sites
+        come in `labels` order, by default in declaration order."""
+        germs = np.asarray(germs, dtype=float)
+        columns = self.germ_columns()
+        sites = self.sites if labels is None else [self.site(l) for l in labels]
+        out = np.empty(germs.shape[:-1] + (len(sites), HOURS))
+        for j, site in enumerate(sites):
+            w_log = reconstruct(site.kl_basis(), germs[..., columns[site.label]],
+                                site.truncation)
+            out[..., j, :] = site.curve(np.exp(w_log))
+        return out
+
 
 @dataclass(frozen=True)
 class ScenarioSet:
@@ -340,7 +368,7 @@ def generate_scenarios(spec: ForecastSpec, germs=None, seed: int | None = None,
                        weights=None) -> ScenarioSet:
     """Map germ vectors (given, or sampled with `seed`) into per-site hourly
     power.  Shared dependence-group modes consume a single germ coordinate."""
-    layout, dim = spec.germ_layout()
+    dim = spec.dimension
     if germs is None:
         if seed is None or n_scenarios is None:
             raise ValueError("need either explicit germs or (seed, n_scenarios)")
@@ -349,15 +377,5 @@ def generate_scenarios(spec: ForecastSpec, germs=None, seed: int | None = None,
     if germs.shape[1] != dim:
         raise ForecastError(
             f"germ dimension {germs.shape[1]} != spec dimension {dim}")
-    n = germs.shape[0]
-    power = np.empty((n, len(spec.sites), HOURS))
-    for j, site in enumerate(spec.sites):
-        basis = site.kl_basis()
-        cols = [layout[(site.label, mode)] for mode in range(1, site.truncation + 1)]
-        xi = germs[:, cols]
-        modes = basis.eigenvectors[:, :site.truncation] * np.sqrt(
-            basis.eigenvalues[:site.truncation])
-        w_log = basis.mean + xi @ modes.T
-        power[:, j, :] = site.curve(np.exp(w_log))
-    return ScenarioSet(germs, power, tuple(s.label for s in spec.sites),
+    return ScenarioSet(germs, spec.power(germs), tuple(s.label for s in spec.sites),
                        None if weights is None else np.asarray(weights, dtype=float))

@@ -201,18 +201,12 @@ class LpSolution:
         objective at an exact optimum.  Multipliers below drop_tol are
         treated as zero so that roundoff-level duals do not pair with
         infinite bounds."""
-        total = 0.0
-        for i in range(lp.num_rows):
-            y = self.row_duals[i]
-            if abs(y) <= drop_tol:
-                continue
-            total += y * (lp.row_lower[i] if y > 0 else lp.row_upper[i])
-        for j in range(lp.num_cols):
-            d = self.reduced_costs[j]
-            if abs(d) <= drop_tol:
-                continue
-            total += d * (lp.col_lower[j] if d > 0 else lp.col_upper[j])
-        return total
+        mult = np.concatenate([self.row_duals, self.reduced_costs])
+        lower = np.concatenate([lp.row_lower, lp.col_lower])
+        upper = np.concatenate([lp.row_upper, lp.col_upper])
+        keep = np.abs(mult) > drop_tol
+        mult = mult[keep]
+        return float(np.sum(mult * np.where(mult > 0, lower[keep], upper[keep])))
 
 
 class _Factors:
@@ -480,28 +474,6 @@ class _Simplex:
             status = self.run_phase(phase1=False)
         return status
 
-    def solve(self, warm: Basis | None) -> LpSolution:
-        if warm is not None:
-            self.start_warm(warm)
-        else:
-            self.start_cold()
-        status = self.run_phases()
-        if status == "optimal":
-            # guard against drift: refactorize and confirm, resuming if needed
-            for _ in range(3):
-                self._refactorize()
-                viol = self._infeasibility()
-                d, _ = self._reduced_costs(self.cost)
-                q = self._choose_entering(d)
-                if viol <= self.opts.feas_tol and q < 0:
-                    break
-                status = self.run_phases()
-                if status != "optimal":
-                    break
-            else:
-                raise LpError("could not certify optimality after repeated refactorization")
-        return self._solution(status)
-
     def objective(self) -> float:
         """c.x over the structural columns.  An elementwise product and a
         numpy sum, not a dot: at dispatch sizes a BLAS dot wakes OpenBLAS
@@ -535,15 +507,13 @@ class _Simplex:
 
 def solve_lp(lp: LinearProgram, opts: SolveOptions | None = None,
              warm_basis: Basis | None = None) -> LpSolution:
-    """Solve an LP; deterministic for identical inputs and options.
+    """Solve an LP once; deterministic for identical inputs and options.
 
     A warm-start basis (typically from a previous scenario that differs only
     in bound data) is validated and used as the starting point; a singular
     warm basis raises LpError rather than being silently repaired.
     """
-    opts = opts or SolveOptions()
-    lp.validate()
-    return _Simplex(lp, opts).solve(warm_basis)
+    return RepeatSolver(lp, opts, warm_basis).solve()
 
 
 class RepeatSolver:

@@ -294,25 +294,23 @@ class ModelEvaluationError(Exception):
         super().__init__(f"model failed at node {node}: {cause}")
 
 
-def evaluate_on_grid(model, grid: SparseGrid, pool_map=None) -> np.ndarray:
-    """Model values at every grid node; pool_map allows a concurrent map
-    (results are reassembled in node order, so the reduction is unchanged)."""
-    mapper = pool_map if pool_map is not None else map
-    rows = [np.asarray(r, dtype=float) for r in grid.nodes]
-    try:
-        values = np.fromiter(mapper(model, rows), dtype=float, count=len(rows))
-    except ModelEvaluationError:
-        raise
-    except Exception as exc:
-        raise ModelEvaluationError("<unknown>", exc) from exc
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ModelEvaluationError(grid.nodes[bad], "non-finite model value")
+def evaluate_on_grid(model, grid: SparseGrid) -> np.ndarray:
+    """Model values at every grid node, evaluated node by node in node
+    order; a failed or non-finite evaluation raises ModelEvaluationError
+    naming its node."""
+    values = np.empty(len(grid))
+    for k, node in enumerate(grid.nodes):
+        try:
+            values[k] = model(node)
+        except Exception as exc:
+            raise ModelEvaluationError(node, exc) from exc
+        if not np.isfinite(values[k]):
+            raise ModelEvaluationError(node, "non-finite model value")
     return values
 
 
 def project(model, grid: SparseGrid, idxset: MultiIndexSet,
-            values: np.ndarray | None = None, pool_map=None) -> PCESurrogate:
+            values: np.ndarray | None = None) -> PCESurrogate:
     """Galerkin projection c_k = sum_nodes w * model * Psi_k / <Psi_k^2>.
 
     The model is evaluated once per node and reused for every coefficient;
@@ -325,7 +323,7 @@ def project(model, grid: SparseGrid, idxset: MultiIndexSet,
             f"grid level {grid.level} too low for order {idxset.order}: "
             f"an order-p projection needs level >= p+1")
     if values is None:
-        values = evaluate_on_grid(model, grid, pool_map=pool_map)
+        values = evaluate_on_grid(model, grid)
     norms = idxset.norms_squared()
     basis_rows = np.empty((len(grid), len(idxset)))
     for r, node in enumerate(grid.nodes):

@@ -8,7 +8,6 @@ move those row bounds, which is what makes warm-started bases effective.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,6 +328,7 @@ class SedEvaluator:
                 f"case sites {case_labels} do not match forecast sites {spec_labels}")
         self.case = case
         self.spec = spec
+        self._site_labels = case_labels
         self.segments = segments
         self.opts = opts or SolveOptions()
         self.dim = spec.dimension
@@ -342,29 +342,9 @@ class SedEvaluator:
         state["_solver"] = None
         return state
 
-    def _site_maps(self):
-        """Per-site (germ columns, scaled modes, log-mean, curve) in the
-        case's renewable-site order; built once."""
-        cached = getattr(self, "_site_maps_cache", None)
-        if cached is None:
-            layout, _ = self.spec.germ_layout()
-            cached = []
-            for case_site in self.case.renewable_sites:
-                site = self.spec.site(case_site.site_label)
-                basis = site.kl_basis()
-                cols = [layout[(site.label, m)]
-                        for m in range(1, site.truncation + 1)]
-                modes = basis.eigenvectors[:, :site.truncation] * np.sqrt(
-                    basis.eigenvalues[:site.truncation])
-                cached.append((np.array(cols), modes.T, basis.mean, site.curve))
-            self._site_maps_cache = cached
-        return cached
-
     def _power_for(self, germ: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.case.renewable_sites), self.case.periods))
-        for j, (cols, modes_t, mean_log, curve) in enumerate(self._site_maps()):
-            out[j] = curve(np.exp(mean_log + germ[cols] @ modes_t))
-        return out
+        """Hourly power per site in the case's renewable-site order."""
+        return self.spec.power(germ, self._site_labels)
 
     def _build(self):
         """Build the LP at the zero germ and its solver.  A rebuild (in a
@@ -397,7 +377,10 @@ class SedEvaluator:
 
     def solve(self, germ) -> DispatchSolution:
         germ = self._load(germ)
-        sol = self._solver.solve()
+        try:
+            sol = self._solver.solve()
+        except LpError as exc:
+            raise DispatchError(f"dispatch LP failed at germ {germ!r}: {exc}") from exc
         if sol.status != "optimal":
             raise DispatchError(
                 f"dispatch LP unexpectedly {sol.status} at germ {germ!r}")
@@ -415,11 +398,10 @@ class SedEvaluator:
     def _germ_scale(self) -> np.ndarray:
         """Weight per germ coordinate ~ how strongly it moves total wind."""
         scale = np.zeros(self.dim)
-        layout, _ = self.spec.germ_layout()
+        columns = self.spec.germ_columns()
         for site in self.spec.sites:
-            lam = site.kl_basis().eigenvalues
-            for mode in range(1, site.truncation + 1):
-                scale[layout[(site.label, mode)]] += math.sqrt(lam[mode - 1])
+            lam = site.kl_basis().eigenvalues[:site.truncation]
+            np.add.at(scale, columns[site.label], np.sqrt(lam))
         return scale
 
     def _visit_order(self, germs: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 import yaml
 
-from windsed.cli import ExperimentConfig, main
-from windsed.grid_model import linearize_cost
+from windsed.cli import ExperimentConfig, build_forecast_spec, main
+from windsed.grid_model import linearize_cost, load_case
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -199,6 +200,16 @@ def test_dispatch_dump_lp_parseable(tmp_path):
     assert lp.num_rows > 0 and lp.num_cols > 0
 
 
+def test_dispatch_dump_lp_short_germ_is_reported(tmp_path, capsys):
+    """The germ is checked by the solve before the LP is dumped, so a germ
+    of the wrong length ends in a message, not a traceback."""
+    path = write_config(tmp_path)
+    assert main(["dispatch", "--config", str(path), "--germ", "0,0",
+                 "--dump-lp"]) == 4
+    assert "germ has shape (2,)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dispatch.lp").exists()
+
+
 def test_dispatch_all_off_commitment_full_shed(tmp_path, case3):
     import dataclasses
 
@@ -249,6 +260,27 @@ def test_study_runs_verifies_and_reproduces(tmp_path):
     assert header == "method,resolution,realization,value,error"
 
 
+def test_study_report_does_not_depend_on_jobs_or_start_method(tmp_path,
+                                                              monkeypatch):
+    """The study's germs go through one map whose chunks the germ count
+    alone fixes, so the report is byte-identical in one process, on a
+    forked pool and on a spawned one.  This sweep's report differs in three
+    rows between --jobs 1 and 2 when the chunks depend on the worker count."""
+    path = write_config(tmp_path, seed=3, pce={"levels": [1, 2, 3, 4]},
+                        mc={"schedule": [10, 100], "realizations": 2})
+    reports = []
+    for jobs, method in ((1, None), (2, "fork"), (2, "spawn")):
+        if method:
+            monkeypatch.setattr(multiprocessing, "Pool",
+                                multiprocessing.get_context(method).Pool)
+        out = tmp_path / f"jobs{jobs}-{method}"
+        assert main(["study", "--config", str(path), "--out", str(out),
+                     "--jobs", str(jobs)]) == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
 def test_seed_override_changes_outputs(tmp_path):
     path = write_config(tmp_path)
     out1 = tmp_path / "s1"
@@ -257,6 +289,15 @@ def test_seed_override_changes_outputs(tmp_path):
     assert main(["study", "--config", str(path), "--out", str(out2),
                  "--seed", "7"]) == 0
     assert (out1 / "report.csv").read_text() != (out2 / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("name", ["convergence3", "study_small", "study118"])
+def test_bundled_config_builds_its_spec(name, monkeypatch):
+    monkeypatch.chdir(DATA.parent)  # case paths are relative to the repo
+    cfg = ExperimentConfig.load(str(DATA / f"{name}.yaml"))
+    spec = build_forecast_spec(cfg, load_case(cfg.case_path))
+    assert len(cfg.pce_levels) >= 2 and len(cfg.mc_schedule) >= 2
+    assert spec.dimension > 0
 
 
 def test_config_round_trip_and_digest(tmp_path):

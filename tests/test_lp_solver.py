@@ -66,6 +66,19 @@ def test_validation_rejects_bad_input():
         LinearProgram(1, 1, [1.0], [0], [5], [1.0], [0.0], [0.0], [0.0], [1.0])
 
 
+def loop_dual_objective(sol, lp, drop_tol=1e-9):
+    """Per-multiplier loop form of `LpSolution.dual_objective`, kept as the
+    reference for the vectorized sum."""
+    total = 0.0
+    for y, lo, up in zip(sol.row_duals, lp.row_lower, lp.row_upper):
+        if abs(y) > drop_tol:
+            total += y * (lo if y > 0 else up)
+    for d, lo, up in zip(sol.reduced_costs, lp.col_lower, lp.col_upper):
+        if abs(d) > drop_tol:
+            total += d * (lo if d > 0 else up)
+    return total
+
+
 def test_random_lps_match_oracle_and_duality():
     rng = np.random.default_rng(2718)
     n_opt = n_inf = 0
@@ -78,8 +91,10 @@ def test_random_lps_match_oracle_and_duality():
             n_opt += 1
             assert sol.status == "optimal"
             assert abs(sol.objective - val) <= 1e-8 * (1 + abs(val))
-            gap = abs(sol.objective - sol.dual_objective(lp))
-            assert gap <= 1e-7 * (1 + abs(sol.objective))
+            dual = sol.dual_objective(lp)
+            assert abs(sol.objective - dual) <= 1e-7 * (1 + abs(sol.objective))
+            ref = loop_dual_objective(sol, lp)
+            assert abs(dual - ref) <= 1e-12 * (1 + abs(ref))  # summation order
         else:
             n_inf += 1
             assert sol.status == "infeasible"

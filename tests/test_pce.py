@@ -6,8 +6,8 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from windsed.pce import (MAX_LEVEL, ModelEvaluationError, MultiIndexSet,
-                         PCESurrogate, build_sparse_grid, eval_basis, hermite,
-                         project, rule_1d)
+                         PCESurrogate, build_sparse_grid, eval_basis,
+                         evaluate_on_grid, hermite, project, rule_1d)
 
 
 def gaussian_moment(alpha):
@@ -181,6 +181,42 @@ def test_model_failure_carries_node():
         return float("nan") if abs(x[0]) > 1 else 1.0
     with pytest.raises(ModelEvaluationError):
         project(bad, grid, idx)
+
+
+def test_model_exception_names_its_node():
+    """Nodes are evaluated one at a time in node order; the first that
+    raises is named, and no later node is evaluated."""
+    grid = build_sparse_grid(2, 2)
+    bad = grid.nodes[5]
+    seen = []
+
+    def model(x):
+        seen.append(x.copy())
+        if np.array_equal(x, bad):
+            raise RuntimeError("boom")
+        return 1.0
+
+    with pytest.raises(ModelEvaluationError, match="boom") as info:
+        evaluate_on_grid(model, grid)
+    assert np.array_equal(info.value.node, bad)
+    assert np.array_equal(seen, grid.nodes[:6])
+
+
+def test_project_names_failing_node():
+    grid = build_sparse_grid(2, 2)
+    idx = MultiIndexSet.total_degree(2, 1)
+    bad = grid.nodes[-1]
+
+    def model(x):
+        if np.array_equal(x, bad):
+            raise ValueError("no dispatch")
+        return 1.0
+
+    with pytest.raises(ModelEvaluationError, match="no dispatch") as info:
+        project(model, grid, idx)
+    assert np.array_equal(info.value.node, bad)
+    with pytest.raises(TypeError):  # evaluation has one path: no pool_map
+        project(model, grid, idx, pool_map=map)
 
 
 # -- surrogate ---------------------------------------------------------------------

@@ -186,6 +186,21 @@ def test_power_path_matches_generate_scenarios(case3, spec3):
     assert np.array_equal(ev._power_for(germ), ss.power[0][order])
 
 
+def test_solver_failure_names_the_germ(case3, spec3, monkeypatch):
+    def fail(self):
+        raise lp_solver.LpError("singular basis")
+
+    ev = SedEvaluator(case3, spec3)
+    ev(np.zeros(spec3.dimension))  # builds the LP and solves the zero germ
+    monkeypatch.setattr(lp_solver.RepeatSolver, "solve", fail)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
+    germ = np.full(spec3.dimension, 0.5)
+    for evaluate in (ev.solve, ev):
+        with pytest.raises(DispatchError,
+                           match=r"at germ array\(\[0\.5, 0\.5.*singular basis"):
+            evaluate(germ)
+
+
 def test_germ_dimension_checked(case3, spec3):
     ev = SedEvaluator(case3, spec3)
     with pytest.raises(DispatchError, match="shape"):
@@ -257,17 +272,15 @@ def test_batch_values_do_not_depend_on_history(case3, spec3):
     assert np.array_equal(used.evaluate_batch(germs), fresh)
 
 
-def test_pool_values_equal_in_process_chunks(case3, spec3):
-    """Pool results equal the same chunks evaluated in one process, however
-    the chunks fall to the workers."""
-    germs = fc.sample_germs(10, 96, spec3.dimension)
+def test_parallel_map_values_do_not_depend_on_jobs(case3, spec3):
+    """The germ count alone sets the chunks (here 3), so a pool of two
+    workers returns exactly what one process does, whatever state the
+    workers inherit and however the chunks fall to them."""
+    germs = fc.sample_germs(10, 200, spec3.dimension)
+    serial = est.parallel_map(SedEvaluator(case3, spec3), germs, jobs=1)
     ev = SedEvaluator(case3, spec3)
     ev(np.ones(spec3.dimension))  # workers inherit a moved basis
-    pooled = np.array(est.parallel_map(ev, germs, jobs=2))
-    local = SedEvaluator(case3, spec3)
-    chunks = np.array_split(germs, 16)
-    assert np.array_equal(
-        pooled, np.concatenate([local.evaluate_batch(c) for c in chunks]))
+    assert np.array_equal(est.parallel_map(ev, germs, jobs=2), serial)
 
 
 def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
