@@ -1,13 +1,16 @@
 """Config-driven command line: data prep (kl), single dispatch evaluation
 (dispatch), and the MC-vs-PCE convergence experiment (study).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config or argument error, 3 data error,
+4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +21,8 @@ import yaml
 from . import __version__, datagen, estimate, forecast, wind_kl
 from .grid_model import CaseFormatError, GridCase, load_case
 from .lp_solver import LpError
-from .pce import ModelEvaluationError
-from .sed_model import DispatchError, SedEvaluator, build_instance
+from .pce import MAX_LEVEL, ModelEvaluationError
+from .sed_model import DispatchError, SedEvaluator
 from .wind_kl import WindDataError
 
 SCHEMA = """\
@@ -61,6 +64,10 @@ class ConfigError(Exception):
     pass
 
 
+class DataError(Exception):
+    pass
+
+
 @dataclass
 class ExperimentConfig:
     case_path: str
@@ -74,6 +81,20 @@ class ExperimentConfig:
     pce_levels: tuple = (1, 2)
     mc_schedule: tuple = (10, 100)
     mc_realizations: int = 2
+
+    def __post_init__(self):
+        for name, value in (("segments", self.segments), ("jobs", self.jobs),
+                            ("mc.realizations", self.mc_realizations)):
+            if value < 1:
+                raise ConfigError(f"`{name}` must be at least 1, got {value}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"`seed` must fit in a uint64, got {self.seed}")
+        for name, values, top in (("pce.levels", self.pce_levels, MAX_LEVEL),
+                                  ("mc.schedule", self.mc_schedule, float("inf"))):
+            if len(values) < 2 or len(set(values)) < len(values) or not all(
+                    1 <= v <= top for v in values):
+                raise ConfigError(f"`{name}` needs two or more distinct values in "
+                                  f"1..{top}, got {list(values)}")
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -95,24 +116,19 @@ class ExperimentConfig:
         wind = raw.get("wind") or {}
         pce_block = _block(raw, "pce", {"levels"})
         mc_block = _block(raw, "mc", {"schedule", "realizations"})
-        cfg = cls(
+        return cls(
             case_path=str(raw["case"]),
-            segments=int(raw.get("segments", 3)),
-            seed=int(raw.get("seed", 42)),
+            segments=_integer(raw.get("segments", 3), "segments"),
+            seed=_integer(raw.get("seed", 42), "seed"),
             out=str(raw.get("out", "out")),
-            jobs=int(raw.get("jobs", 1)),
+            jobs=_integer(raw.get("jobs", 1), "jobs"),
             wind_data=dict(wind.get("data") or {}),
             wind_synthetic=dict(wind.get("synthetic") or {}),
             forecast=dict(raw.get("forecast") or {}),
-            pce_levels=tuple(int(l) for l in pce_block.get("levels", (1, 2))),
-            mc_schedule=tuple(int(n) for n in mc_block.get("schedule", (10, 100))),
-            mc_realizations=int(mc_block.get("realizations", 2)),
+            pce_levels=_integers(pce_block.get("levels", (1, 2)), "pce.levels"),
+            mc_schedule=_integers(mc_block.get("schedule", (10, 100)), "mc.schedule"),
+            mc_realizations=_integer(mc_block.get("realizations", 2), "mc.realizations"),
         )
-        if cfg.segments < 1 or cfg.jobs < 1:
-            raise ConfigError("segments and jobs must be positive")
-        if cfg.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        return cfg
 
     def digest(self) -> str:
         """Hash of the scientific configuration; workspace knobs (out, jobs)
@@ -121,6 +137,31 @@ class ExperimentConfig:
                    if k not in ("out", "jobs")}
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"`{name}` must be an integer, got {value!r}") from None
+
+
+def _integers(values, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"`{name}` must be a list of integers, got {values!r}")
+    return tuple(_integer(v, name) for v in values)
+
+
+def _positive(block: dict, key: str, where: str) -> float:
+    """block[key] as a positive float, else a ConfigError naming where.key."""
+    value = block.get(key)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not number > 0:
+        raise ConfigError(f"`{where}.{key}` must be a positive number, got {value!r}")
+    return number
 
 
 def _block(raw: dict, name: str, known: set) -> dict:
@@ -145,12 +186,13 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
     block = cfg.forecast
     if not block:
         raise ConfigError("config has no `forecast` block")
-    try:
-        sigma_p = float(block["sigma_p"])
-        site_block = block["sites"]
-    except KeyError as exc:
-        raise ConfigError(f"forecast block missing {exc}") from None
-    truncation = int(block.get("truncation", 6))
+    if "sites" not in block:
+        raise ConfigError("forecast block missing 'sites'")
+    site_block = block["sites"]
+    sigma_p = _positive(block, "sigma_p", "forecast")
+    truncation = _integer(block.get("truncation", 6), "forecast.truncation")
+    if truncation < 1:
+        raise ConfigError(f"`forecast.truncation` must be at least 1, got {truncation}")
     case_sites = {s.site_label: s for s in case.renewable_sites}
     if set(site_block) != set(case_sites):
         raise ConfigError(
@@ -162,15 +204,18 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
         nameplate = case_sites[label].nameplate
         curve = datagen.default_power_curve(nameplate)
         mean_wind = _mean_profile(entry.get("mean_wind", 8.0))
-        kernel = forecast.MaternKernel(float(entry["matern_l"]),
-                                       float(entry["matern_nu"]), 1.0)
+        where = f"forecast.sites.{label}"
+        kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
+                                       _positive(entry, "matern_nu", where), 1.0)
         sigma_w = forecast.sigma_w_from_sigma_p(sigma_p, mean_wind, curve)
         sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                         min(truncation, wind_kl.HOURS), curve))
-    groups = []
-    for group in block.get("dependence", ()):
-        groups.append(tuple((str(site), int(mode)) for site, mode in group))
-    return forecast.ForecastSpec(tuple(sites), sigma_p, tuple(groups))
+    try:
+        groups = tuple(tuple((str(site), int(mode)) for site, mode in group)
+                       for group in block.get("dependence", ()))
+        return forecast.ForecastSpec(tuple(sites), sigma_p, groups)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"`forecast.dependence`: {exc}") from None
 
 
 def write_manifest(outdir: Path, cfg: ExperimentConfig, command: str):
@@ -260,25 +305,40 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
 
 # -- dispatch -------------------------------------------------------------------
 
+def _parse_germ(text: str, dimension: int) -> np.ndarray:
+    try:
+        germ = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        germ = np.empty(0)
+    if germ.shape != (dimension,) or not np.all(np.isfinite(germ)):
+        raise ConfigError(f"--germ needs {dimension} finite comma-separated "
+                          f"numbers, got {text!r}")
+    return germ
+
+
 def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
                  scenario_file: str | None, scenario_index: int,
                  dump_lp: bool) -> int:
     case = load_case(cfg.case_path)
     spec = build_forecast_spec(cfg, case)
-    evaluator = SedEvaluator(case, spec, cfg.segments)
     if scenario_file:
-        blob = Path(scenario_file).read_bytes()
-        scen = forecast.ScenarioSet.from_binary(blob)
+        try:
+            scen = forecast.ScenarioSet.from_binary(Path(scenario_file).read_bytes())
+        except (struct.error, ValueError) as exc:
+            raise DataError(f"{scenario_file} is not a scenario dump: {exc}") from None
+        if not 0 <= scenario_index < len(scen):
+            raise ConfigError(f"--scenario-index {scenario_index} is outside "
+                              f"0..{len(scen) - 1} of {scenario_file}")
         germ = scen.germs[scenario_index]
     elif germ_arg:
-        germ = np.array([float(v) for v in germ_arg.split(",")])
+        germ = _parse_germ(germ_arg, spec.dimension)
     else:
         germ = np.zeros(spec.dimension)
+    evaluator = SedEvaluator(case, spec, cfg.segments)
     sol = evaluator.solve(germ)
     if dump_lp:
-        power = spec.power(germ, [s.site_label for s in case.renewable_sites])
-        inst = build_instance(case, power, cfg.segments)
-        (outdir / "dispatch.lp").write_text(inst.lp.to_text(), encoding="utf-8")
+        (outdir / "dispatch.lp").write_text(evaluator.inst.lp.to_text(),
+                                            encoding="utf-8")
     (outdir / "dispatch.csv").write_text(sol.to_csv(), encoding="utf-8")
     summary = {
         "objective": sol.objective,
@@ -380,13 +440,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = ExperimentConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        if args.out is not None:
-            cfg.out = args.out
+        overrides = {key: getattr(args, key) for key in ("seed", "jobs", "out")
+                     if getattr(args, key) is not None}
+        cfg = dataclasses.replace(ExperimentConfig.load(args.config), **overrides)
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "kl":
@@ -402,7 +458,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CaseFormatError, WindDataError, FileNotFoundError) as exc:
+    except (CaseFormatError, WindDataError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (LpError, DispatchError, forecast.ForecastError,

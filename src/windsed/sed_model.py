@@ -27,29 +27,25 @@ class DispatchError(Exception):
 
 @dataclass
 class DispatchInstance:
+    """The dispatch LP and where each quantity sits in it.
+
+    Columns hold the segment fills `seg` (G, T, S), then the line flows
+    `flow` (E, T), bus angles `angle` (B, T) and load shedding `shed`
+    (B, T); each array gives the column index of every entry.  Rows hold
+    the bus balances (B*T, bus-major), the flow definitions (E*T), then
+    the up- and down-ramp rows (G*(T-1) each)."""
+
     case: GridCase
     segments: int
     lp: LinearProgram
-    objective_offset: float  # committed-cost constant outside the LP
-    pwl: tuple               # PiecewiseLinearCost per generator
-
-    # column blocks
-    n_seg: int
-    n_flow: int
-    n_angle: int
-    n_shed: int
-
-    def seg_col(self, g: int, t: int, s: int) -> int:
-        return (g * self.case.periods + t) * self.segments + s
-
-    def flow_col(self, e: int, t: int) -> int:
-        return self.n_seg + e * self.case.periods + t
-
-    def angle_col(self, i: int, t: int) -> int:
-        return self.n_seg + self.n_flow + i * self.case.periods + t
-
-    def shed_col(self, i: int, t: int) -> int:
-        return self.n_seg + self.n_flow + self.n_angle + i * self.case.periods + t
+    objective_offset: float   # committed-cost constant outside the LP
+    seg: np.ndarray
+    flow: np.ndarray
+    angle: np.ndarray
+    shed: np.ndarray
+    p_floor: np.ndarray       # (G, T) committed minimum output p_min * x
+    balance_base: np.ndarray  # (B, T) renewable-free balance D - sum(p_min * x)
+    site_bus: np.ndarray      # bus position of each renewable site
 
     def balance_row(self, i: int, t: int) -> int:
         return i * self.case.periods + t
@@ -63,50 +59,20 @@ class DispatchInstance:
         at its slack-start bound, each flow starts at zero and each shed at
         its bus's residual load, so phase 1 only has to repair buses whose
         committed p_min (or wind) exceeds their load."""
-        n_bal = len(self.case.buses) * self.case.periods
-        shed0 = self.n_seg + self.n_flow + self.n_angle
-        ramp0 = self.lp.num_cols + n_bal + self.n_flow
-        basic = np.concatenate([
-            np.arange(shed0, shed0 + self.n_shed),
-            np.arange(self.n_seg, self.n_seg + self.n_flow),
-            np.arange(ramp0, self.lp.num_cols + self.lp.num_rows)])
-        return make_basis(self.lp, basic)
-
-    def _balance_base(self) -> np.ndarray:
-        """Renewable-independent balance constant D - sum(p_min * x)."""
-        cached = getattr(self, "_balance_base_cache", None)
-        if cached is None:
-            case = self.case
-            bus_pos = case.bus_index()
-            cached = np.zeros((len(case.buses), case.periods))
-            for i, bus in enumerate(case.buses):
-                cached[i] = np.asarray(bus.load, dtype=float)
-            for g in case.generators:
-                cached[bus_pos[g.bus]] -= g.p_min * np.asarray(g.commitment, dtype=float)
-            self._balance_base_cache = cached
-            self._site_rows = [bus_pos[s.bus] for s in case.renewable_sites]
-        return cached
+        n = self.lp.num_cols
+        ramp = np.arange(n + self.shed.size + self.flow.size, n + self.lp.num_rows)
+        return make_basis(self.lp, np.concatenate(
+            [self.shed.ravel(), self.flow.ravel(), ramp]))
 
     def set_renewable(self, renewable: np.ndarray):
         """Move the balance-row constants for a new renewable scenario."""
-        renewable = _check_renewable(self.case, renewable)
-        rhs = self._balance_base().copy()
-        for s_idx, row in enumerate(self._site_rows):
-            rhs[row] -= renewable[s_idx]
-        flat = rhs.reshape(-1)
-        n_bal = flat.shape[0]
-        self.lp.row_lower[:n_bal] = flat
-        self.lp.row_upper[:n_bal] = flat
+        rhs = self.balance_base.copy()
+        np.subtract.at(rhs, self.site_bus, _check_renewable(self.case, renewable))
+        n_bal = rhs.size
+        self.lp.row_lower[:n_bal] = self.lp.row_upper[:n_bal] = rhs.ravel()
 
 
 def _check_renewable(case: GridCase, renewable) -> np.ndarray:
-    if isinstance(renewable, dict):
-        labels = [s.site_label for s in case.renewable_sites]
-        unknown = set(renewable) - set(labels)
-        if unknown:
-            raise DispatchError(f"renewable data for unknown site(s) {sorted(unknown)}")
-        renewable = np.array([renewable[l] for l in labels], dtype=float) \
-            if labels else np.zeros((0, case.periods))
     renewable = np.asarray(renewable, dtype=float)
     want = (len(case.renewable_sites), case.periods)
     if renewable.shape != want:
@@ -114,130 +80,97 @@ def _check_renewable(case: GridCase, renewable) -> np.ndarray:
     return renewable
 
 
+def _blocks(*shapes):
+    """Consecutive index ranges from zero, one array of each shape."""
+    start = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        yield np.arange(start, start + size).reshape(shape)
+        start += size
+
+
 def build_instance(case: GridCase, renewable, segments: int = 3) -> DispatchInstance:
     """Assemble the dispatch LP: power balance with shedding, flow definition
     and limits, commitment-scaled generation bounds via cost segments, and
     ramp constraints for consecutive periods (t=1 has no prior-period row)."""
-    renewable = _check_renewable(case, renewable)
     T = case.periods
     G = len(case.generators)
     B = len(case.buses)
     E = len(case.lines)
     bus_pos = case.bus_index()
+    seg, flow, angle, shed = _blocks((G, T, segments), (E, T), (B, T), (B, T))
+    bal, flow_def, ramp_up, ramp_dn = _blocks((B, T), (E, T), (G, T - 1), (G, T - 1))
+    n_cols = seg.size + flow.size + angle.size + shed.size
+    n_rows = bal.size + flow_def.size + ramp_up.size + ramp_dn.size
 
-    pwl = tuple(linearize_cost(g, segments) for g in case.generators)
+    def per_gen(name):
+        return np.array([getattr(g, name) for g in case.generators], dtype=float)[:, None]
 
-    n_seg = G * T * segments
-    n_flow = E * T
-    n_angle = B * T
-    n_shed = B * T
-    n_cols = n_seg + n_flow + n_angle + n_shed
-    n_rows = B * T + E * T + 2 * G * max(T - 1, 0)
+    def bus_of(items, attr):
+        return np.array([bus_pos[getattr(k, attr)] for k in items], dtype=np.int64)
 
+    on = np.array([g.commitment for g in case.generators], dtype=np.int64).reshape(G, T)
+    gen_bus, frm, to = (bus_of(case.generators, "bus"), bus_of(case.lines, "from_bus"),
+                        bus_of(case.lines, "to_bus"))
+    pwl = [linearize_cost(g, segments) for g in case.generators]
+    slopes = np.zeros((G, segments))
+    widths = np.zeros((G, segments))
+    for g_idx, cost in enumerate(pwl):  # p_min == p_max leaves one segment
+        slopes[g_idx, :len(cost.slopes)] = cost.slopes
+        widths[g_idx, :len(cost.slopes)] = np.diff(cost.breakpoints)
+    first = np.array([cost.value_at_first for cost in pwl]).reshape(G, 1)
+    offset = 0.0  # a running total: np.sum's pairwise order would move Q's last digit
+    for value in (on * first).ravel():
+        offset += value
+
+    # columns: segment fills scaled by commitment, lines' flow limits, free
+    # angles with the reference bus pinned at zero, penalized shedding
     obj = np.zeros(n_cols)
     col_lo = np.zeros(n_cols)
     col_up = np.full(n_cols, INF)
+    obj[seg] = slopes[:, None, :]
+    col_up[seg] = widths[:, None, :] * on[:, :, None]
+    col_lo[flow] = np.array([ln.flow_min for ln in case.lines]).reshape(E, 1)
+    col_up[flow] = np.array([ln.flow_max for ln in case.lines]).reshape(E, 1)
+    col_lo[angle] = -INF
+    ref = angle[bus_pos[case.reference_bus]]
+    col_lo[ref] = col_up[ref] = 0.0
+    obj[shed] = case.shed_penalty
+
+    # (rows, columns, value) blocks:
+    # balance: sum(seg) + flow_in - flow_out + q = D - p_r - sum(pmin*x);
+    # flow definition: base * b_pu * (theta_i - theta_j) - f = 0;
+    # ramps between consecutive periods, on the segment fills
+    bcoef = case.base_mva * np.array([ln.susceptance for ln in case.lines]).reshape(E, 1)
+    up, dn = ramp_up[:, :, None], ramp_dn[:, :, None]
+    now, before = seg[:, 1:], seg[:, :-1]
+    parts = [np.broadcast_arrays(r, c, v) for r, c, v in (
+        (bal[gen_bus][:, :, None], seg, 1.0), (bal[to], flow, 1.0),
+        (bal[frm], flow, -1.0), (bal, shed, 1.0),
+        (flow_def, angle[frm], bcoef), (flow_def, angle[to], -bcoef),
+        (flow_def, flow, -1.0),
+        (up, now, 1.0), (up, before, -1.0), (dn, before, 1.0), (dn, now, -1.0))]
+    rows, cols, vals = (np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
+    nonzero = vals != 0.0
+
+    x0, x1 = on[:, :-1], on[:, 1:]
+    dx = x1 - x0
+    p_min, p_max = per_gen("p_min"), per_gen("p_max")
     row_lo = np.zeros(n_rows)
     row_up = np.zeros(n_rows)
-    rows_t, cols_t, vals_t = [], [], []
+    row_lo[ramp_up] = row_lo[ramp_dn] = -INF
+    row_up[ramp_up] = (per_gen("ramp_up") * x0 + per_gen("startup") * dx
+                       + p_max * (1 - x1) - p_min * dx)
+    row_up[ramp_dn] = (per_gen("ramp_down") * x1 + per_gen("shutdown") * (-dx)
+                       + p_max * (1 - x0) + p_min * dx)
 
-    def put(r, c, v):
-        if v != 0.0:
-            rows_t.append(r)
-            cols_t.append(c)
-            vals_t.append(v)
-
-    inst = DispatchInstance(case, segments, None, 0.0, pwl,
-                            n_seg, n_flow, n_angle, n_shed)
-
-    # segment columns: bounds scaled by commitment, objective = slopes
-    offset = 0.0
-    for g_idx, gen in enumerate(case.generators):
-        cost = pwl[g_idx]
-        widths = [cost.breakpoints[s + 1] - cost.breakpoints[s]
-                  for s in range(len(cost.slopes))]
-        for t in range(T):
-            on = gen.commitment[t]
-            offset += on * cost.value_at_first
-            for s in range(segments):
-                c = inst.seg_col(g_idx, t, s)
-                obj[c] = cost.slopes[s] if s < len(cost.slopes) else 0.0
-                col_up[c] = widths[s] * on if s < len(widths) else 0.0
-
-    # flow columns: line limits
-    for e_idx, line in enumerate(case.lines):
-        for t in range(T):
-            c = inst.flow_col(e_idx, t)
-            col_lo[c] = line.flow_min
-            col_up[c] = line.flow_max
-
-    # angle columns: free, reference bus pinned at zero
-    ref = bus_pos[case.reference_bus]
-    for i in range(B):
-        for t in range(T):
-            c = inst.angle_col(i, t)
-            col_lo[c] = -INF
-            col_up[c] = INF
-            if i == ref:
-                col_lo[c] = col_up[c] = 0.0
-
-    # shed columns: nonnegative, penalized
-    for i in range(B):
-        for t in range(T):
-            c = inst.shed_col(i, t)
-            obj[c] = case.shed_penalty
-
-    # balance rows: sum(seg) + flow_in - flow_out + q = D - p_r - sum(pmin*x)
-    for g_idx, gen in enumerate(case.generators):
-        i = bus_pos[gen.bus]
-        for t in range(T):
-            r = inst.balance_row(i, t)
-            for s in range(segments):
-                put(r, inst.seg_col(g_idx, t, s), 1.0)
-    for e_idx, line in enumerate(case.lines):
-        i, j = bus_pos[line.from_bus], bus_pos[line.to_bus]
-        for t in range(T):
-            put(inst.balance_row(j, t), inst.flow_col(e_idx, t), 1.0)
-            put(inst.balance_row(i, t), inst.flow_col(e_idx, t), -1.0)
-    for i in range(B):
-        for t in range(T):
-            put(inst.balance_row(i, t), inst.shed_col(i, t), 1.0)
-
-    # flow definition rows: base * b_pu * (theta_i - theta_j) - f = 0
-    flow_row0 = B * T
-    for e_idx, line in enumerate(case.lines):
-        i, j = bus_pos[line.from_bus], bus_pos[line.to_bus]
-        bcoef = case.base_mva * line.susceptance
-        for t in range(T):
-            r = flow_row0 + e_idx * T + t
-            put(r, inst.angle_col(i, t), bcoef)
-            put(r, inst.angle_col(j, t), -bcoef)
-            put(r, inst.flow_col(e_idx, t), -1.0)
-
-    # ramp rows for t >= 2 (0-based t >= 1)
-    ramp_row0 = flow_row0 + E * T
-    for g_idx, gen in enumerate(case.generators):
-        x = gen.commitment
-        for t in range(1, T):
-            r_up = ramp_row0 + g_idx * (T - 1) + (t - 1)
-            r_dn = ramp_row0 + G * (T - 1) + g_idx * (T - 1) + (t - 1)
-            for s in range(segments):
-                put(r_up, inst.seg_col(g_idx, t, s), 1.0)
-                put(r_up, inst.seg_col(g_idx, t - 1, s), -1.0)
-                put(r_dn, inst.seg_col(g_idx, t - 1, s), 1.0)
-                put(r_dn, inst.seg_col(g_idx, t, s), -1.0)
-            dx = x[t] - x[t - 1]
-            row_lo[r_up] = -INF
-            row_up[r_up] = (gen.ramp_up * x[t - 1] + gen.startup * dx
-                            + gen.p_max * (1 - x[t]) - gen.p_min * dx)
-            row_lo[r_dn] = -INF
-            row_up[r_dn] = (gen.ramp_down * x[t] + gen.shutdown * (-dx)
-                            + gen.p_max * (1 - x[t - 1]) + gen.p_min * dx)
-
-    lp = LinearProgram(n_cols, n_rows, obj, rows_t, cols_t, vals_t,
+    p_floor = p_min * on
+    base = np.array([bus.load for bus in case.buses], dtype=float).reshape(B, T)
+    np.subtract.at(base, gen_bus, p_floor)
+    lp = LinearProgram(n_cols, n_rows, obj, rows[nonzero], cols[nonzero], vals[nonzero],
                        row_lo, row_up, col_lo, col_up)
-    inst.lp = lp
-    inst.objective_offset = offset
+    inst = DispatchInstance(case, segments, lp, offset, seg, flow, angle, shed,
+                            p_floor, base, bus_of(case.renewable_sites, "bus"))
     inst.set_renewable(renewable)
     return inst
 
@@ -277,22 +210,13 @@ class DispatchSolution:
 
 
 def _extract(inst: DispatchInstance, sol: LpSolution) -> DispatchSolution:
-    case = inst.case
-    T = case.periods
-    G = len(case.generators)
-    B = len(case.buses)
-    E = len(case.lines)
-    gen = np.zeros((G, T))
-    for g_idx, g in enumerate(case.generators):
-        for t in range(T):
-            fill = sum(sol.x[inst.seg_col(g_idx, t, s)] for s in range(inst.segments))
-            gen[g_idx, t] = g.p_min * g.commitment[t] + fill
-    flows = np.array([[sol.x[inst.flow_col(e, t)] for t in range(T)] for e in range(E)]) \
-        if E else np.zeros((0, T))
-    angles = np.array([[sol.x[inst.angle_col(i, t)] for t in range(T)] for i in range(B)])
-    shed = np.array([[sol.x[inst.shed_col(i, t)] for t in range(T)] for i in range(B)])
+    x = sol.x
+    # a running total in segment order: np.sum's pairwise order would move
+    # the schedule's last digit
+    fill = sum(x[inst.seg[:, :, s]] for s in range(inst.segments))
     return DispatchSolution(sol.status, sol.objective + inst.objective_offset,
-                            gen, flows, angles, shed, sol.iterations, sol.basis)
+                            inst.p_floor + fill, x[inst.flow], x[inst.angle],
+                            x[inst.shed], sol.iterations, sol.basis)
 
 
 def solve_dispatch(case: GridCase, renewable, segments: int = 3,
@@ -311,12 +235,14 @@ def solve_dispatch(case: GridCase, renewable, segments: int = 3,
 class SedEvaluator:
     """Per-worker cost evaluator Q(germ) with warm-started basis reuse.
 
-    The instance LP is built once; each evaluation regenerates the renewable
-    injection from the germ, moves the balance-row bounds, and re-solves from
-    the previous optimal basis.  The first build solves the zero germ from
-    the crash basis and keeps its optimal basis as the anchor, which travels
-    with the evaluator when it is pickled to a worker.  Safe to use from one
-    worker at a time.
+    The constructor builds the instance (`inst`) at the zero germ, solves
+    its LP from the crash basis and keeps the optimal basis as the anchor.
+    Each evaluation regenerates the renewable injection from the germ, moves
+    the balance-row bounds, and re-solves from the previous optimal basis.  A
+    pickled evaluator carries the anchor but not the LP or the solver, which
+    unpickling rebuilds to start from the anchor, so the cold solve happens
+    once, in the process that constructs the evaluator.  Safe to use from
+    one worker at a time.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3,
@@ -332,47 +258,40 @@ class SedEvaluator:
         self.segments = segments
         self.opts = opts or SolveOptions()
         self.dim = spec.dimension
-        self._inst = None
-        self._solver = None
-        self._anchor: Basis | None = None  # optimal basis at the zero germ
+        self._build(None)
+        try:
+            self._solver.solve_value()
+        except LpError as exc:
+            raise DispatchError(f"dispatch LP failed at the zero germ: {exc}") from exc
+        self._anchor = self._solver.basis()  # optimal basis at the zero germ
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_inst"] = None   # rebuilt lazily in each worker
-        state["_solver"] = None
+        del state["inst"], state["_solver"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._build(self._anchor)
+
+    def _build(self, start: Basis | None):
+        """The LP at the zero germ, and a solver whose first solve starts
+        from `start` (None: the crash basis)."""
+        self.inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
+                                   self.segments)
+        self._solver = RepeatSolver(self.inst.lp, self.opts,
+                                    self.inst.start_basis() if start is None else start)
 
     def _power_for(self, germ: np.ndarray) -> np.ndarray:
         """Hourly power per site in the case's renewable-site order."""
         return self.spec.power(germ, self._site_labels)
 
-    def _build(self):
-        """Build the LP at the zero germ and its solver.  A rebuild (in a
-        worker, after unpickling) starts from the anchor; the first build
-        solves from the crash basis to find it."""
-        self._inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
-                                    self.segments)
-        if self._anchor is not None:
-            self._solver = RepeatSolver(self._inst.lp, self.opts, self._anchor)
-            return
-        self._solver = RepeatSolver(self._inst.lp, self.opts,
-                                    self._inst.start_basis())
-        try:
-            self._solver.solve_value()
-        except LpError as exc:
-            raise DispatchError(f"dispatch LP failed at the zero germ: {exc}") from exc
-        self._anchor = self._solver.basis()
-
     def _load(self, germ) -> np.ndarray:
-        """Check the germ and move the LP to its scenario, building the
-        instance and its solver on first use."""
+        """Check the germ and move the LP to its scenario."""
         germ = np.asarray(germ, dtype=float)
         if germ.shape != (self.dim,):
             raise DispatchError(f"germ has shape {germ.shape}, spec needs ({self.dim},)")
-        power = self._power_for(germ)
-        if self._inst is None:
-            self._build()
-        self._inst.set_renewable(power)
+        self.inst.set_renewable(self._power_for(germ))
         return germ
 
     def solve(self, germ) -> DispatchSolution:
@@ -384,7 +303,7 @@ class SedEvaluator:
         if sol.status != "optimal":
             raise DispatchError(
                 f"dispatch LP unexpectedly {sol.status} at germ {germ!r}")
-        return _extract(self._inst, sol)
+        return _extract(self.inst, sol)
 
     def __call__(self, germ) -> float:
         """Q(germ) only: skips schedule extraction on the hot path."""
@@ -393,7 +312,7 @@ class SedEvaluator:
             value = self._solver.solve_value()
         except LpError as exc:
             raise DispatchError(f"dispatch LP failed at germ {germ!r}: {exc}") from exc
-        return value + self._inst.objective_offset
+        return value + self.inst.objective_offset
 
     def _germ_scale(self) -> np.ndarray:
         """Weight per germ coordinate ~ how strongly it moves total wind."""
@@ -442,15 +361,8 @@ class SedEvaluator:
         out = np.empty(len(germs))
         if not len(germs):
             return out
-        if self._inst is None:
-            self._build()
         self._solver.restart_from(self._anchor)
         for i in self._visit_order(germs):
             out[i] = self(germs[i])
         return out
 
-
-def evaluate_q(case: GridCase, spec: ForecastSpec, germ,
-               segments: int = 3) -> float:
-    """One-shot Q(x, xi): scenario from the germ, build, solve, objective."""
-    return SedEvaluator(case, spec, segments)(germ)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_spec3
 from lp_oracle import random_lp, vertex_enumeration
+from specs import make_spec3
 from windsed import estimate as est
 from windsed import forecast as fc
 from windsed import wind_kl as wk

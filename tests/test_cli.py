@@ -200,14 +200,70 @@ def test_dispatch_dump_lp_parseable(tmp_path):
     assert lp.num_rows > 0 and lp.num_cols > 0
 
 
-def test_dispatch_dump_lp_short_germ_is_reported(tmp_path, capsys):
-    """The germ is checked by the solve before the LP is dumped, so a germ
-    of the wrong length ends in a message, not a traceback."""
+def _edit(key, value=None):
+    """Config edit setting the dotted `key` to `value`, or deleting it."""
+    def edit(raw):
+        *parents, last = key.split(".")
+        for name in parents:
+            raw = raw[name]
+        if value is None:
+            del raw[last]
+        else:
+            raw[last] = value
+    return edit
+
+
+SITE_A = "forecast.sites.site_a"
+
+
+@pytest.mark.parametrize("args,edit,code,needle", [
+    (["dispatch", "--germ", "0,0", "--dump-lp"], None, 2, "--germ needs 6"),
+    (["dispatch", "--germ", "a,b"], None, 2, "--germ needs 6"),
+    (["dispatch", "--germ", "nan,0,0,0,0,0"], None, 2, "--germ needs 6 finite"),
+    (["dispatch", "--scenario-file", "{good}", "--scenario-index", "3"], None, 2,
+     "--scenario-index 3 is outside 0..2"),
+    (["dispatch", "--scenario-file", "{corrupt}"], None, 3, "not a scenario dump"),
+    (["study"], _edit("segments", "abc"), 2, "`segments`"),
+    (["study"], _edit("pce.levels", [1, 6]), 2, "`pce.levels`"),
+    (["study"], _edit("pce.levels", [0, 1]), 2, "`pce.levels`"),
+    (["study"], _edit("pce.levels", [2]), 2, "`pce.levels`"),
+    (["study"], _edit("mc.realizations", 0), 2, "`mc.realizations`"),
+    (["study"], _edit("forecast.truncation", 0), 2, "`forecast.truncation`"),
+    (["study"], _edit("forecast.sigma_p", "abc"), 2, "`forecast.sigma_p`"),
+    (["study"], _edit("forecast.sigma_p", -0.35), 2, "`forecast.sigma_p`"),
+    (["study"], _edit(f"{SITE_A}.matern_l"), 2, f"`{SITE_A}.matern_l`"),
+    (["study"], _edit(f"{SITE_A}.matern_l", -11.4), 2, f"`{SITE_A}.matern_l`"),
+    (["study"], _edit("forecast.dependence", [[["site_a", 4], ["site_b", 4]]]), 2,
+     "`forecast.dependence`: mode 4 outside truncation"),
+    (["study", "--jobs", "0"], None, 2, "`jobs`"),
+    (["study", "--seed", "-1"], None, 2, "`seed`"),
+    (["study"], _edit("seed", 1e23), 2, "`seed` must fit in a uint64"),
+    (["study"], _edit("case", str(DATA)), 3, "data error"),
+], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
+        "scenario-index-out-of-range", "scenario-file-corrupt", "segments-not-integer",
+        "level-too-high", "level-too-low", "one-level", "no-realizations",
+        "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
+        "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",
+        "jobs-zero", "seed-negative", "seed-too-large", "case-is-directory"])
+def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
+                                           code, needle):
+    """Every bad argument or config value exits with its documented code and
+    a message naming it, before any output is written."""
+    from windsed import forecast as fc
+    good = tmp_path / "good.bin"
+    good.write_bytes(fc.generate_scenarios(spec3, seed=5, n_scenarios=3).to_binary())
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(good.read_bytes()[:11])
     path = write_config(tmp_path)
-    assert main(["dispatch", "--config", str(path), "--germ", "0,0",
-                 "--dump-lp"]) == 4
-    assert "germ has shape (2,)" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "dispatch.lp").exists()
+    if edit:
+        raw = yaml.safe_load(path.read_text())
+        edit(raw)
+        path.write_text(yaml.safe_dump(raw))
+    argv = [a.format(good=good, corrupt=corrupt) for a in args]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_dispatch_all_off_commitment_full_shed(tmp_path, case3):

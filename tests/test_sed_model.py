@@ -1,13 +1,16 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from dispatch_lp_reference import loop_build_instance, loop_extract
 from windsed import estimate as est
 from windsed import forecast as fc
 from windsed.grid_model import linearize_cost, parse_case
 from windsed import lp_solver
-from windsed.lp_solver import LinearProgram, SolveOptions, solve_lp
-from windsed.sed_model import (DispatchError, SedEvaluator, build_instance,
-                               solve_dispatch)
+from windsed.lp_solver import LinearProgram, LpSolution, SolveOptions, solve_lp
+from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
+                               _extract, build_instance, solve_dispatch)
 
 ONE_BUS = """
 CASE T=3 SHED_PENALTY=5000.0
@@ -110,11 +113,52 @@ def test_linear_cost_invariant_to_segment_count():
     assert max(qs) - min(qs) <= 1e-8 * (1 + abs(qs[0]))
 
 
-def test_renewable_shape_and_site_checked(case3):
+def test_renewable_shape_and_site_checked(case3, spec3):
     with pytest.raises(DispatchError, match="shape"):
         build_instance(case3, np.zeros((1, 24)))
-    with pytest.raises(DispatchError, match="unknown site"):
-        build_instance(case3, {"nope": np.zeros(24)})
+    with pytest.raises(DispatchError, match="do not match forecast sites"):
+        SedEvaluator(case3, fc.ForecastSpec(spec3.sites[:1], spec3.sigma_p))
+
+
+FLAT_T1 = """
+CASE T=1 SHED_PENALTY=4000.0 BASE_MVA=50.0
+BUS
+1 40.0
+2 75.0
+BRANCH
+1 2 0.2 -30.0 30.0
+GEN
+1 20.0 20.0 5.0 12.0 0.0 10.0 10.0 20.0 20.0
+2 0.0 90.0 8.0 15.0 0.02 40.0 40.0 50.0 50.0
+RENEWABLE
+2 w 60.0
+"""
+
+
+@pytest.mark.parametrize("segments", [1, 3, 10])
+@pytest.mark.parametrize("name", ["case3", "case118", "one_bus", "flat_t1"])
+def test_block_assembly_matches_loop_reference(name, segments, request):
+    """The numpy block assembly builds the per-element loop's LP, constant,
+    crash basis and schedule bit for bit: on the bundled cases, a case with
+    no lines, and a one-period case (no ramp rows) whose first generator has
+    p_min == p_max (fewer cost slopes than segments)."""
+    texts = {"one_bus": ONE_BUS + "COMMITMENT\n0 1 0 1\n", "flat_t1": FLAT_T1}
+    case = parse_case(texts[name]) if name in texts else request.getfixturevalue(name)
+    rng = np.random.default_rng(segments)
+    power = rng.uniform(0.0, 50.0, (len(case.renewable_sites), case.periods))
+    inst = build_instance(case, power, segments)
+    ref = loop_build_instance(case, power, segments)
+    assert inst.lp.to_text() == ref.lp.to_text()
+    assert inst.objective_offset == ref.objective_offset
+    ours, theirs = inst.start_basis(), ref.start_basis()
+    assert np.array_equal(ours.basic, theirs.basic)
+    assert np.array_equal(ours.status, theirs.status)
+    x = rng.standard_normal(inst.lp.num_cols)
+    sol = _extract(inst, LpSolution("optimal", 0.0, x, None, None, 0))
+    want = loop_extract(ref, x)
+    for got, expected in zip((sol.generation, sol.flows, sol.angles, sol.shed), want):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_ramp_rows_only_for_later_periods(case3):
@@ -220,11 +264,9 @@ def test_start_basis_factorizes_with_flows_at_zero(name, request):
     inst = build_instance(case, np.zeros((len(case.renewable_sites), case.periods)))
     sim = lp_solver._Simplex(inst.lp, SolveOptions())
     sim.start_warm(inst.start_basis())  # raises LpError if singular
-    T = case.periods
-    flows = sim.x[inst.n_seg:inst.n_seg + inst.n_flow]
-    shed = sim.x[inst.shed_col(0, 0):inst.shed_col(0, 0) + inst.n_shed]
-    assert np.all(flows == 0.0)
-    assert np.allclose(shed, inst.lp.row_lower[:len(case.buses) * T], atol=1e-9)
+    assert np.all(sim.x[inst.flow] == 0.0)
+    assert np.allclose(sim.x[inst.shed].ravel(), inst.lp.row_lower[:inst.shed.size],
+                       atol=1e-9)
     assert len(set(inst.start_basis().basic)) == inst.lp.num_rows
 
 
@@ -244,7 +286,8 @@ def test_118_zero_germ_matches_highs(case118, spec118):
     optimum in well under half the slack start's ~11k pivots."""
     from scipy.optimize import linprog
 
-    power = SedEvaluator(case118, spec118)._power_for(np.zeros(spec118.dimension))
+    power = spec118.power(np.zeros(spec118.dimension),
+                          [s.site_label for s in case118.renewable_sites])
     sol = solve_dispatch(case118, power)  # no warm basis: the crash start
     inst = build_instance(case118, power)
     lp = inst.lp
@@ -281,6 +324,22 @@ def test_parallel_map_values_do_not_depend_on_jobs(case3, spec3):
     ev = SedEvaluator(case3, spec3)
     ev(np.ones(spec3.dimension))  # workers inherit a moved basis
     assert np.array_equal(est.parallel_map(ev, germs, jobs=2), serial)
+
+
+def test_unpickled_evaluator_starts_from_the_anchor(case3, spec3, monkeypatch):
+    """The constructor solves the zero germ; a pickled copy rebuilds its LP
+    and starts from that anchor, so a worker pays no cold solve of its own
+    and returns what the original does."""
+    ev = SedEvaluator(case3, spec3)
+    blob = pickle.dumps(ev)
+
+    def no_crash_start(self):
+        raise AssertionError("cold solve from the crash basis")
+
+    monkeypatch.setattr(DispatchInstance, "start_basis", no_crash_start)
+    germs = fc.sample_germs(12, 40, spec3.dimension)
+    assert np.array_equal(pickle.loads(blob).evaluate_batch(germs),
+                          ev.evaluate_batch(germs))
 
 
 def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
