@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import hashlib
 import json
 import struct
@@ -21,7 +22,7 @@ import yaml
 from . import __version__, datagen, estimate, forecast, wind_kl
 from .grid_model import CaseFormatError, GridCase, load_case
 from .lp_solver import LpError
-from .pce import MAX_LEVEL, ModelEvaluationError
+from .pce import MAX_LEVEL
 from .sed_model import DispatchError, SedEvaluator
 from .wind_kl import WindDataError
 
@@ -113,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "case" not in raw:
             raise ConfigError("config needs a `case` path")
-        wind = raw.get("wind") or {}
+        wind = _block(raw, "wind")
         pce_block = _block(raw, "pce", {"levels"})
         mc_block = _block(raw, "mc", {"schedule", "realizations"})
         return cls(
@@ -122,9 +123,9 @@ class ExperimentConfig:
             seed=_integer(raw.get("seed", 42), "seed"),
             out=str(raw.get("out", "out")),
             jobs=_integer(raw.get("jobs", 1), "jobs"),
-            wind_data=dict(wind.get("data") or {}),
-            wind_synthetic=dict(wind.get("synthetic") or {}),
-            forecast=dict(raw.get("forecast") or {}),
+            wind_data=dict(_block(wind, "data", where="wind.")),
+            wind_synthetic=dict(_block(wind, "synthetic", where="wind.")),
+            forecast=dict(_block(raw, "forecast")),
             pce_levels=_integers(pce_block.get("levels", (1, 2)), "pce.levels"),
             mc_schedule=_integers(mc_block.get("schedule", (10, 100)), "mc.schedule"),
             mc_realizations=_integer(mc_block.get("realizations", 2), "mc.realizations"),
@@ -152,9 +153,10 @@ def _integers(values, name: str) -> tuple:
     return tuple(_integer(v, name) for v in values)
 
 
-def _positive(block: dict, key: str, where: str) -> float:
-    """block[key] as a positive float, else a ConfigError naming where.key."""
-    value = block.get(key)
+def _positive(block: dict, key: str, where: str, default=None) -> float:
+    """block[key] (or the default) as a positive float, else a ConfigError
+    naming where.key."""
+    value = block.get(key, default)
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -164,21 +166,29 @@ def _positive(block: dict, key: str, where: str) -> float:
     return number
 
 
-def _block(raw: dict, name: str, known: set) -> dict:
+def _block(raw: dict, name: str, known: set | None = None, where: str = "") -> dict:
+    """raw[name] as a mapping ({} when absent or empty), with no keys outside
+    `known` when that is given; errors name the key as where + name."""
     block = raw.get(name) or {}
     if not isinstance(block, dict):
-        raise ConfigError(f"`{name}` must be a mapping")
-    unknown = set(block) - known
-    if unknown:
-        raise ConfigError(f"unknown `{name}` keys: {sorted(unknown)}")
+        raise ConfigError(f"`{where}{name}` must be a mapping")
+    if known is not None and set(block) - known:
+        raise ConfigError(
+            f"unknown `{where}{name}` keys: {sorted(set(block) - known)}")
     return block
 
 
-def _mean_profile(value) -> np.ndarray:
-    arr = np.full(wind_kl.HOURS, float(value)) if np.isscalar(value) \
-        else np.asarray(value, dtype=float)
-    if arr.shape != (wind_kl.HOURS,):
-        raise ConfigError("mean_wind must be a scalar or 24 values")
+def _mean_profile(entry: dict, where: str) -> np.ndarray:
+    """entry's mean_wind (default 8.0): one positive speed or 24 of them."""
+    value = entry.get("mean_wind", 8.0)
+    try:
+        arr = np.full(wind_kl.HOURS, float(value)) if np.isscalar(value) \
+            else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.shape != (wind_kl.HOURS,) or not np.all(arr > 0):
+        raise ConfigError(f"`{where}.mean_wind` must be a positive number or "
+                          f"24 of them, got {value!r}")
     return arr
 
 
@@ -188,7 +198,7 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
         raise ConfigError("config has no `forecast` block")
     if "sites" not in block:
         raise ConfigError("forecast block missing 'sites'")
-    site_block = block["sites"]
+    site_block = _block(block, "sites", where="forecast.")
     sigma_p = _positive(block, "sigma_p", "forecast")
     truncation = _integer(block.get("truncation", 6), "forecast.truncation")
     if truncation < 1:
@@ -200,11 +210,10 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
             f"{sorted(case_sites)}")
     sites = []
     for label in (s.site_label for s in case.renewable_sites):
-        entry = site_block[label]
-        nameplate = case_sites[label].nameplate
-        curve = datagen.default_power_curve(nameplate)
-        mean_wind = _mean_profile(entry.get("mean_wind", 8.0))
+        entry = _block(site_block, label, where="forecast.sites.")
         where = f"forecast.sites.{label}"
+        mean_wind = _mean_profile(entry, where)
+        curve = datagen.default_power_curve(case_sites[label].nameplate)
         kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
                                        _positive(entry, "matern_nu", where), 1.0)
         sigma_w = forecast.sigma_w_from_sigma_p(sigma_p, mean_wind, curve)
@@ -234,22 +243,34 @@ def write_manifest(outdir: Path, cfg: ExperimentConfig, command: str):
 # -- kl -----------------------------------------------------------------------
 
 def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """site -> CSV path, generating synthetic files first when configured."""
+    """site -> CSV path, generating synthetic files first when configured;
+    the synthetic block is checked whole before any file is written."""
     paths = dict(cfg.wind_data)
     synth = cfg.wind_synthetic
     if synth:
-        days = int(synth.get("days", 93))
+        days = _integer(synth.get("days", 93), "wind.synthetic.days")
+        if days < 1:
+            raise ConfigError(f"`wind.synthetic.days` must be at least 1, got {days}")
         start = str(synth.get("start", "2004-01-01"))
-        for k, (label, entry) in enumerate(sorted((synth.get("sites") or {}).items())):
-            kernel = forecast.MaternKernel(float(entry["matern_l"]),
-                                           float(entry["matern_nu"]), 1.0)
-            site = datagen.SyntheticSite(label, kernel,
-                                         float(entry.get("sigma_w", 0.3)),
-                                         float(entry.get("mean_wind", 8.0)))
+        try:
+            datetime.date.fromisoformat(start)
+        except ValueError:
+            raise ConfigError(f"`wind.synthetic.start` must be a YYYY-MM-DD date, "
+                              f"got {start!r}") from None
+        site_block = _block(synth, "sites", where="wind.synthetic.")
+        sites = []
+        for label in sorted(site_block):
+            entry = _block(site_block, label, where="wind.synthetic.sites.")
+            where = f"wind.synthetic.sites.{label}"
+            kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
+                                           _positive(entry, "matern_nu", where), 1.0)
+            sites.append(datagen.SyntheticSite(
+                label, kernel, _positive(entry, "sigma_w", where, 0.3),
+                _positive(entry, "mean_wind", where, 8.0)))
+        for k, site in enumerate(sites):
             rows = datagen.synthetic_wind_table(site, days, cfg.seed + k, start=start)
-            path = outdir / f"wind_{label}.csv"
-            datagen.write_wind_csv(path, rows)
-            paths[label] = str(path)
+            paths[site.label] = str(outdir / f"wind_{site.label}.csv")
+            datagen.write_wind_csv(paths[site.label], rows)
     if not paths:
         raise ConfigError("kl needs wind.data paths or a wind.synthetic block")
     return paths
@@ -462,7 +483,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (LpError, DispatchError, forecast.ForecastError,
-            ModelEvaluationError, ZeroDivisionError) as exc:
+            estimate.ModelEvaluationError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -42,11 +42,36 @@ def _eval_chunk(chunk):
     return _apply(_WorkerState.model, chunk)
 
 
+class ModelEvaluationError(Exception):
+    """A model call raised or returned a non-finite value; carries the germ."""
+
+    def __init__(self, node, cause):
+        super().__init__(node, str(cause))  # the args rebuild it when pickled
+        self.node = node
+
+    def __str__(self):
+        return f"model failed at germ {self.args[0]}: {self.args[1]}"
+
+
 def _apply(model, germs):
+    """Model values at a chunk of germs.  A plain callable runs germ by germ
+    and the first germ that raises is named, with no later germ evaluated;
+    the first non-finite value of either kind of model is named too."""
     batch = getattr(model, "evaluate_batch", None)
     if batch is not None:
-        return np.asarray(batch(germs), dtype=float)
-    return np.array([model(g) for g in germs], dtype=float)
+        values = np.asarray(batch(germs), dtype=float)
+    else:
+        values = np.empty(len(germs))
+        for k, germ in enumerate(germs):
+            try:
+                values[k] = model(germ)
+            except Exception as exc:
+                raise ModelEvaluationError(germ, exc) from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ModelEvaluationError(germs[np.argmin(finite)],
+                                   "non-finite model value")
+    return values
 
 
 def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
@@ -58,7 +83,8 @@ def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
     workers.  Models exposing an `evaluate_batch` method (warm-startable
     dispatch evaluators) get whole chunks at once; since a batch's values
     depend on its germs alone, the result does not depend on `jobs` or on
-    the pool's start method.
+    the pool's start method.  A model that raises or returns a non-finite
+    value stops the map with a ModelEvaluationError naming the germ.
     """
     germs = np.atleast_2d(np.asarray(germs, dtype=float))
     chunks = np.array_split(germs, min(16, max(1, len(germs) // 64)))
@@ -120,12 +146,10 @@ class ConvergenceReport:
     seed: int
 
     def __post_init__(self):
-        for _, n, e in self.pce_errors:
-            if e < 0:
-                raise ValueError("negative PCE error")
-        for _, _, e in self.mc_errors:
-            if e < 0:
-                raise ValueError("negative MC error")
+        if any(e < 0 for *_, e in self.pce_errors):
+            raise ValueError("negative PCE error")
+        if any(e < 0 for *_, e in self.mc_errors):
+            raise ValueError("negative MC error")
         nodes = [r.n_nodes for r in self.pce_records]
         sizes = sorted({r.n_samples for r in self.mc_records})
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
@@ -248,7 +272,7 @@ def cross_validate(surrogate: PCESurrogate, model, n_test: int, seed: int,
     rng = _mc_stream(seed, 0x7E57, 0)
     germs = rng.standard_normal((n_test, surrogate.dimension))
     truth = parallel_map(model, germs, jobs)
-    approx = np.array([surrogate(g) for g in germs])
+    approx = surrogate(germs)
     ref = float(truth.mean())
     if ref == 0:
         raise ZeroDivisionError("relative error undefined: zero mean reference")

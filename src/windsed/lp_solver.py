@@ -192,10 +192,6 @@ class LpSolution:
     basis: Basis | None = None
     max_bound_violation: float = 0.0
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
     def dual_objective(self, lp: LinearProgram, drop_tol: float = 1e-9) -> float:
         """Dual bound from (row_duals, reduced_costs); equals the primal
         objective at an exact optimum.  Multipliers below drop_tol are
@@ -274,9 +270,6 @@ class _Simplex:
         self.use_bland = False
 
     # -- basis management ---------------------------------------------------
-
-    def start_cold(self):
-        self.start_warm(make_basis(self.lp))
 
     def start_warm(self, basis: Basis):
         if basis.basic.shape != (self.m,) or basis.status.shape != (self.n + self.m,):
@@ -412,7 +405,7 @@ class _Simplex:
         if pos == -1:  # bound flip
             self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
             self.x[q] = self._nonbasic_value(q)
-            return True
+            return
         leaving = self.basic[pos]
         self.x[q] = entering_from + sigma * t
         self.x[leaving] = leave_bound
@@ -427,7 +420,6 @@ class _Simplex:
             self._refactorize()
         elif len(self.factors.etas) >= self.opts.refactor_every:
             self._refactorize()
-        return True
 
     # -- main loops ----------------------------------------------------------
 
@@ -485,12 +477,8 @@ class _Simplex:
         x = self.x[: self.n]
         obj = self.objective()
         xb = self.x[self.basic]
-        viol = float(
-            max(
-                np.max(np.maximum(self.lower[self.basic] - xb, 0.0), initial=0.0),
-                np.max(np.maximum(xb - self.upper[self.basic], 0.0), initial=0.0),
-            )
-        )
+        viol = float(np.max(np.maximum(self.lower[self.basic] - xb,
+                                       xb - self.upper[self.basic]), initial=0.0))
         if status == "infeasible":
             obj = float("nan")
         return LpSolution(
@@ -541,15 +529,12 @@ class RepeatSolver:
         self.opts = opts or SolveOptions()
         lp.validate()
         self._sim = _Simplex(lp, self.opts)
-        self._start_basis = start
+        self._start_basis = start if start is not None else make_basis(lp)
         self._started = False
         self.restarts = 0
 
     def _start(self):
-        if self._start_basis is None:
-            self._sim.start_cold()
-        else:
-            self._sim.start_warm(self._start_basis)
+        self._sim.start_warm(self._start_basis)
         self._started = True
 
     def basis(self) -> Basis:

@@ -1,5 +1,6 @@
 """Hermite polynomial chaos: multi-index bases, nested sparse quadrature for
-the standard normal weight, and Galerkin projection of black-box models.
+the standard normal weight, and Galerkin projection of model values at the
+quadrature nodes.
 
 The 1-D quadrature ladder is the nested family regenerated by
 scripts/gen_quadrature_rules.py (1, 3, 7, 15 points, polynomial exactness
@@ -84,11 +85,8 @@ def hermite(k: int, x):
     if k < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for deg in range(1, k):
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # He_{-1} = 0, He_0 = 1
+    for deg in range(k):
         prev, cur = cur, x * cur - deg * prev
     return cur if cur.ndim else float(cur)
 
@@ -136,25 +134,19 @@ class MultiIndexSet:
 
 
 def eval_basis(idxset: MultiIndexSet, xi) -> np.ndarray:
-    """Values Psi_k(xi) = prod_i He_{k_i}(xi_i) for every multi-index."""
+    """Values Psi_k(xi) = prod_i He_{k_i}(xi_i), multiplied in dimension
+    order, for every multi-index at one point (d,) or at many (..., d); the
+    last axis of the result runs over the multi-indices."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (idxset.dimension,):
-        raise ValueError(f"point has dimension {xi.shape}, basis needs "
-                         f"({idxset.dimension},)")
-    maxdeg = idxset.order
-    # table[d, i] = He_d(xi_i)
-    table = np.ones((maxdeg + 1, idxset.dimension))
-    if maxdeg >= 1:
-        table[1] = xi
-    for d in range(1, maxdeg):
-        table[d + 1] = xi * table[d] - d * table[d - 1]
-    out = np.empty(len(idxset))
-    for k, t in enumerate(idxset.indices):
-        v = 1.0
-        for i, e in enumerate(t):
-            if e:
-                v *= table[e, i]
-        out[k] = v
+    if xi.shape[-1:] != (idxset.dimension,):
+        raise ValueError(f"points have shape {xi.shape}, basis needs "
+                         f"(..., {idxset.dimension})")
+    # table[..., i, e] = He_e(xi_i)
+    table = np.stack([hermite(e, xi) for e in range(idxset.order + 1)], axis=-1)
+    exponents = np.array(idxset.indices)
+    out = table[..., 0, exponents[:, 0]]
+    for i in range(1, idxset.dimension):
+        out = out * table[..., i, exponents[:, i]]
     return out
 
 
@@ -174,7 +166,7 @@ class SparseGrid:
         values = np.asarray(values, dtype=float)
         if values.shape != self.weights.shape:
             raise ValueError("values/weights length mismatch")
-        return math.fsum(w * v for w, v in zip(self.weights, values))
+        return math.fsum(self.weights * values)
 
 
 def _delta(level: int):
@@ -253,8 +245,14 @@ class PCESurrogate:
     def order(self):
         return self.idxset.order
 
-    def __call__(self, xi) -> float:
-        return float(self.coefficients @ eval_basis(self.idxset, xi))
+    def __call__(self, xi):
+        """Value at one point (d,) as a float, or at many (N, d) as an array,
+        each the correctly rounded (fsum) sum of its terms: a BLAS dot rounds
+        by memory alignment, and a gemv wakes threads (`_Simplex.objective`)."""
+        terms = eval_basis(self.idxset, xi) * self.coefficients
+        if terms.ndim == 1:
+            return math.fsum(terms)
+        return np.array([math.fsum(row) for row in terms])
 
     def mean(self) -> float:
         return float(self.coefficients[0])
@@ -286,50 +284,21 @@ class PCESurrogate:
         return cls(idxset, coeffs, level)
 
 
-class ModelEvaluationError(Exception):
-    """A model call at a quadrature node failed; carries the node."""
-
-    def __init__(self, node, cause):
-        self.node = node
-        super().__init__(f"model failed at node {node}: {cause}")
-
-
-def evaluate_on_grid(model, grid: SparseGrid) -> np.ndarray:
-    """Model values at every grid node, evaluated node by node in node
-    order; a failed or non-finite evaluation raises ModelEvaluationError
-    naming its node."""
-    values = np.empty(len(grid))
-    for k, node in enumerate(grid.nodes):
-        try:
-            values[k] = model(node)
-        except Exception as exc:
-            raise ModelEvaluationError(node, exc) from exc
-        if not np.isfinite(values[k]):
-            raise ModelEvaluationError(node, "non-finite model value")
-    return values
-
-
-def project(model, grid: SparseGrid, idxset: MultiIndexSet,
-            values: np.ndarray | None = None) -> PCESurrogate:
-    """Galerkin projection c_k = sum_nodes w * model * Psi_k / <Psi_k^2>.
-
-    The model is evaluated once per node and reused for every coefficient;
-    coefficient sums use compensated (fsum) reduction in fixed node order.
-    """
+def project(grid: SparseGrid, idxset: MultiIndexSet, values) -> PCESurrogate:
+    """Galerkin projection c_k = sum_nodes w * value * Psi_k / <Psi_k^2> of
+    the model values at the grid's nodes, as `estimate.parallel_map(model,
+    grid.nodes, jobs)` returns them; coefficient sums use compensated (fsum)
+    reduction in fixed node order."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(grid),):
+        raise ValueError(f"values have shape {values.shape}, the grid has "
+                         f"{len(grid)} nodes")
     if grid.dimension != idxset.dimension:
         raise ValueError("grid and index set dimensions differ")
     if grid.level < idxset.order + 1:
         raise ValueError(
             f"grid level {grid.level} too low for order {idxset.order}: "
             f"an order-p projection needs level >= p+1")
-    if values is None:
-        values = evaluate_on_grid(model, grid)
-    norms = idxset.norms_squared()
-    basis_rows = np.empty((len(grid), len(idxset)))
-    for r, node in enumerate(grid.nodes):
-        basis_rows[r] = eval_basis(idxset, node)
-    coeffs = np.empty(len(idxset))
-    wv = grid.weights * values
-    for k in range(len(idxset)):
-        coeffs[k] = math.fsum(wv * basis_rows[:, k]) / norms[k]
-    return PCESurrogate(idxset, coeffs, grid.level)
+    terms = (grid.weights * values)[:, None] * eval_basis(idxset, grid.nodes)
+    sums = np.array([math.fsum(column) for column in terms.T])
+    return PCESurrogate(idxset, sums / idxset.norms_squared(), grid.level)

@@ -211,8 +211,7 @@ def test_criterion_08_pce_beats_mc(standin):
     sw = Stopwatch(600.0)
     model = standin["model"]
     grid, values = cached_grid_values(standin, level=3)
-    surrogate = project(model, grid, MultiIndexSet.total_degree(6, 2),
-                        values=values)
+    surrogate = project(grid, MultiIndexSet.total_degree(6, 2), values)
     c0 = surrogate.mean()
     mc_mean, mc_se = est.mc_estimate(model, 6, 10 ** 6, seed=2024, jobs=2)
     assert abs(c0 - mc_mean) <= 3 * mc_se, (c0, mc_mean, mc_se)
@@ -237,8 +236,7 @@ def test_criterion_09_cross_validation_monotone(standin):
     medians = []
     for order in (1, 2, 3):
         grid, values = cached_grid_values(standin, level=order + 1)
-        surrogate = project(model, grid, MultiIndexSet.total_degree(6, order),
-                            values=values)
+        surrogate = project(grid, MultiIndexSet.total_degree(6, order), values)
         cv = est.cross_validate(surrogate, model, 1500, seed=31)
         medians.append(cv["median"])
     assert medians[0] > medians[1] > medians[2]

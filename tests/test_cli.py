@@ -213,7 +213,17 @@ def _edit(key, value=None):
     return edit
 
 
+def _synthetic(key, value=None):
+    """Config edit adding a wind.synthetic block, then setting or deleting
+    the dotted `key` inside it."""
+    def edit(raw):
+        raw["wind"] = synthetic_wind_block()
+        _edit(f"wind.synthetic.{key}", value)(raw)
+    return edit
+
+
 SITE_A = "forecast.sites.site_a"
+SYN_A = "wind.synthetic.sites.site_a"
 
 
 @pytest.mark.parametrize("args,edit,code,needle", [
@@ -239,12 +249,31 @@ SITE_A = "forecast.sites.site_a"
     (["study", "--seed", "-1"], None, 2, "`seed`"),
     (["study"], _edit("seed", 1e23), 2, "`seed` must fit in a uint64"),
     (["study"], _edit("case", str(DATA)), 3, "data error"),
+    (["kl"], _synthetic("sites.site_a.matern_l"), 2, f"`{SYN_A}.matern_l`"),
+    (["kl"], _synthetic("sites.site_a.matern_l", -1), 2, f"`{SYN_A}.matern_l`"),
+    (["kl"], _synthetic("sites.site_a.sigma_w", "abc"), 2, f"`{SYN_A}.sigma_w`"),
+    (["kl"], _synthetic("sites.site_a.mean_wind", -2), 2, f"`{SYN_A}.mean_wind`"),
+    (["kl"], _synthetic("days", "abc"), 2, "`wind.synthetic.days`"),
+    (["kl"], _synthetic("days", 0), 2, "`wind.synthetic.days`"),
+    (["kl"], _synthetic("start", "nope"), 2, "`wind.synthetic.start`"),
+    (["kl"], _synthetic("sites.site_a", 3), 2, f"`{SYN_A}` must be a mapping"),
+    (["kl"], _edit("wind", [1]), 2, "`wind` must be a mapping"),
+    (["study"], _edit(f"{SITE_A}.mean_wind", "abc"), 2, f"`{SITE_A}.mean_wind`"),
+    (["study"], _edit(f"{SITE_A}.mean_wind", -1), 2, f"`{SITE_A}.mean_wind`"),
+    (["study"], _edit(SITE_A, 3), 2, f"`{SITE_A}` must be a mapping"),
+    (["study"], _edit("forecast", [1, 2]), 2, "`forecast` must be a mapping"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt", "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
         "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
         "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",
-        "jobs-zero", "seed-negative", "seed-too-large", "case-is-directory"])
+        "jobs-zero", "seed-negative", "seed-too-large", "case-is-directory",
+        "synthetic-matern_l-missing", "synthetic-matern_l-negative",
+        "synthetic-sigma_w-not-numeric", "synthetic-mean_wind-negative",
+        "synthetic-days-not-integer", "synthetic-days-zero",
+        "synthetic-start-not-a-date", "synthetic-site-not-mapping",
+        "wind-not-mapping", "mean_wind-not-numeric", "mean_wind-negative",
+        "forecast-site-not-mapping", "forecast-not-mapping"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

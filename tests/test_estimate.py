@@ -1,4 +1,6 @@
 import math
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,17 @@ def quadratic_4d(g):
 
 
 QUAD_MEAN = 100.0 + 1.5 + 0.8  # analytic expectation
+
+
+def fit(model, grid, idx):
+    return project(grid, idx, est.parallel_map(model, grid.nodes))
+
+
+def fails_at_200(g):
+    """Pool-picklable model that raises at exactly one germ, (200, 0)."""
+    if g[0] == 200:
+        raise RuntimeError("no dispatch")
+    return float(g[0])
 
 
 def test_mc_constant_model():
@@ -153,7 +166,7 @@ def test_cross_validate_span_model_exact():
     grid = build_sparse_grid(3, 3)
     idx = MultiIndexSet.total_degree(3, 2)
     model = lambda g: 5.0 + g[0] - 0.5 * g[1] * g[2]
-    sur = project(model, grid, idx)
+    sur = fit(model, grid, idx)
     cv = est.cross_validate(sur, model, 400, seed=8)
     assert cv["median"] <= 1e-9
     assert np.max(cv["percent_errors"]) <= 1e-7
@@ -162,7 +175,7 @@ def test_cross_validate_span_model_exact():
 def test_cross_validate_constant_zero_error():
     grid = build_sparse_grid(2, 2)
     idx = MultiIndexSet.total_degree(2, 1)
-    sur = project(lambda g: 11.0, grid, idx)
+    sur = fit(lambda g: 11.0, grid, idx)
     cv = est.cross_validate(sur, lambda g: 11.0, 50, seed=2)
     assert cv["median"] < 1e-12  # zero up to the weight-sum roundoff
 
@@ -172,7 +185,7 @@ def test_cross_validate_errors_shrink_with_order():
     medians = []
     for order in (1, 2, 3):
         grid = build_sparse_grid(2, order + 1)
-        sur = project(model, grid, MultiIndexSet.total_degree(2, order))
+        sur = fit(model, grid, MultiIndexSet.total_degree(2, order))
         medians.append(est.cross_validate(sur, model, 2000, seed=4)["median"])
     assert medians[0] > medians[1] > medians[2]
 
@@ -182,3 +195,41 @@ def test_parallel_map_matches_serial():
     serial = est.parallel_map(quadratic_4d, germs, jobs=1)
     twice = est.parallel_map(quadratic_4d, germs, jobs=2)
     assert np.array_equal(serial, twice)
+
+
+def test_model_evaluation_error_survives_pickling():
+    err = est.ModelEvaluationError(np.array([0.5, -1.0]), RuntimeError("boom"))
+    back = pickle.loads(pickle.dumps(err))
+    assert np.array_equal(back.node, err.node)
+    assert str(back) == str(err) and "boom" in str(back)
+
+
+def test_pool_worker_failure_names_its_germ():
+    """A model that raises inside a pool worker stops the map with the
+    germ named, and the map returns instead of hanging."""
+    germs = np.stack([np.arange(256.0), np.zeros(256)], axis=1)  # 4 chunks
+    caught = []
+
+    def run():
+        try:
+            est.parallel_map(fails_at_200, germs, jobs=2)
+        except est.ModelEvaluationError as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "parallel_map hung on a worker failure"
+    assert len(caught) == 1 and "no dispatch" in str(caught[0])
+    assert np.array_equal(caught[0].node, [200.0, 0.0])
+
+
+def test_non_finite_batch_value_names_its_germ():
+    class Batch:
+        def evaluate_batch(self, germs):
+            return np.where(germs[:, 0] > 1, np.inf, 1.0)
+
+    germs = np.array([[0.0], [0.5], [1.5], [2.5]])
+    with pytest.raises(est.ModelEvaluationError, match="non-finite") as info:
+        est.parallel_map(Batch(), germs)
+    assert np.array_equal(info.value.node, [1.5])

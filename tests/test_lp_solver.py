@@ -215,7 +215,7 @@ def test_ratio_test_matches_reference_on_near_ties():
         lp = LinearProgram(n, m, np.zeros(n), [], [], [], row_lo, row_up,
                            np.zeros(n), rng.choice([1.0, INF], n))
         sim = lp_solver._Simplex(lp, SolveOptions())
-        sim.start_cold()
+        sim.start_warm(make_basis(lp))
         bound = np.where(np.isfinite(row_lo), row_lo, np.where(np.isfinite(row_up), row_up, 0.0))
         sim.x[sim.basic] = bound + rng.choice([-2e-7, -1e-8, 0.0, 3e-9, 5e-8, 0.5], m)
         delta = rng.choice([-2.0, -1.0, -0.5, 0.0, 1e-10, 0.5, 1.0, 2.0], m)

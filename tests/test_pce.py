@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import product
 
@@ -5,9 +6,15 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from windsed.pce import (MAX_LEVEL, ModelEvaluationError, MultiIndexSet,
-                         PCESurrogate, build_sparse_grid, eval_basis,
-                         evaluate_on_grid, hermite, project, rule_1d)
+from windsed.estimate import ModelEvaluationError, parallel_map
+from windsed.pce import (MAX_LEVEL, MultiIndexSet, PCESurrogate,
+                         build_sparse_grid, eval_basis, hermite, project,
+                         rule_1d)
+
+
+def fit(model, grid, idx):
+    """Surrogate projected from the model's values at the grid nodes."""
+    return project(grid, idx, parallel_map(model, grid.nodes))
 
 
 def gaussian_moment(alpha):
@@ -71,6 +78,21 @@ def test_eval_basis_tensor_structure():
         eval_basis(idx, np.zeros(3))
 
 
+def test_eval_basis_over_many_points_matches_one_at_a_time():
+    """Rows for an (N, d) array of points are bit-identical to one call per
+    point, and a (2, 3, d) array keeps its leading axes."""
+    idx = MultiIndexSet.total_degree(3, 3)
+    pts = np.random.default_rng(5).standard_normal((6, 3))
+    rows = eval_basis(idx, pts)
+    assert rows.shape == (6, len(idx))
+    for row, pt in zip(rows, pts):
+        assert np.array_equal(row, eval_basis(idx, pt))
+    assert np.array_equal(eval_basis(idx, pts.reshape(2, 3, 3)),
+                          rows.reshape(2, 3, len(idx)))
+    with pytest.raises(ValueError):
+        eval_basis(idx, pts[:, :2])
+
+
 # -- sparse grids ------------------------------------------------------------------
 
 def test_grid_counts_16d():
@@ -132,7 +154,7 @@ def test_level_bounds_checked():
 def test_project_constant():
     grid = build_sparse_grid(3, 2)
     idx = MultiIndexSet.total_degree(3, 1)
-    s = project(lambda x: 7.0, grid, idx)
+    s = fit(lambda x: 7.0, grid, idx)
     assert s.mean() == pytest.approx(7.0, abs=1e-12)
     assert np.max(np.abs(s.coefficients[1:])) < 1e-12
     assert s.variance() == pytest.approx(0.0, abs=1e-12)
@@ -141,7 +163,7 @@ def test_project_constant():
 def test_project_polynomial_in_span():
     grid = build_sparse_grid(3, 3)
     idx = MultiIndexSet.total_degree(3, 2)
-    s = project(lambda x: 2 + 3 * x[0] + x[0] * x[1], grid, idx)
+    s = fit(lambda x: 2 + 3 * x[0] + x[0] * x[1], grid, idx)
     coeff = dict(zip(idx.indices, s.coefficients))
     assert coeff[(0, 0, 0)] == pytest.approx(2.0, abs=1e-10)
     assert coeff[(1, 0, 0)] == pytest.approx(3.0, abs=1e-10)
@@ -154,16 +176,15 @@ def test_project_polynomial_in_span():
 def test_project_quartic_mean_is_third_moment():
     grid = build_sparse_grid(2, 4)  # integrates degree 4+2 exactly
     idx = MultiIndexSet.total_degree(2, 2)
-    s = project(lambda x: x[0] ** 4, grid, idx)
+    s = fit(lambda x: x[0] ** 4, grid, idx)
     assert s.mean() == pytest.approx(3.0, abs=1e-10)
 
 
 def test_projection_idempotent():
     grid = build_sparse_grid(3, 3)
     idx = MultiIndexSet.total_degree(3, 2)
-    rng = np.random.default_rng(0)
-    s1 = project(lambda x: math.exp(0.3 * x[0]) + x[1] * x[2], grid, idx)
-    s2 = project(s1, grid, idx)
+    s1 = fit(lambda x: math.exp(0.3 * x[0]) + x[1] * x[2], grid, idx)
+    s2 = project(grid, idx, s1(grid.nodes))
     assert np.max(np.abs(s1.coefficients - s2.coefficients)) < 1e-10
 
 
@@ -171,21 +192,25 @@ def test_project_requires_sufficient_level():
     grid = build_sparse_grid(3, 2)
     idx = MultiIndexSet.total_degree(3, 2)  # order 2 needs level >= 3
     with pytest.raises(ValueError, match="level"):
-        project(lambda x: 1.0, grid, idx)
+        project(grid, idx, np.ones(len(grid)))
 
 
 def test_model_failure_carries_node():
+    """A non-finite value is named by its germ, the first in germ order."""
     grid = build_sparse_grid(2, 2)
-    idx = MultiIndexSet.total_degree(2, 1)
+
     def bad(x):
         return float("nan") if abs(x[0]) > 1 else 1.0
-    with pytest.raises(ModelEvaluationError):
-        project(bad, grid, idx)
+
+    with pytest.raises(ModelEvaluationError, match="non-finite") as info:
+        parallel_map(bad, grid.nodes)
+    first = next(node for node in grid.nodes if abs(node[0]) > 1)
+    assert np.array_equal(info.value.node, first)
 
 
 def test_model_exception_names_its_node():
-    """Nodes are evaluated one at a time in node order; the first that
-    raises is named, and no later node is evaluated."""
+    """Germs are evaluated one at a time in germ order; the first that
+    raises is named, and no later germ is evaluated."""
     grid = build_sparse_grid(2, 2)
     bad = grid.nodes[5]
     seen = []
@@ -197,12 +222,14 @@ def test_model_exception_names_its_node():
         return 1.0
 
     with pytest.raises(ModelEvaluationError, match="boom") as info:
-        evaluate_on_grid(model, grid)
+        parallel_map(model, grid.nodes)
     assert np.array_equal(info.value.node, bad)
     assert np.array_equal(seen, grid.nodes[:6])
 
 
 def test_project_names_failing_node():
+    """Projection takes values only; the map that produces them names a
+    failing node, and values that do not match the grid are refused."""
     grid = build_sparse_grid(2, 2)
     idx = MultiIndexSet.total_degree(2, 1)
     bad = grid.nodes[-1]
@@ -213,10 +240,12 @@ def test_project_names_failing_node():
         return 1.0
 
     with pytest.raises(ModelEvaluationError, match="no dispatch") as info:
-        project(model, grid, idx)
+        fit(model, grid, idx)
     assert np.array_equal(info.value.node, bad)
-    with pytest.raises(TypeError):  # evaluation has one path: no pool_map
-        project(model, grid, idx, pool_map=map)
+    assert list(inspect.signature(project).parameters) == ["grid", "idxset",
+                                                           "values"]
+    with pytest.raises(ValueError, match="nodes"):
+        project(grid, idx, np.ones(len(grid) - 1))
 
 
 # -- surrogate ---------------------------------------------------------------------
@@ -235,16 +264,19 @@ def test_surrogate_reproduces_span_model_at_nodes():
     grid = build_sparse_grid(2, 3)
     idx = MultiIndexSet.total_degree(2, 2)
     model = lambda x: 1 + x[0] - 2 * x[1] + 0.5 * x[0] * x[1] + x[1] ** 2
-    s = project(model, grid, idx)
+    s = fit(model, grid, idx)
     for node in grid.nodes:
         assert s(node) == pytest.approx(model(node), abs=1e-9)
+    # one call for many points gives the same correctly rounded sums
+    assert np.array_equal(s(grid.nodes), [s(node) for node in grid.nodes])
+    assert isinstance(s(grid.nodes[0]), float)
 
 
 def test_surrogate_variance_matches_monte_carlo():
     grid = build_sparse_grid(2, 3)
     idx = MultiIndexSet.total_degree(2, 2)
-    s = project(lambda x: x[0] + 0.5 * x[0] * x[1] + 0.2 * (x[1] ** 2 - 1),
-                grid, idx)
+    s = fit(lambda x: x[0] + 0.5 * x[0] * x[1] + 0.2 * (x[1] ** 2 - 1),
+            grid, idx)
     rng = np.random.default_rng(99)
     draws = rng.standard_normal((1_000_000, 2))
     vals = (draws[:, 0] + 0.5 * draws[:, 0] * draws[:, 1]
@@ -255,7 +287,7 @@ def test_surrogate_variance_matches_monte_carlo():
 def test_surrogate_text_round_trip():
     grid = build_sparse_grid(2, 2)
     idx = MultiIndexSet.total_degree(2, 1)
-    s = project(lambda x: 1 + 0.25 * x[0] - x[1], grid, idx)
+    s = fit(lambda x: 1 + 0.25 * x[0] - x[1], grid, idx)
     s2 = PCESurrogate.from_text(s.to_text())
     assert np.array_equal(s2.coefficients, s.coefficients)
     assert s2.order == s.order and s2.dimension == s.dimension
