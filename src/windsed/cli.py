@@ -46,7 +46,6 @@ wind:                       # input for `kl`; either block may be omitted
 forecast:                   # required by `dispatch` and `study`
   sigma_p: 0.35             # relative day-ahead power uncertainty
   truncation: 6             # KL modes per site
-  nameplate: 150.0          # default power-curve nameplate (MW)
   sites:                    # labels must match the case's RENEWABLE block
     site_a: {mean_wind: 8.0, matern_l: 11.4, matern_nu: 0.56}
   dependence:               # groups of [site, mode] sharing one germ
@@ -114,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "case" not in raw:
             raise ConfigError("config needs a `case` path")
-        wind = _block(raw, "wind")
+        wind = _block(raw, "wind", {"data", "synthetic"})
         pce_block = _block(raw, "pce", {"levels"})
         mc_block = _block(raw, "mc", {"schedule", "realizations"})
         return cls(
@@ -124,8 +123,10 @@ class ExperimentConfig:
             out=str(raw.get("out", "out")),
             jobs=_integer(raw.get("jobs", 1), "jobs"),
             wind_data=dict(_block(wind, "data", where="wind.")),
-            wind_synthetic=dict(_block(wind, "synthetic", where="wind.")),
-            forecast=dict(_block(raw, "forecast")),
+            wind_synthetic=dict(_block(wind, "synthetic", {"days", "start", "sites"},
+                                       where="wind.")),
+            forecast=dict(_block(raw, "forecast",
+                                 {"sigma_p", "truncation", "sites", "dependence"})),
             pce_levels=_integers(pce_block.get("levels", (1, 2)), "pce.levels"),
             mc_schedule=_integers(mc_block.get("schedule", (10, 100)), "mc.schedule"),
             mc_realizations=_integer(mc_block.get("realizations", 2), "mc.realizations"),
@@ -210,7 +211,8 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
             f"{sorted(case_sites)}")
     sites = []
     for label in (s.site_label for s in case.renewable_sites):
-        entry = _block(site_block, label, where="forecast.sites.")
+        entry = _block(site_block, label, {"mean_wind", "matern_l", "matern_nu"},
+                       where="forecast.sites.")
         where = f"forecast.sites.{label}"
         mean_wind = _mean_profile(entry, where)
         curve = datagen.default_power_curve(case_sites[label].nameplate)
@@ -260,7 +262,9 @@ def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
         site_block = _block(synth, "sites", where="wind.synthetic.")
         sites = []
         for label in sorted(site_block):
-            entry = _block(site_block, label, where="wind.synthetic.sites.")
+            entry = _block(site_block, label,
+                           {"matern_l", "matern_nu", "sigma_w", "mean_wind"},
+                           where="wind.synthetic.sites.")
             where = f"wind.synthetic.sites.{label}"
             kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
                                            _positive(entry, "matern_nu", where), 1.0)

@@ -1,12 +1,15 @@
 """Self-contained revised simplex solver for bounded-variable linear programs.
 
 Solves   min c.x   s.t.  rlo <= A x <= rhi,  lo <= x <= up
-with a two-phase primal simplex.  Internally every row gets a logical
-(slack) column,  A x - s = 0,  so the right-hand side is always zero and
-scenario re-solves only touch bounds.  The basis inverse is kept as a
-sparse LU factorization plus product-form eta updates, refactorized
-periodically, which keeps dispatch-sized instances (roughly 10^4 rows)
-tractable while remaining exact on toy problems.
+with a two-phase primal simplex from a cold or crash start, and with a
+bounded dual simplex whenever a start or a bound move leaves a dual
+feasible basis primal infeasible, which is every scenario re-solve.
+Internally every row gets a logical (slack) column,  A x - s = 0,  so the
+right-hand side is always zero and scenario re-solves only touch bounds.
+The basis inverse is kept as a sparse LU factorization (minimum-degree
+ordering) plus sparse product-form eta updates, refactorized periodically,
+which keeps dispatch-sized instances (roughly 10^4 rows) tractable while
+remaining exact on toy problems.
 
 No external LP solver is used anywhere; scipy supplies only the sparse LU.
 """
@@ -206,15 +209,21 @@ class LpSolution:
 
 
 class _Factors:
-    """B = LU * E1 * ... * Ek product-form representation."""
+    """B = LU * E1 * ... * Ek product-form representation.
+
+    The LU comes from SuperLU with the minimum-degree ordering on B'+B,
+    which fills the dispatch bases far less than the default COLAMD.  Each
+    eta is stored sparse, as (row, nonzero rows, their values, pivot), so
+    `ftran` and `btran` touch only its nonzeros (Hall & McKinnon,
+    "Hyper-sparsity in the revised simplex method", 2005)."""
 
     def __init__(self, fmat: sp.csc_matrix, basic: np.ndarray):
         bmat = fmat[:, basic].tocsc()
         try:
-            self.lu = splu(bmat)
+            self.lu = splu(bmat, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factorization
             raise LpError(f"singular basis: {exc}") from exc
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.etas: list[tuple[int, np.ndarray, np.ndarray, float]] = []
         # splu tolerates some exactly singular matrices by inserting tiny
         # pivots; probe with a solve so we fail loudly instead.
         probe = self.lu.solve(np.ones(bmat.shape[0]))
@@ -223,25 +232,26 @@ class _Factors:
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         v = self.lu.solve(rhs)
-        for r, eta in self.etas:
-            piv = v[r] / eta[r]
+        for r, rows, vals, pivot in self.etas:
+            piv = v[r] / pivot
             if piv != 0.0:
-                v -= piv * eta
+                v[rows] -= piv * vals
             v[r] = piv
         return v
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
         v = rhs.copy()
-        for r, eta in reversed(self.etas):
-            vr = v[r]
-            v[r] = 0.0
-            v[r] = (vr - eta @ v) / eta[r]
+        for r, rows, vals, pivot in reversed(self.etas):
+            v[r] = (v[r] - vals @ v[rows]) / pivot
         return self.lu.solve(v, trans="T")
 
     def update(self, row: int, eta: np.ndarray, pivot_tol: float) -> bool:
-        if abs(eta[row]) < pivot_tol:
+        pivot = eta[row]
+        if abs(pivot) < pivot_tol:
             return False
-        self.etas.append((row, eta.copy()))
+        rows = np.flatnonzero(eta)
+        rows = rows[rows != row]
+        self.etas.append((row, rows, eta[rows], pivot))
         return True
 
 
@@ -268,6 +278,9 @@ class _Simplex:
         self.x: np.ndarray | None = None
         self.stall = 0
         self.use_bland = False
+        # reduced costs from the phase-2 pass that ended the last solve; bound
+        # moves leave them valid, so the next `run` takes them up once
+        self.certified_d: np.ndarray | None = None
 
     # -- basis management ---------------------------------------------------
 
@@ -278,8 +291,7 @@ class _Simplex:
             raise ValueError("warm-start basis must have exactly one basic column per row")
         self.basic = basis.basic.copy()
         self.status = basis.status.copy()
-        self.factors = _Factors(self.fmat, self.basic)  # raises LpError if singular
-        self._recompute_x()
+        self._refactorize()  # raises LpError if singular
 
     def _nonbasic_value(self, j: int) -> float:
         st = self.status[j]
@@ -299,6 +311,7 @@ class _Simplex:
 
     def _refactorize(self):
         self.factors = _Factors(self.fmat, self.basic)
+        self.certified_d = None
         self._recompute_x()
 
     # -- pricing ------------------------------------------------------------
@@ -436,6 +449,7 @@ class _Simplex:
             if q < 0:
                 if phase1:
                     return "feasible" if self._infeasibility() <= opts.feas_tol else "infeasible"
+                self.certified_d = d
                 return "optimal"
             sigma = 1.0 if (self.status[q] in (AT_LOWER, FREE_NB) and d[q] < 0) else -1.0
             delta = self.factors.ftran(self._column(q))
@@ -465,6 +479,107 @@ class _Simplex:
         if status == "feasible":
             status = self.run_phase(phase1=False)
         return status
+
+    def run(self) -> str:
+        """Solve from the current basis.  A basis that some bound moved out
+        of primal feasibility but that is still dual feasible (every
+        re-solve of a scenario sweep) goes through the dual simplex; any
+        other goes through the primal phases, which also certify the dual's
+        result with one phase-2 pricing pass.  A re-solve checks dual
+        feasibility on the reduced costs its previous solve certified, so
+        the check itself costs no pricing pass."""
+        d, self.certified_d = self.certified_d, None
+        if self._infeasibility() > self.opts.feas_tol:
+            if d is None:
+                d, _ = self._reduced_costs(self.cost)
+            if self._choose_entering(d) < 0:
+                status = self.run_dual(d)
+                if status != "optimal":
+                    return status
+        return self.run_phases()
+
+    # -- dual simplex ---------------------------------------------------------
+
+    def _leaving_row(self) -> tuple[int, float]:
+        """Basis slot of the largest bound violation (under Bland's rule:
+        of the lowest violating column), and +1 when it lies below its lower
+        bound, -1 when above its upper."""
+        xb = self.x[self.basic]
+        below = self.lower[self.basic] - xb
+        viol = np.maximum(below, xb - self.upper[self.basic])
+        if self.use_bland:
+            cand = np.flatnonzero(viol > 0.0)
+            pos = int(cand[np.argmin(self.basic[cand])])
+        else:
+            pos = int(np.argmax(viol))
+        return pos, 1.0 if below[pos] > 0.0 else -1.0
+
+    def _dual_ratio_test(self, d: np.ndarray, a: np.ndarray) -> tuple[int, float]:
+        """Entering column and dual step t for the pivot row a (signed so
+        that reduced costs move as d + t*a).  Only nonbasic columns whose
+        reduced cost moves toward zero block; among near-minimal ratios the
+        largest |a| wins (under Bland's rule: the lowest column).  Returns
+        (-1, 0) when none blocks: the leaving row cannot reach its bound."""
+        st = self.status
+        tol = self.opts.pivot_tol
+        free = st == FREE_NB
+        ok = ~self.fixed & ((((st == AT_LOWER) | free) & (a < -tol))
+                            | (((st == AT_UPPER) | free) & (a > tol)))
+        idx = np.flatnonzero(ok)
+        if not len(idx):
+            return -1, 0.0
+        ratio = np.maximum(d[idx] / -a[idx], 0.0)
+        close = np.flatnonzero(ratio <= ratio.min() + 1e-9)
+        k = close[0] if self.use_bland else close[np.argmax(np.abs(a[idx[close]]))]
+        return int(idx[k]), float(ratio[k])
+
+    def run_dual(self, d: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis with reduced
+        costs d (Koberstein, "The dual simplex method", 2005): the largest
+        primal violation leaves at its violated bound, the textbook ratio
+        test picks the entering column, and d follows the pivot row between
+        refactorizations.  Returns "optimal" once primal feasible, and
+        "infeasible" when a violated row cannot move toward its bound on a
+        fresh factorization."""
+        opts = self.opts
+        while self._infeasibility() > opts.feas_tol:
+            if self.iterations >= opts.max_iterations:
+                return "iteration_limit"
+            pos, side = self._leaving_row()
+            unit = np.zeros(self.m)
+            unit[pos] = 1.0
+            alpha = self.fmat_t @ self.factors.btran(unit)
+            q, step = self._dual_ratio_test(d, side * alpha)
+            delta = self.factors.ftran(self._column(q)) if q >= 0 else None
+            unstable = q >= 0 and abs(delta[pos] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q]))
+            if (q < 0 or unstable) and self.factors.etas:
+                # no blocking column, or the pivot row and column disagree
+                # on the pivot: decide again on a fresh factorization
+                self._refactorize()
+                d, _ = self._reduced_costs(self.cost)
+                continue
+            if q < 0:
+                return "infeasible"
+            leaving = self.basic[pos]
+            bound = self.lower[leaving] if side > 0 else self.upper[leaving]
+            shift = (self.x[leaving] - bound) / delta[pos]
+            self.iterations += 1
+            if step <= 1e-12:
+                self.stall += 1
+                if self.stall > opts.stall_limit:
+                    self.use_bland = True
+            else:
+                self.stall = 0
+                self.use_bland = False
+            factors = self.factors
+            self._pivot(q, 1.0 if shift > 0 else -1.0, delta, abs(shift), pos, bound)
+            if self.factors is factors:
+                d = d + (side * step) * alpha
+                d[self.basic] = 0.0
+                d[leaving] = side * step
+            else:  # refactorized: start d afresh too
+                d, _ = self._reduced_costs(self.cost)
+        return "optimal"
 
     def objective(self) -> float:
         """c.x over the structural columns.  An elementwise product and a
@@ -509,10 +624,12 @@ class RepeatSolver:
 
     Keeps the constraint matrix, basis, and LU factors alive between calls,
     so a scenario sweep pays for factorization once.  The matrix must not
-    change; bounds may.  When the previous optimal basis is still feasible
-    after a bound move it is also still optimal (bound moves leave reduced
-    costs untouched), so such re-solves cost two triangular solves and a
-    pricing pass, no pivots.
+    change; bounds may.  Bound moves leave reduced costs untouched, so the
+    previous optimal basis stays dual feasible.  When it is also still
+    primal feasible it is still optimal, and the re-solve costs two
+    triangular solves and a pricing pass, no pivots.  Otherwise the dual
+    simplex repairs primal feasibility from it, and one phase-2 pricing
+    pass certifies the result.
 
     The first solve starts from `start` when given (a crash basis built for
     the LP's structure, which may cut the cold solve's phase 1 to a few
@@ -520,7 +637,8 @@ class RepeatSolver:
     retried once from that same start basis, through the same phases and
     feasibility certification; `restarts` counts these retries.
     `restart_from` replaces the start basis and makes the next solve begin
-    there, so a caller can pin a sweep's starting point.
+    there, so a caller can pin a sweep's starting point; an optimal basis
+    given there is re-solved by the dual simplex too.
     """
 
     def __init__(self, lp: LinearProgram, opts: SolveOptions | None = None,
@@ -548,7 +666,7 @@ class RepeatSolver:
 
     def _optimize(self) -> str:
         sim = self._sim
-        status = sim.run_phases()
+        status = sim.run()
         if status == "optimal":
             # phase 2 exits on a full pricing pass, so dual feasibility is
             # already certified with the live factors; re-verify the primal
@@ -557,7 +675,7 @@ class RepeatSolver:
                 if sim._infeasibility() <= sim.opts.feas_tol:
                     break
                 sim._refactorize()
-                status = sim.run_phases()
+                status = sim.run()
                 if status != "optimal":
                     break
             else:

@@ -213,13 +213,18 @@ def _edit(key, value=None):
     return edit
 
 
-def _synthetic(key, value=None):
-    """Config edit adding a wind.synthetic block, then setting or deleting
-    the dotted `key` inside it."""
+def _wind(key, value=None):
+    """Config edit adding a wind block with a synthetic source, then setting
+    or deleting the dotted `key` inside it."""
     def edit(raw):
         raw["wind"] = synthetic_wind_block()
-        _edit(f"wind.synthetic.{key}", value)(raw)
+        _edit(f"wind.{key}", value)(raw)
     return edit
+
+
+def _synthetic(key, value=None):
+    """`_wind` for a key inside wind.synthetic."""
+    return _wind(f"synthetic.{key}", value)
 
 
 SITE_A = "forecast.sites.site_a"
@@ -262,6 +267,15 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["study"], _edit(f"{SITE_A}.mean_wind", -1), 2, f"`{SITE_A}.mean_wind`"),
     (["study"], _edit(SITE_A, 3), 2, f"`{SITE_A}` must be a mapping"),
     (["study"], _edit("forecast", [1, 2]), 2, "`forecast` must be a mapping"),
+    (["study"], _edit(f"{SITE_A}.mean_wnd", 12), 2,
+     f"unknown `{SITE_A}` keys: ['mean_wnd']"),
+    (["study"], _edit("forecast.sigma_P", 0.9), 2, "unknown `forecast` keys: ['sigma_P']"),
+    (["study"], _edit("forecast.nameplate", 150.0), 2,
+     "unknown `forecast` keys: ['nameplate']"),
+    (["kl"], _synthetic("sites.site_a.mean_wnd", 12), 2,
+     f"unknown `{SYN_A}` keys: ['mean_wnd']"),
+    (["kl"], _synthetic("dayz", 40), 2, "unknown `wind.synthetic` keys: ['dayz']"),
+    (["kl"], _wind("dta", {}), 2, "unknown `wind` keys: ['dta']"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt", "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
@@ -273,7 +287,9 @@ SYN_A = "wind.synthetic.sites.site_a"
         "synthetic-days-not-integer", "synthetic-days-zero",
         "synthetic-start-not-a-date", "synthetic-site-not-mapping",
         "wind-not-mapping", "mean_wind-not-numeric", "mean_wind-negative",
-        "forecast-site-not-mapping", "forecast-not-mapping"])
+        "forecast-site-not-mapping", "forecast-not-mapping",
+        "forecast-site-unknown-key", "forecast-unknown-key", "forecast-nameplate",
+        "synthetic-site-unknown-key", "synthetic-unknown-key", "wind-unknown-key"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

@@ -243,14 +243,20 @@ def test_make_basis_defaults_to_slack_start():
 
 def test_repeat_solver_restarts_after_failed_update(monkeypatch):
     """A factor update that fails mid-solve triggers one rebuild from the
-    start basis, which still reaches the optimum."""
+    start basis, which still reaches the optimum: in the primal phases of a
+    first solve, and in a dual pivot of a re-solve after a bound move."""
     lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
                    [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
-    want = solve_lp(lp).objective
-    for start in (None, make_basis(lp)):
+    real = lp_solver._Factors.update
+    real_dual = lp_solver._Simplex.run_dual
+    for start, row_lower in ((None, 2.0), (make_basis(lp), 2.0), (None, 12.0)):
         rs = RepeatSolver(lp, start=start)
-        real = lp_solver._Factors.update
+        if row_lower != lp.row_lower[0]:
+            rs.solve()
+            lp.row_lower[0] = row_lower  # the re-solve goes dual
+        want = solve_lp(lp).objective
         calls = []
+        in_dual = []
 
         def failing(self, row, eta, pivot_tol):
             calls.append(row)
@@ -258,7 +264,15 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
                 raise LpError("forced update failure")
             return real(self, row, eta, pivot_tol)
 
+        def dual(sim, d):
+            in_dual.append(len(calls))
+            try:
+                return real_dual(sim, d)
+            finally:
+                in_dual.append(len(calls))
+
         monkeypatch.setattr(lp_solver._Factors, "update", failing)
+        monkeypatch.setattr(lp_solver._Simplex, "run_dual", dual)
         sol = rs.solve()
         monkeypatch.undo()
         assert rs.restarts == 1
@@ -266,6 +280,8 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
         assert sol.objective == pytest.approx(want, rel=1e-12)
         assert sol.max_bound_violation <= 1e-9
         assert len(calls) >= 2  # the rebuilt solve pivoted again
+        if row_lower == 12.0:  # the forced failure landed in a dual pivot
+            assert in_dual[:2] == [0, 1]
 
 
 def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
@@ -282,3 +298,72 @@ def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
     sol = rs.solve()
     assert sol.iterations == 0
     assert sol.objective == pytest.approx(want, rel=1e-12)
+
+
+def _count_primal_pivots(monkeypatch) -> list:
+    """Spy on the primal phase driver: the returned list collects the
+    pivots each `run_phase` call makes."""
+    real = lp_solver._Simplex.run_phase
+    pivots = []
+
+    def counted(sim, phase1):
+        before = sim.iterations
+        try:
+            return real(sim, phase1)
+        finally:
+            pivots.append(sim.iterations - before)
+
+    monkeypatch.setattr(lp_solver._Simplex, "run_phase", counted)
+    return pivots
+
+
+def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
+    """Random bounded LPs, some columns made free, some fixed, follow sweeps
+    of row-bound moves through one RepeatSolver.  Every re-solve matches a
+    fresh solve in status and objective, and takes no primal pivot: the
+    dual simplex does all the work, infeasible sweeps included.  The
+    reduced costs a re-solve reuses from its previous solve are still
+    exactly those of its basis."""
+    rng = np.random.default_rng(4242)
+    primal = _count_primal_pivots(monkeypatch)
+    real_run = lp_solver._Simplex.run
+    reused = []
+
+    def run(sim):
+        if sim.certified_d is not None:
+            assert np.array_equal(sim.certified_d, sim._reduced_costs(sim.cost)[0])
+            reused.append(sim.iterations)
+        return real_run(sim)
+
+    monkeypatch.setattr(lp_solver._Simplex, "run", run)
+    seen = {"optimal": 0, "infeasible": 0}
+    dual_pivots = n_fixed = n_free = 0
+    for _ in range(100):
+        c, A, rlo, rhi, lo, up = random_lp(rng)
+        free = rng.random(len(c)) < 0.15
+        lo[free], up[free] = -INF, INF
+        lp = simple_lp(c, A, rlo, rhi, lo, up)
+        rs = RepeatSolver(lp)
+        if rs.solve().status != "optimal":
+            continue
+        first = rs.basis()
+        n_fixed += np.count_nonzero(lo == up)
+        n_free += np.count_nonzero(free)
+        for sweep in range(6):
+            shift = rng.normal(size=len(rlo)) * rng.choice([0.1, 1.0, 3.0])
+            lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
+            if sweep == 3:
+                rs.restart_from(first)  # as each evaluate_batch does
+            del primal[:]
+            warm = rs.solve()
+            assert sum(primal) == 0
+            dual_pivots += warm.iterations
+            fresh = solve_lp(lp)
+            assert warm.status == fresh.status
+            seen[fresh.status] += 1
+            if fresh.status == "optimal":
+                assert warm.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+                assert warm.max_bound_violation <= 1e-7
+    assert seen["optimal"] >= 100 and seen["infeasible"] >= 10
+    assert dual_pivots >= 30 and n_fixed >= 5 and n_free >= 5
+    assert len(reused) >= 100

@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from windsed import lp_solver
 from windsed.lp_solver import LinearProgram, LpSolution, SolveOptions, solve_lp
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
                                _extract, build_instance, solve_dispatch)
+from specs import make_spec3
+
+DATA = Path(__file__).parent.parent / "data"
 
 ONE_BUS = """
 CASE T=3 SHED_PENALTY=5000.0
@@ -352,3 +356,58 @@ def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
     assert order[0] == 120
     assert ev._visit_order(germs[:1]).tolist() == [0]
     assert ev.evaluate_batch(np.empty((0, spec3.dimension))).shape == (0,)
+
+
+def _spy_solver(monkeypatch):
+    """Spy on the solver's drivers: pivots made by each primal `run_phase`
+    call, and the status each `run_dual` call ends in."""
+    real_phase, real_dual = lp_solver._Simplex.run_phase, lp_solver._Simplex.run_dual
+    seen = {"primal": [], "dual": []}
+
+    def phase(sim, phase1):
+        before = sim.iterations
+        try:
+            return real_phase(sim, phase1)
+        finally:
+            seen["primal"].append(sim.iterations - before)
+
+    def dual(sim, d):
+        seen["dual"].append(real_dual(sim, d))
+        return seen["dual"][-1]
+
+    monkeypatch.setattr(lp_solver._Simplex, "run_phase", phase)
+    monkeypatch.setattr(lp_solver._Simplex, "run_dual", dual)
+    return seen
+
+
+def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch):
+    """From the anchor on, each 118-bus re-solve is a dual simplex; the
+    primal phases only certify its optimum, with no pivot of their own."""
+    ev = SedEvaluator(case118, spec118)
+    seen = _spy_solver(monkeypatch)
+    values = ev.evaluate_batch(fc.sample_germs(3, 8, spec118.dimension))
+    assert np.all(np.isfinite(values))
+    assert sum(seen["primal"]) == 0
+    assert seen["dual"] == ["optimal"] * 8
+
+
+def test_over_generation_fails_naming_the_germ(case3, monkeypatch):
+    """With 90 MW sites on the 3-bus case a windy germ pushes wind above load
+    less committed minimum output, so the dispatch LP has no feasible point.
+    The dual re-solve reports it infeasible, the evaluator names the germ,
+    and it still evaluates feasible germs afterwards."""
+    text = (DATA / "case3.txt").read_text()
+    for label in ("site_a 40.0", "site_b 30.0"):
+        text = text.replace(label, label.split()[0] + " 90.0")
+    case = parse_case(text)
+    spec = make_spec3(case)
+    ev = SedEvaluator(case, spec)
+    q0 = ev(np.zeros(spec.dimension))
+    seen = _spy_solver(monkeypatch)
+    germ = np.array([2.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+    with pytest.raises(DispatchError, match=r"at germ array\(\[2\., 0\., .*infeasible"):
+        ev(germ)
+    with pytest.raises(DispatchError, match=r"infeasible at germ array\(\[2\., 0\., "):
+        ev.solve(germ)
+    assert seen["dual"][:2] == ["infeasible", "infeasible"]
+    assert ev(np.zeros(spec.dimension)) == pytest.approx(q0, rel=1e-12)
