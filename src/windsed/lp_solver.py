@@ -7,9 +7,10 @@ feasible basis primal infeasible, which is every scenario re-solve.
 Internally every row gets a logical (slack) column,  A x - s = 0,  so the
 right-hand side is always zero and scenario re-solves only touch bounds.
 The basis inverse is kept as a sparse LU factorization (minimum-degree
-ordering) plus sparse product-form eta updates, refactorized periodically,
-which keeps dispatch-sized instances (roughly 10^4 rows) tractable while
-remaining exact on toy problems.
+ordering) plus sparse product-form eta updates, refactorized after
+`refactor_every` etas or sooner, once the etas cost a solve as much as the
+LU does, which keeps dispatch-sized instances (roughly 10^4 rows) tractable
+while remaining exact on toy problems.
 
 No external LP solver is used anywhere; scipy supplies only the sparse LU.
 """
@@ -208,6 +209,11 @@ class LpSolution:
         return float(np.sum(mult * np.where(mult > 0, lower[keep], upper[keep])))
 
 
+# what one eta costs a triangular solve beyond its nonzeros, in nonzeros:
+# the Python step per eta in `ftran` and `btran`
+_ETA_OVERHEAD = 32
+
+
 class _Factors:
     """B = LU * E1 * ... * Ek product-form representation.
 
@@ -224,6 +230,8 @@ class _Factors:
         except RuntimeError as exc:  # singular factorization
             raise LpError(f"singular basis: {exc}") from exc
         self.etas: list[tuple[int, np.ndarray, np.ndarray, float]] = []
+        self.lu_nnz = self.lu.L.nnz + self.lu.U.nnz
+        self.eta_nnz = 0  # the etas' nonzeros plus _ETA_OVERHEAD per eta
         # splu tolerates some exactly singular matrices by inserting tiny
         # pivots; probe with a solve so we fail loudly instead.
         probe = self.lu.solve(np.ones(bmat.shape[0]))
@@ -252,7 +260,14 @@ class _Factors:
         rows = np.flatnonzero(eta)
         rows = rows[rows != row]
         self.etas.append((row, rows, eta[rows], pivot))
+        self.eta_nnz += len(rows) + _ETA_OVERHEAD
         return True
+
+    def stale(self, refactor_every: int) -> bool:
+        """Whether a fresh LU would be cheaper to solve with: the eta file
+        has reached `refactor_every` etas, or costs as much per solve as
+        the LU itself (on small LPs, long before the count)."""
+        return len(self.etas) >= refactor_every or self.eta_nnz >= self.lu_nnz
 
 
 class _Simplex:
@@ -429,22 +444,25 @@ class _Simplex:
             self.status[leaving] = FREE_NB
         self.status[q] = BASIC
         self.basic[pos] = q
-        if not self.factors.update(pos, delta, self.opts.pivot_tol):
-            self._refactorize()
-        elif len(self.factors.etas) >= self.opts.refactor_every:
+        if (not self.factors.update(pos, delta, self.opts.pivot_tol)
+                or self.factors.stale(self.opts.refactor_every)):
             self._refactorize()
 
     # -- main loops ----------------------------------------------------------
 
     def run_phase(self, phase1: bool) -> str:
+        """Primal simplex until optimal for the phase's costs.  A phase-2
+        bound flip leaves the basis, and so y and d, unchanged, so d is
+        kept across it rather than priced again."""
         opts = self.opts
+        d = None
         while True:
             if self.iterations >= opts.max_iterations:
                 return "iteration_limit"
             if phase1 and self._infeasibility() <= opts.feas_tol:
                 return "feasible"
-            cost = self._phase1_cost() if phase1 else self.cost
-            d, _ = self._reduced_costs(cost)
+            if d is None:
+                d, _ = self._reduced_costs(self._phase1_cost() if phase1 else self.cost)
             q = self._choose_entering(d)
             if q < 0:
                 if phase1:
@@ -468,6 +486,8 @@ class _Simplex:
                 self.stall = 0
                 self.use_bland = False
             self._pivot(q, sigma, delta, t, pos, leave_bound)
+            if phase1 or pos != -1:
+                d = None
 
     def run_phases(self) -> str:
         """Phase 1 (re-checked on a fresh factorization before declaring
@@ -632,8 +652,9 @@ class RepeatSolver:
     pass certifies the result.
 
     The first solve starts from `start` when given (a crash basis built for
-    the LP's structure, which may cut the cold solve's phase 1 to a few
-    repairs), else from the slack basis.  A solve that fails numerically is
+    the LP's structure, such as the dispatch LP's DC power flow, which puts
+    the cold solve's phase 1 close to feasibility), else from the slack
+    basis.  A solve that fails numerically is
     retried once from that same start basis, through the same phases and
     feasibility certification; `restarts` counts these retries.
     `restart_from` replaces the start basis and makes the next solve begin

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
@@ -51,18 +53,28 @@ class DispatchInstance:
         return i * self.case.periods + t
 
     def start_basis(self) -> Basis:
-        """Triangular crash basis: the shed column basic in each balance
-        row, the flow column in each flow row, the logical in each ramp row.
+        """DC power-flow crash basis: with every segment fill at zero, the
+        lead bus of each island (the reference bus in its own island) sheds
+        the island's net load, and the angles and flows carry it as a DC
+        power flow.
 
-        Ordered by rows, the basis matrix is block upper triangular with +-1
-        on its diagonal, so it always factorizes.  With every other column
-        at its slack-start bound, each flow starts at zero and each shed at
-        its bus's residual load, so phase 1 only has to repair buses whose
-        committed p_min (or wind) exceeds their load."""
+        Each bus's balance row holds its angle, or at a lead bus its shed;
+        each flow row holds its flow, and each ramp row its logical.  The
+        lead angles stay nonbasic (the reference angle is fixed at zero,
+        another island's lead angle is free at zero), so the network
+        equations have one solution and the basis always factorizes.  In
+        this order the basis matrix is structurally symmetric apart from
+        the lead buses' slots, which keeps the minimum-degree ordering of
+        B'+B sparse, for the crash and for the optimal basis the cold solve
+        reaches from it.  Phase 1 repairs only lines over their limits and
+        islands whose committed p_min (or wind) exceeds their load."""
+        lead = _lead_buses(self.case)
+        bal_slot = self.angle.copy()
+        bal_slot[lead] = self.shed[lead]
         n = self.lp.num_cols
         ramp = np.arange(n + self.shed.size + self.flow.size, n + self.lp.num_rows)
         return make_basis(self.lp, np.concatenate(
-            [self.shed.ravel(), self.flow.ravel(), ramp]))
+            [bal_slot.ravel(), self.flow.ravel(), ramp]))
 
     def set_renewable(self, renewable: np.ndarray):
         """Move the balance-row constants for a new renewable scenario."""
@@ -78,6 +90,25 @@ def _check_renewable(case: GridCase, renewable) -> np.ndarray:
     if renewable.shape != want:
         raise DispatchError(f"renewable array shape {renewable.shape} != {want}")
     return renewable
+
+
+def _bus_of(case: GridCase, items, attr: str) -> np.ndarray:
+    """Bus position of each item's `attr` bus."""
+    bus_pos = case.bus_index()
+    return np.array([bus_pos[getattr(k, attr)] for k in items], dtype=np.int64)
+
+
+def _lead_buses(case: GridCase) -> np.ndarray:
+    """Position of one bus per island of the network: the reference bus in
+    its own island, else the island's first bus."""
+    n_bus = len(case.buses)
+    lines = (_bus_of(case, case.lines, "from_bus"), _bus_of(case, case.lines, "to_bus"))
+    graph = sp.csr_matrix((np.ones(len(case.lines)), lines), shape=(n_bus, n_bus))
+    island = connected_components(graph, directed=False)[1]
+    lead = np.unique(island, return_index=True)[1]
+    ref = case.bus_index()[case.reference_bus]
+    lead[island[ref]] = ref
+    return lead
 
 
 def _blocks(*shapes):
@@ -106,12 +137,9 @@ def build_instance(case: GridCase, renewable, segments: int = 3) -> DispatchInst
     def per_gen(name):
         return np.array([getattr(g, name) for g in case.generators], dtype=float)[:, None]
 
-    def bus_of(items, attr):
-        return np.array([bus_pos[getattr(k, attr)] for k in items], dtype=np.int64)
-
     on = np.array([g.commitment for g in case.generators], dtype=np.int64).reshape(G, T)
-    gen_bus, frm, to = (bus_of(case.generators, "bus"), bus_of(case.lines, "from_bus"),
-                        bus_of(case.lines, "to_bus"))
+    gen_bus = _bus_of(case, case.generators, "bus")
+    frm, to = _bus_of(case, case.lines, "from_bus"), _bus_of(case, case.lines, "to_bus")
     pwl = [linearize_cost(g, segments) for g in case.generators]
     slopes = np.zeros((G, segments))
     widths = np.zeros((G, segments))
@@ -170,7 +198,7 @@ def build_instance(case: GridCase, renewable, segments: int = 3) -> DispatchInst
     lp = LinearProgram(n_cols, n_rows, obj, rows[nonzero], cols[nonzero], vals[nonzero],
                        row_lo, row_up, col_lo, col_up)
     inst = DispatchInstance(case, segments, lp, offset, seg, flow, angle, shed,
-                            p_floor, base, bus_of(case.renewable_sites, "bus"))
+                            p_floor, base, _bus_of(case, case.renewable_sites, "bus"))
     inst.set_renewable(renewable)
     return inst
 

@@ -39,13 +39,37 @@ class LoopInstance:
         return i * self.case.periods + t
 
     def start_basis(self):
-        n_bal = len(self.case.buses) * self.case.periods
-        shed0 = self.n_seg + self.n_flow + self.n_angle
-        ramp0 = self.lp.num_cols + n_bal + self.n_flow
-        basic = np.concatenate([
-            np.arange(shed0, shed0 + self.n_shed),
-            np.arange(self.n_seg, self.n_seg + self.n_flow),
-            np.arange(ramp0, self.lp.num_cols + self.lp.num_rows)])
+        """The DC power-flow crash basis: each bus's angle in its balance
+        row, except at its island's lead bus (the reference bus in its own
+        island, else the island's first bus), where the shed column sits;
+        each line's flow in its flow row; each ramp row's logical."""
+        case = self.case
+        T = case.periods
+        B = len(case.buses)
+        bus_pos = case.bus_index()
+        neighbours = [set() for _ in range(B)]
+        for line in case.lines:
+            i, j = bus_pos[line.from_bus], bus_pos[line.to_bus]
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        leads = []
+        seen = set()
+        for lead in [bus_pos[case.reference_bus]] + list(range(B)):
+            if lead in seen:
+                continue
+            leads.append(lead)
+            seen.add(lead)
+            stack = [lead]
+            while stack:
+                for j in neighbours[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        basic = [self.shed_col(i, t) if i in leads else self.angle_col(i, t)
+                 for i in range(B) for t in range(T)]
+        basic += [self.flow_col(e, t) for e in range(len(case.lines)) for t in range(T)]
+        n_bal_flow = len(basic)
+        basic += range(self.lp.num_cols + n_bal_flow, self.lp.num_cols + self.lp.num_rows)
         return make_basis(self.lp, basic)
 
 

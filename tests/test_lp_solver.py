@@ -367,3 +367,36 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
     assert seen["optimal"] >= 100 and seen["infeasible"] >= 10
     assert dual_pivots >= 30 and n_fixed >= 5 and n_free >= 5
     assert len(reused) >= 100
+
+
+def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
+    """A phase-2 bound flip changes neither the basis nor the costs, so the
+    reduced costs `run_phase` keeps across it are bitwise those a fresh
+    pricing pass gives."""
+    rng = np.random.default_rng(99)
+    real_phase = lp_solver._Simplex.run_phase
+    real_pivot = lp_solver._Simplex._pivot
+    real_choose = lp_solver._Simplex._choose_entering
+    kept = []
+
+    def run_phase(sim, phase1):
+        sim.test_phase2, sim.test_flipped = not phase1, False
+        return real_phase(sim, phase1)
+
+    def pivot(sim, q, sigma, delta, t, pos, leave_bound):
+        sim.test_flipped = pos == -1
+        return real_pivot(sim, q, sigma, delta, t, pos, leave_bound)
+
+    def choose(sim, d):
+        if getattr(sim, "test_phase2", False) and sim.test_flipped:
+            assert np.array_equal(d, sim._reduced_costs(sim.cost)[0])
+            kept.append(sim.iterations)
+        return real_choose(sim, d)
+
+    monkeypatch.setattr(lp_solver._Simplex, "run_phase", run_phase)
+    monkeypatch.setattr(lp_solver._Simplex, "_pivot", pivot)
+    monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", choose)
+    for _ in range(200):
+        c, A, rlo, rhi, lo, up = random_lp(rng)
+        solve_lp(simple_lp(c, A, rlo, rhi, lo, up))
+    assert len(kept) >= 50

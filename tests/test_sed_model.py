@@ -1,4 +1,5 @@
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,15 +140,55 @@ RENEWABLE
 """
 
 
+# Three islands: the reference bus 1 with a line that binds, a windy island
+# without the reference bus whose two buses a pair of parallel lines joins,
+# and an island without generation that can only shed.
+ISLANDS = """
+CASE T=2 SHED_PENALTY=5000.0
+BUS
+1 0.0 0.0
+2 30.0 40.0
+3 50.0 60.0
+4 10.0 15.0
+5 25.0 30.0
+6 20.0 10.0
+7 5.0 8.0
+BRANCH
+1 2 0.1 -100.0 100.0
+1 3 0.1 -40.0 40.0
+2 3 0.2 -100.0 100.0
+5 4 0.3 -5.0 5.0
+4 5 0.1 -100.0 100.0
+6 7 0.2 -10.0 10.0
+GEN
+1 10.0 150.0 10.0 20.0 0.05 100.0 100.0 150.0 150.0
+5 10.0 60.0 5.0 30.0 0.1 50.0 50.0 60.0 60.0
+RENEWABLE
+4 w 30.0
+"""
+
+CASE_TEXTS = {"one_bus": ONE_BUS + "COMMITMENT\n0 1 0 1\n", "flat_t1": FLAT_T1,
+              "islands": ISLANDS}
+
+
+def _named_case(name, request):
+    """A bundled case by its fixture name, else one of CASE_TEXTS."""
+    if name not in CASE_TEXTS:
+        return request.getfixturevalue(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "case network is not connected"
+        return parse_case(CASE_TEXTS[name])
+
+
 @pytest.mark.parametrize("segments", [1, 3, 10])
-@pytest.mark.parametrize("name", ["case3", "case118", "one_bus", "flat_t1"])
+@pytest.mark.parametrize("name", ["case3", "case118", "one_bus", "flat_t1", "islands"])
 def test_block_assembly_matches_loop_reference(name, segments, request):
     """The numpy block assembly builds the per-element loop's LP, constant,
     crash basis and schedule bit for bit: on the bundled cases, a case with
-    no lines, and a one-period case (no ramp rows) whose first generator has
-    p_min == p_max (fewer cost slopes than segments)."""
-    texts = {"one_bus": ONE_BUS + "COMMITMENT\n0 1 0 1\n", "flat_t1": FLAT_T1}
-    case = parse_case(texts[name]) if name in texts else request.getfixturevalue(name)
+    no lines, a one-period case (no ramp rows) whose first generator has
+    p_min == p_max (fewer cost slopes than segments), and a case of three
+    islands."""
+    case = _named_case(name, request)
     rng = np.random.default_rng(segments)
     power = rng.uniform(0.0, 50.0, (len(case.renewable_sites), case.periods))
     inst = build_instance(case, power, segments)
@@ -262,16 +303,45 @@ def test_solution_csv_export(case3):
     assert len(lines) == 1 + 24 * (2 + 3 + 3 + 3)
 
 
-@pytest.mark.parametrize("name", ["case3", "case118"])
-def test_start_basis_factorizes_with_flows_at_zero(name, request):
-    case = request.getfixturevalue(name)
-    inst = build_instance(case, np.zeros((len(case.renewable_sites), case.periods)))
+@pytest.mark.parametrize("name, leads", [("case3", None), ("case118", None),
+                                         ("islands", [1, 4, 6])])
+def test_start_basis_is_a_dc_power_flow(name, leads, request):
+    """The crash basis factorizes, is structurally symmetric apart from the
+    lead buses' balance slots, and starts from the DC power flow that
+    serves every bus's net load from its island's lead bus: angles and
+    flows solve the network equations with the lead angles at zero, and
+    only the lead buses shed."""
+    case = _named_case(name, request)
+    rng = np.random.default_rng(8)
+    power = rng.uniform(0.0, 20.0, (len(case.renewable_sites), case.periods))
+    inst = build_instance(case, power)
+    basis = inst.start_basis()
     sim = lp_solver._Simplex(inst.lp, SolveOptions())
-    sim.start_warm(inst.start_basis())  # raises LpError if singular
-    assert np.all(sim.x[inst.flow] == 0.0)
-    assert np.allclose(sim.x[inst.shed].ravel(), inst.lp.row_lower[:inst.shed.size],
-                       atol=1e-9)
-    assert len(set(inst.start_basis().basic)) == inst.lp.num_rows
+    sim.start_warm(basis)  # raises LpError if singular
+    bus_pos = case.bus_index()
+    lead = np.array([bus_pos[b] for b in leads or [case.reference_bus]])
+    pattern = sim.fmat[:, basis.basic] != 0
+    rows, cols = (pattern != pattern.T).nonzero()
+    lead_slots = (lead[:, None] * case.periods + np.arange(case.periods)).ravel()
+    assert len(rows) and np.all(np.isin(rows, lead_slots) | np.isin(cols, lead_slots))
+    rest = np.setdiff1d(np.arange(len(case.buses)), lead)
+    net_load = inst.lp.row_lower[:inst.shed.size].reshape(inst.shed.shape)
+    laplacian = np.zeros((len(case.buses),) * 2)
+    for line in case.lines:
+        ends = [bus_pos[line.from_bus], bus_pos[line.to_bus]]
+        laplacian[np.ix_(ends, ends)] += (case.base_mva * line.susceptance
+                                          * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    theta = np.zeros(net_load.shape)
+    theta[rest] = np.linalg.solve(laplacian[np.ix_(rest, rest)], -net_load[rest])
+    flows = [case.base_mva * line.susceptance
+             * (theta[bus_pos[line.from_bus]] - theta[bus_pos[line.to_bus]])
+             for line in case.lines]
+    assert np.allclose(sim.x[inst.angle], theta, rtol=1e-9, atol=1e-12)
+    assert np.allclose(sim.x[inst.flow], np.reshape(flows, inst.flow.shape),
+                       rtol=1e-9, atol=1e-9)
+    assert np.all(sim.x[inst.shed[rest]] == 0.0)
+    assert np.allclose(sim.x[inst.shed[lead]], net_load[lead] + (laplacian @ theta)[lead],
+                       rtol=1e-9, atol=1e-9)
 
 
 def test_crash_start_matches_slack_start(case3, spec3):
@@ -285,16 +355,10 @@ def test_crash_start_matches_slack_start(case3, spec3):
         assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
 
 
-def test_118_zero_germ_matches_highs(case118, spec118):
-    """The crash-started cold solve of the 118-bus LP reaches HiGHS's
-    optimum in well under half the slack start's ~11k pivots."""
+def _highs_objective(lp: LinearProgram) -> float:
+    """The dispatch LP's optimum by scipy's HiGHS."""
     from scipy.optimize import linprog
 
-    power = spec118.power(np.zeros(spec118.dimension),
-                          [s.site_label for s in case118.renewable_sites])
-    sol = solve_dispatch(case118, power)  # no warm basis: the crash start
-    inst = build_instance(case118, power)
-    lp = inst.lp
     A = lp.matrix()
     eq = lp.row_lower == lp.row_upper
     ub = ~eq & np.isfinite(lp.row_upper)
@@ -303,9 +367,39 @@ def test_118_zero_germ_matches_highs(case118, spec118):
               for lo, up in zip(lp.col_lower, lp.col_upper)]
     ref = linprog(lp.objective, A_ub=A[ub], b_ub=lp.row_upper[ub], A_eq=A[eq],
                   b_eq=lp.row_lower[eq], bounds=bounds, method="highs")
-    assert ref.status == 0 and sol.status == "optimal"
-    assert sol.objective - inst.objective_offset == pytest.approx(ref.fun, rel=1e-9)
-    assert sol.iterations < 5000
+    assert ref.status == 0
+    return ref.fun
+
+
+@pytest.mark.parametrize("name", ["islands", "one_bus"])
+def test_crash_and_slack_starts_match_highs_off_a_connected_network(name, request):
+    """On three islands (one without generation, one without the reference
+    bus) and on a bus with no lines, the crash start, the slack start and
+    HiGHS reach the same optimum."""
+    case = _named_case(name, request)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        power = rng.uniform(0.0, 20.0, (len(case.renewable_sites), case.periods))
+        inst = build_instance(case, power)
+        crash = solve_lp(inst.lp, warm_basis=inst.start_basis())
+        slack = solve_lp(inst.lp)
+        assert crash.status == slack.status == "optimal"
+        want = _highs_objective(inst.lp)
+        assert crash.objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert slack.objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_118_zero_germ_matches_highs(case118, spec118):
+    """The crash-started cold solve of the 118-bus LP reaches HiGHS's
+    optimum in about a seventh of the slack start's ~11k pivots."""
+    power = spec118.power(np.zeros(spec118.dimension),
+                          [s.site_label for s in case118.renewable_sites])
+    sol = solve_dispatch(case118, power)  # no warm basis: the crash start
+    inst = build_instance(case118, power)
+    assert sol.status == "optimal"
+    assert sol.objective - inst.objective_offset == pytest.approx(
+        _highs_objective(inst.lp), rel=1e-9)
+    assert sol.iterations < 2000
 
 
 def test_batch_values_do_not_depend_on_history(case3, spec3):
@@ -380,15 +474,49 @@ def _spy_solver(monkeypatch):
     return seen
 
 
+def _spy_refactorizations(monkeypatch) -> list:
+    """Spy on refactorizations: the returned list collects, for each
+    factorization one replaces, its eta count, its eta nonzeros with their
+    per-eta overhead, and its L+U nonzeros."""
+    real = lp_solver._Simplex._refactorize
+    seen = []
+
+    def spy(sim):
+        if sim.factors is not None:
+            seen.append((len(sim.factors.etas), sim.factors.eta_nnz, sim.factors.lu_nnz))
+        return real(sim)
+
+    monkeypatch.setattr(lp_solver._Simplex, "_refactorize", spy)
+    return seen
+
+
 def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch):
     """From the anchor on, each 118-bus re-solve is a dual simplex; the
-    primal phases only certify its optimum, with no pivot of their own."""
+    primal phases only certify its optimum, with no pivot of their own.
+    Its etas never grow as large as the LU, so only their count triggers
+    refactorization."""
     ev = SedEvaluator(case118, spec118)
     seen = _spy_solver(monkeypatch)
+    refactors = _spy_refactorizations(monkeypatch)
     values = ev.evaluate_batch(fc.sample_germs(3, 8, spec118.dimension))
     assert np.all(np.isfinite(values))
     assert sum(seen["primal"]) == 0
     assert seen["dual"] == ["optimal"] * 8
+    assert len(refactors) >= 2
+    assert all(eta_nnz < lu_nnz for _, eta_nnz, lu_nnz in refactors)
+
+
+def test_small_lp_refactorizes_when_its_etas_reach_the_lu_size(case3, spec3, monkeypatch):
+    """A 3-bus LU is so small that solving with a few dozen etas costs more
+    than refactorizing, so the eta file is refactorized once its nonzeros,
+    with a per-eta overhead, reach the LU's: long before `refactor_every`
+    etas."""
+    ev = SedEvaluator(case3, spec3)
+    refactors = _spy_refactorizations(monkeypatch)
+    ev.evaluate_batch(fc.sample_germs(4, 300, spec3.dimension))
+    by_size = [etas for etas, eta_nnz, lu_nnz in refactors if eta_nnz >= lu_nnz]
+    assert len(by_size) >= 5
+    assert max(by_size) < SolveOptions().refactor_every // 2
 
 
 def test_over_generation_fails_naming_the_germ(case3, monkeypatch):
