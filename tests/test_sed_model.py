@@ -304,7 +304,8 @@ def test_solution_csv_export(case3):
 
 
 @pytest.mark.parametrize("name, leads", [("case3", None), ("case118", None),
-                                         ("islands", [1, 4, 6])])
+                                         ("islands", [1, 4, 6])],
+                         ids=["case3", "case118", "islands"])
 def test_start_basis_is_a_dc_power_flow(name, leads, request):
     """The crash basis factorizes, is structurally symmetric apart from the
     lead buses' balance slots, and starts from the DC power flow that
