@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn, kv
 
 from .wind_kl import HOURS, KLBasis, PowerCurve, kl_decompose, reconstruct
@@ -90,6 +89,10 @@ def fit_matern(cov: np.ndarray) -> MaternKernel:
     cov = np.asarray(cov, dtype=float)
     if cov.shape[0] != cov.shape[1] or np.max(np.abs(cov - cov.T)) > 1e-8:
         raise ForecastError("need a symmetric covariance")
+    # only this fit needs scipy.optimize; importing it with the module
+    # would slow every process's start-up
+    from scipy.optimize import minimize
+
     lags, vals = _pooled_lag_data(cov)
     if float(np.std(vals[lags > 0])) < 1e-12:
         raise ForecastError("covariance shows no lag decay to fit")

@@ -7,10 +7,14 @@ feasible basis primal infeasible, which is every scenario re-solve.
 Internally every row gets a logical (slack) column,  A x - s = 0,  so the
 right-hand side is always zero and scenario re-solves only touch bounds.
 The basis inverse is kept as a sparse LU factorization (minimum-degree
-ordering) plus sparse product-form eta updates, refactorized after
-`refactor_every` etas or sooner, once the etas cost a solve as much as the
-LU does, which keeps dispatch-sized instances (roughly 10^4 rows) tractable
-while remaining exact on toy problems.
+ordering, no relaxed supernodes) plus sparse product-form eta updates,
+refactorized after `refactor_every` etas or sooner, once the etas cost a
+solve as much as the LU does, which keeps dispatch-sized instances
+(roughly 10^4 rows) tractable while remaining exact on toy problems.
+Per pivot, the simplex gathers as little as it can: the basic variables'
+bounds are kept per basis slot, a run of phase-2 bound flips walks one
+ranking of its pricing pass, and a re-solve that stays primal feasible
+certifies its optimum with the reduced costs its previous solve ended on.
 
 No external LP solver is used anywhere; scipy supplies only the sparse LU.
 """
@@ -218,15 +222,20 @@ class _Factors:
     """B = LU * E1 * ... * Ek product-form representation.
 
     The LU comes from SuperLU with the minimum-degree ordering on B'+B,
-    which fills the dispatch bases far less than the default COLAMD.  Each
-    eta is stored sparse, as (row, nonzero rows, their values, pivot), so
-    `ftran` and `btran` touch only its nonzeros (Hall & McKinnon,
-    "Hyper-sparsity in the revised simplex method", 2005)."""
+    which fills the dispatch bases far less than the default COLAMD.
+    `relax=1` and `panel_size=1` turn off relaxed supernodes and multi-
+    column panels: relaxation pads the factors of a hypersparse basis with
+    explicit zeros, which every factorization and triangular solve then
+    runs over (on the 118-bus anchor basis SuperLU stores 70.8k entries
+    for 59.6k nonzeros with it, and 59.7k for 59.7k without).  Each eta is stored sparse, as (row, nonzero rows,
+    their values, pivot), so `ftran` and `btran` touch only its nonzeros
+    (Hall & McKinnon, "Hyper-sparsity in the revised simplex method",
+    2005)."""
 
     def __init__(self, fmat: sp.csc_matrix, basic: np.ndarray):
         bmat = fmat[:, basic].tocsc()
         try:
-            self.lu = splu(bmat, permc_spec="MMD_AT_PLUS_A")
+            self.lu = splu(bmat, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
         except RuntimeError as exc:  # singular factorization
             raise LpError(f"singular basis: {exc}") from exc
         self.etas: list[tuple[int, np.ndarray, np.ndarray, float]] = []
@@ -291,11 +300,19 @@ class _Simplex:
         self.basic: np.ndarray | None = None
         self.status: np.ndarray | None = None
         self.x: np.ndarray | None = None
+        # bounds of the basic variables, per basis slot
+        self.lb: np.ndarray | None = None
+        self.ub: np.ndarray | None = None
         self.stall = 0
         self.use_bland = False
-        # reduced costs from the phase-2 pass that ended the last solve; bound
-        # moves leave them valid, so the next `run` takes them up once
+        # reduced costs of the current basis and factors, from the phase-2
+        # pass that ended the last solve; bound moves leave them valid, so
+        # the next `run` takes them up, and a basis change or a
+        # refactorization drops them
         self.certified_d: np.ndarray | None = None
+        # the last pricing pass's d, and its ranking once asked for twice
+        self._priced: np.ndarray | None = None
+        self._ranking: list[int] | None = None
 
     # -- basis management ---------------------------------------------------
 
@@ -323,6 +340,8 @@ class _Simplex:
         rhs = -(self.fmat @ x)
         x[self.basic] = self.factors.ftran(rhs)
         self.x = x
+        self.lb = self.lower[self.basic]
+        self.ub = self.upper[self.basic]
 
     def _refactorize(self):
         self.factors = _Factors(self.fmat, self.basic)
@@ -334,25 +353,30 @@ class _Simplex:
     def _phase1_cost(self) -> np.ndarray:
         c = np.zeros(self.n + self.m)
         xb = self.x[self.basic]
-        lo = self.lower[self.basic]
-        up = self.upper[self.basic]
         tol = self.opts.feas_tol
-        c[self.basic[xb < lo - tol]] = -1.0
-        c[self.basic[xb > up + tol]] = 1.0
+        c[self.basic[xb < self.lb - tol]] = -1.0
+        c[self.basic[xb > self.ub + tol]] = 1.0
         return c
 
-    def _infeasibility(self) -> float:
+    def _violations(self) -> tuple[np.ndarray, np.ndarray]:
+        """How far each basic variable lies below its lower bound and
+        above its upper bound, per slot (negative where it does not)."""
         xb = self.x[self.basic]
-        lo = self.lower[self.basic]
-        up = self.upper[self.basic]
-        return float(np.sum(np.maximum(lo - xb, 0.0)) + np.sum(np.maximum(xb - up, 0.0)))
+        return self.lb - xb, xb - self.ub
+
+    def _infeasibility(self, below=None, above=None) -> float:
+        if below is None:
+            below, above = self._violations()
+        return float(np.sum(np.maximum(below, 0.0)) + np.sum(np.maximum(above, 0.0)))
 
     def _reduced_costs(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self.factors.btran(cost[self.basic])
         d = cost - self.fmat_t @ y
         return d, y
 
-    def _choose_entering(self, d: np.ndarray) -> int:
+    def _dual_infeasibility(self, d: np.ndarray) -> np.ndarray:
+        """Per column, how far d says moving it off its bound would lower
+        the cost; zero for columns that cannot move that way."""
         tol = self.opts.opt_tol
         st = self.status
         viol = np.zeros_like(d)
@@ -360,6 +384,34 @@ class _Simplex:
         can_dn = ((st == AT_UPPER) | (st == FREE_NB)) & ~self.fixed & (d > tol)
         viol[can_up] = -d[can_up]
         viol[can_dn] = d[can_dn]
+        return viol
+
+    def _can_enter(self, j: int, d: np.ndarray) -> bool:
+        """Whether column j has a nonzero `_dual_infeasibility`."""
+        st, tol = self.status[j], self.opts.opt_tol
+        return not self.fixed[j] and (
+            (st in (AT_LOWER, FREE_NB) and d[j] < -tol)
+            or (st in (AT_UPPER, FREE_NB) and d[j] > tol))
+
+    def _choose_entering(self, d: np.ndarray) -> int:
+        """Dantzig's rule, the largest `_dual_infeasibility` (under Bland's
+        rule: the lowest column with one).  Called again with the same d,
+        after a phase-2 bound flip, it walks a ranking of d's violations
+        instead: the flip changed only the flipped column's status, so the
+        first ranked column that can still enter is the argmax.  The stable
+        sort keeps argmax's ties on the lowest column."""
+        if d is self._priced and not self.use_bland:
+            if self._ranking is None:
+                viol = self._dual_infeasibility(d)
+                cand = np.flatnonzero(viol)
+                self._ranking = cand[np.argsort(-viol[cand], kind="stable")].tolist()
+                self._ranking.reverse()
+            ranking = self._ranking
+            while ranking and not self._can_enter(ranking[-1], d):
+                ranking.pop()
+            return ranking[-1] if ranking else -1
+        self._priced, self._ranking = d, None
+        viol = self._dual_infeasibility(d)
         if not viol.any():
             return -1
         if self.use_bland:
@@ -396,8 +448,8 @@ class _Simplex:
             rate = -sigma * delta[idx]  # movement of basic vars per unit step
             basic = self.basic[idx]
             xb = self.x[basic]
-            lob = self.lower[basic]
-            upb = self.upper[basic]
+            lob = self.lb[idx]
+            upb = self.ub[idx]
             rising = rate > 0
             if phase1:
                 below = xb < lob - opts.feas_tol
@@ -444,6 +496,9 @@ class _Simplex:
             self.status[leaving] = FREE_NB
         self.status[q] = BASIC
         self.basic[pos] = q
+        self.lb[pos] = self.lower[q]
+        self.ub[pos] = self.upper[q]
+        self.certified_d = None
         if (not self.factors.update(pos, delta, self.opts.pivot_tol)
                 or self.factors.stale(self.opts.refactor_every)):
             self._refactorize()
@@ -453,9 +508,11 @@ class _Simplex:
     def run_phase(self, phase1: bool) -> str:
         """Primal simplex until optimal for the phase's costs.  A phase-2
         bound flip leaves the basis, and so y and d, unchanged, so d is
-        kept across it rather than priced again."""
+        kept across it rather than priced again.  Phase 2 starts from
+        `certified_d` when the basis still holds it."""
         opts = self.opts
-        d = None
+        d = None if phase1 else self.certified_d
+        self._priced = None
         while True:
             if self.iterations >= opts.max_iterations:
                 return "iteration_limit"
@@ -507,9 +564,12 @@ class _Simplex:
         other goes through the primal phases, which also certify the dual's
         result with one phase-2 pricing pass.  A re-solve checks dual
         feasibility on the reduced costs its previous solve certified, so
-        the check itself costs no pricing pass."""
-        d, self.certified_d = self.certified_d, None
+        the check itself costs no pricing pass, and one that stays primal
+        feasible certifies its optimum with them, in no pricing pass at
+        all."""
+        self._priced = None
         if self._infeasibility() > self.opts.feas_tol:
+            d = self.certified_d
             if d is None:
                 d, _ = self._reduced_costs(self.cost)
             if self._choose_entering(d) < 0:
@@ -520,13 +580,11 @@ class _Simplex:
 
     # -- dual simplex ---------------------------------------------------------
 
-    def _leaving_row(self) -> tuple[int, float]:
+    def _leaving_row(self, below: np.ndarray, above: np.ndarray) -> tuple[int, float]:
         """Basis slot of the largest bound violation (under Bland's rule:
         of the lowest violating column), and +1 when it lies below its lower
         bound, -1 when above its upper."""
-        xb = self.x[self.basic]
-        below = self.lower[self.basic] - xb
-        viol = np.maximum(below, xb - self.upper[self.basic])
+        viol = np.maximum(below, above)
         if self.use_bland:
             cand = np.flatnonzero(viol > 0.0)
             pos = int(cand[np.argmin(self.basic[cand])])
@@ -540,12 +598,12 @@ class _Simplex:
         reduced cost moves toward zero block; among near-minimal ratios the
         largest |a| wins (under Bland's rule: the lowest column).  Returns
         (-1, 0) when none blocks: the leaving row cannot reach its bound."""
-        st = self.status
-        tol = self.opts.pivot_tol
+        idx = np.flatnonzero(np.abs(a) > self.opts.pivot_tol)
+        st = self.status[idx]
+        rising = a[idx] > 0.0
         free = st == FREE_NB
-        ok = ~self.fixed & ((((st == AT_LOWER) | free) & (a < -tol))
-                            | (((st == AT_UPPER) | free) & (a > tol)))
-        idx = np.flatnonzero(ok)
+        idx = idx[~self.fixed[idx] & np.where(rising, (st == AT_UPPER) | free,
+                                              (st == AT_LOWER) | free)]
         if not len(idx):
             return -1, 0.0
         ratio = np.maximum(d[idx] / -a[idx], 0.0)
@@ -562,10 +620,13 @@ class _Simplex:
         "infeasible" when a violated row cannot move toward its bound on a
         fresh factorization."""
         opts = self.opts
-        while self._infeasibility() > opts.feas_tol:
+        while True:
+            below, above = self._violations()
+            if self._infeasibility(below, above) <= opts.feas_tol:
+                return "optimal"
             if self.iterations >= opts.max_iterations:
                 return "iteration_limit"
-            pos, side = self._leaving_row()
+            pos, side = self._leaving_row(below, above)
             unit = np.zeros(self.m)
             unit[pos] = 1.0
             alpha = self.fmat_t @ self.factors.btran(unit)
@@ -594,12 +655,12 @@ class _Simplex:
             factors = self.factors
             self._pivot(q, 1.0 if shift > 0 else -1.0, delta, abs(shift), pos, bound)
             if self.factors is factors:
-                d = d + (side * step) * alpha
+                alpha *= side * step
+                d += alpha
                 d[self.basic] = 0.0
                 d[leaving] = side * step
             else:  # refactorized: start d afresh too
                 d, _ = self._reduced_costs(self.cost)
-        return "optimal"
 
     def objective(self) -> float:
         """c.x over the structural columns.  An elementwise product and a
@@ -611,9 +672,7 @@ class _Simplex:
         d, y = self._reduced_costs(self.cost)
         x = self.x[: self.n]
         obj = self.objective()
-        xb = self.x[self.basic]
-        viol = float(np.max(np.maximum(self.lower[self.basic] - xb,
-                                       xb - self.upper[self.basic]), initial=0.0))
+        viol = float(np.max(np.maximum(*self._violations()), initial=0.0))
         if status == "infeasible":
             obj = float("nan")
         return LpSolution(
@@ -646,10 +705,12 @@ class RepeatSolver:
     so a scenario sweep pays for factorization once.  The matrix must not
     change; bounds may.  Bound moves leave reduced costs untouched, so the
     previous optimal basis stays dual feasible.  When it is also still
-    primal feasible it is still optimal, and the re-solve costs two
-    triangular solves and a pricing pass, no pivots.  Otherwise the dual
-    simplex repairs primal feasibility from it, and one phase-2 pricing
-    pass certifies the result.
+    primal feasible it is still optimal, and the re-solve costs one
+    triangular solve for x and no pivot and no pricing pass: the reduced
+    costs the previous solve certified belong to the same basis and
+    factors, so they certify it again.  Otherwise the dual simplex repairs
+    primal feasibility from it, and one phase-2 pricing pass certifies the
+    result.
 
     The first solve starts from `start` when given (a crash basis built for
     the LP's structure, such as the dispatch LP's DC power flow, which puts

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
@@ -100,12 +98,29 @@ def _bus_of(case: GridCase, items, attr: str) -> np.ndarray:
 
 def _lead_buses(case: GridCase) -> np.ndarray:
     """Position of one bus per island of the network: the reference bus in
-    its own island, else the island's first bus."""
+    its own island, else the island's first bus.  Islands are numbered in
+    the order of their first bus, each found by a breadth-first search
+    over the lines."""
     n_bus = len(case.buses)
-    lines = (_bus_of(case, case.lines, "from_bus"), _bus_of(case, case.lines, "to_bus"))
-    graph = sp.csr_matrix((np.ones(len(case.lines)), lines), shape=(n_bus, n_bus))
-    island = connected_components(graph, directed=False)[1]
-    lead = np.unique(island, return_index=True)[1]
+    neighbours = [[] for _ in range(n_bus)]
+    for a, b in zip(_bus_of(case, case.lines, "from_bus"),
+                    _bus_of(case, case.lines, "to_bus")):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    island = np.full(n_bus, -1)
+    lead = []
+    for first in range(n_bus):
+        if island[first] >= 0:
+            continue
+        island[first] = len(lead)
+        queue = [first]
+        for bus in queue:
+            for other in neighbours[bus]:
+                if island[other] < 0:
+                    island[other] = len(lead)
+                    queue.append(other)
+        lead.append(first)
+    lead = np.array(lead, dtype=np.int64)
     ref = case.bus_index()[case.reference_bus]
     lead[island[ref]] = ref
     return lead

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 HOURS = 24
 INTERVALS_PER_DAY = 144  # 10-minute raw cadence
@@ -286,10 +286,32 @@ def distance_correlation(x, y, block: int = 1024) -> float:
 
 # -- rated power curve ------------------------------------------------------------
 
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, len(x) - 1) of the natural cubic spline through
+    (x, y), highest power first, per interval in the local coordinate
+    s = speed - x[i].  The knot slopes solve the same tridiagonal system,
+    and the slopes become coefficients by the same Hermite formulas, as in
+    scipy's CubicSpline(x, y, bc_type="natural"), so both give the same
+    bits without importing scipy.interpolate."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, len(x)))  # super-, main and subdiagonal
+    ab[0, 1], ab[0, 2:] = dx[0], dx[:-1]
+    ab[1, 0], ab[1, 1:-1], ab[1, -1] = 2 * dx[0], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1]
+    ab[2, :-2], ab[2, -2] = dx[1:], dx[-1]
+    rhs = np.empty(len(x))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[0], rhs[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class PowerCurve:
-    """Cubic-spline interpolant of top-hat-filtered power vs wind speed,
-    clamped to [0, nameplate] and zero outside [cut_in, cut_out]."""
+    """Natural cubic-spline interpolant of top-hat-filtered power vs wind
+    speed, clamped to [0, nameplate] and zero outside [cut_in, cut_out]."""
 
     knot_speeds: np.ndarray
     knot_powers: np.ndarray
@@ -302,10 +324,26 @@ class PowerCurve:
         kp = np.asarray(self.knot_powers, dtype=float)
         if len(ks) < 2 or len(ks) != len(kp):
             raise ValueError("need at least two knots")
+        if not (np.all(np.isfinite(ks)) and np.all(np.isfinite(kp))
+                and np.all(np.diff(ks) > 0)):
+            raise ValueError("knots must be finite, with strictly increasing speeds")
         object.__setattr__(self, "knot_speeds", ks)
         object.__setattr__(self, "knot_powers", kp)
-        object.__setattr__(self, "_spline",
-                           CubicSpline(ks, kp, bc_type="natural"))
+        object.__setattr__(self, "_coef", _natural_spline(ks, kp))
+
+    def _spline(self, speed: np.ndarray) -> np.ndarray:
+        """The spline at speeds inside the knot span, summed in powers of s
+        as scipy's PPoly sums them."""
+        ks = self.knot_speeds
+        i = np.searchsorted(ks[1:-1], speed, side="right")  # interval, the last one closed
+        s = speed - ks[i]
+        c = self._coef[:, i]
+        z = s * s
+        value = c[3] + c[2] * s
+        value += c[1] * z
+        z *= s
+        value += c[0] * z
+        return value
 
     def __call__(self, speed):
         speed = np.asarray(speed, dtype=float)

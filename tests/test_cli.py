@@ -1,5 +1,8 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -411,3 +414,19 @@ def test_config_round_trip_and_digest(tmp_path):
     assert cfg.digest() == d1  # workspace knobs excluded
     cfg.seed = 77
     assert cfg.digest() != d1
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """Importing the CLI loads none of scipy.interpolate, scipy.optimize and
+    scipy.sparse.csgraph, which would cost every process (and every pool
+    worker) start-up time and memory; the Matern fit imports
+    scipy.optimize when it runs."""
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse.csgraph"]
+    code = ("import sys, windsed.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

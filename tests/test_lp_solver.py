@@ -400,3 +400,129 @@ def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         solve_lp(simple_lp(c, A, rlo, rhi, lo, up))
     assert len(kept) >= 50
+
+
+def _plain_argmax(sim, d):
+    """Entering column by a full scan of d on every call: the pricing rule
+    the flip ranking must reproduce."""
+    tol = sim.opts.opt_tol
+    st = sim.status
+    viol = np.zeros_like(d)
+    can_up = ((st == lp_solver.AT_LOWER) | (st == lp_solver.FREE_NB)) & ~sim.fixed & (d < -tol)
+    can_dn = ((st == lp_solver.AT_UPPER) | (st == lp_solver.FREE_NB)) & ~sim.fixed & (d > tol)
+    viol[can_up] = -d[can_up]
+    viol[can_dn] = d[can_dn]
+    if not viol.any():
+        return -1
+    if sim.use_bland:
+        return int(np.flatnonzero(viol > 0)[0])
+    return int(np.argmax(viol))
+
+
+def _boxed_lp(rng, n, m):
+    """Random LP with every column boxed and small integer data, so that
+    phase 2 makes runs of bound flips and reduced costs tie often."""
+    A = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.4)
+    c = rng.integers(-5, 6, n).astype(float)
+    lo = rng.integers(-3, 1, n).astype(float)
+    up = lo + rng.integers(0, 4, n)
+    rlo = np.where(rng.random(m) < 0.5, -INF, rng.integers(-6, 0, m).astype(float))
+    rhi = np.where(rng.random(m) < 0.5, INF, rng.integers(0, 7, m).astype(float))
+    return simple_lp(c, A, rlo, rhi, lo, up)
+
+
+def test_ranked_bound_flips_repeat_the_plain_argmax_path(monkeypatch):
+    """Walking a ranking of the last pricing pass after phase-2 bound flips
+    picks the columns a full argmax would: on random boxed LPs, with many
+    flips in a row and tied reduced costs, the solves make the same pivots
+    to the same bases and bit-identical x as a scan of d on every call."""
+    real_choose = lp_solver._Simplex._choose_entering
+    walked = []
+
+    def counting(sim, d):
+        walked.append(d is sim._priced and not sim.use_bland)
+        return real_choose(sim, d)
+
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        lp = _boxed_lp(rng, int(rng.integers(10, 40)), int(rng.integers(1, 8)))
+        monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", counting)
+        ranked = solve_lp(lp)
+        monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", _plain_argmax)
+        plain = solve_lp(lp)
+        assert ranked.status == plain.status
+        assert ranked.iterations == plain.iterations
+        assert np.array_equal(ranked.basis.basic, plain.basis.basic)
+        assert np.array_equal(ranked.basis.status, plain.basis.status)
+        assert ranked.x.tobytes() == plain.x.tobytes()
+    assert sum(walked) >= 400
+
+
+def _loosen_slack_rows(lp, basic):
+    """Move apart the bounds of every row whose logical is basic: the basis
+    and x stay as they are, and stay primal feasible."""
+    slack = basic[basic >= lp.num_cols] - lp.num_cols
+    lp.row_lower[slack] -= 1.0
+    lp.row_upper[slack] += 1.0
+    return len(slack)
+
+
+def test_feasible_re_solve_certifies_with_its_kept_reduced_costs(monkeypatch):
+    """A re-solve whose basis stays primal feasible makes no pricing pass:
+    its phase 2 ends on the reduced costs its previous solve certified.
+    Its value is bit-identical to a re-solve that prices afresh."""
+    real = lp_solver._Simplex._reduced_costs
+    calls = []
+
+    def counted(sim, cost):
+        calls.append(1)
+        return real(sim, cost)
+
+    monkeypatch.setattr(lp_solver._Simplex, "_reduced_costs", counted)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(200):
+        c, A, rlo, rhi, lo, up = random_lp(rng)
+        lp = simple_lp(c, A, rlo, rhi, lo, up)
+        kept, fresh = RepeatSolver(lp), RepeatSolver(lp)
+        if kept.solve().status != "optimal":
+            continue
+        fresh.solve()
+        if not _loosen_slack_rows(lp, kept.basis().basic):
+            continue
+        del calls[:]
+        value = kept.solve_value()
+        assert not calls and kept._sim.iterations == 0
+        fresh._sim.certified_d = None
+        assert fresh.solve_value() == value
+        assert len(calls) == 1
+        checked += 1
+    assert checked >= 30
+
+
+def test_factor_solves_after_eta_updates_match_dense_solves():
+    """ftran and btran through the LU and a file of product-form etas solve
+    with the current basis matrix to 1e-12, on random sparse bases."""
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.2)
+        lp = simple_lp(np.zeros(n), A, -np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
+        sim = lp_solver._Simplex(lp, SolveOptions())
+        basic = np.arange(n, n + m)
+        factors = lp_solver._Factors(sim.fmat, basic)
+        for _ in range(int(rng.integers(1, 25))):
+            q = int(rng.choice(np.setdiff1d(np.arange(n + m), basic)))
+            eta = factors.ftran(sim._column(q))
+            row = int(np.argmax(np.abs(eta)))
+            if abs(eta[row]) < 0.1:
+                continue
+            assert factors.update(row, eta, 1e-9)
+            basic[row] = q
+            B = sim.fmat[:, basic].toarray()
+            rhs = rng.normal(size=m)
+            assert np.allclose(factors.ftran(rhs.copy()), np.linalg.solve(B, rhs),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(factors.btran(rhs), np.linalg.solve(B.T, rhs),
+                               rtol=1e-12, atol=1e-12)
+        assert len(factors.etas) >= 1

@@ -12,7 +12,8 @@ from windsed.grid_model import linearize_cost, parse_case
 from windsed import lp_solver
 from windsed.lp_solver import LinearProgram, LpSolution, SolveOptions, solve_lp
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
-                               _extract, build_instance, solve_dispatch)
+                               _extract, _lead_buses, build_instance,
+                               solve_dispatch)
 from specs import make_spec3
 
 DATA = Path(__file__).parent.parent / "data"
@@ -204,6 +205,27 @@ def test_block_assembly_matches_loop_reference(name, segments, request):
     for got, expected in zip((sol.generation, sol.flows, sol.angles, sol.shed), want):
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", ["case3", "case118", "one_bus", "islands"])
+def test_lead_buses_are_those_of_connected_components(name, request):
+    """The breadth-first island search leads each island with the bus that
+    scipy's connected_components labelling gave: the island's first bus,
+    islands ordered by it, and the reference bus in its own island."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    case = _named_case(name, request)
+    pos = case.bus_index()
+    ends = ([pos[l.from_bus] for l in case.lines], [pos[l.to_bus] for l in case.lines])
+    n_bus = len(case.buses)
+    graph = csr_matrix((np.ones(len(case.lines)), ends), shape=(n_bus, n_bus))
+    island = connected_components(graph, directed=False)[1]
+    want = np.unique(island, return_index=True)[1]
+    want[island[pos[case.reference_bus]]] = pos[case.reference_bus]
+    got = _lead_buses(case)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert got.tolist() == {"case3": [0], "case118": [pos[case.reference_bus]],
+                            "one_bus": [0], "islands": [0, 3, 5]}[name]
 
 
 def test_ramp_rows_only_for_later_periods(case3):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +312,41 @@ def test_wind_to_power_exponentiates():
     out = wk.wind_to_power(curve, w_log)
     assert out[0] == pytest.approx(5.0, rel=0.02)
     assert out[1] == pytest.approx(15.0, rel=0.02)
+
+
+def _bundled_site_curves():
+    """The power curve of each renewable site in the bundled cases."""
+    from windsed.datagen import default_power_curve
+    from windsed.grid_model import load_case
+    data = Path(__file__).parent.parent / "data"
+    return [default_power_curve(site.nameplate)
+            for name in ("case3.txt", "case118.txt")
+            for site in load_case(data / name).renewable_sites]
+
+
+def test_natural_spline_matches_scipy_cubic_spline_bit_for_bit():
+    """Coefficients and values equal scipy's CubicSpline(bc_type="natural")
+    bit for bit: on the bundled site curves, at 20,000 speeds and the knots,
+    and on random knot sets down to two knots."""
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(5)
+    curves = _bundled_site_curves()
+    assert len(curves) == 5
+    for n in [2, 3, 4] + [int(k) for k in rng.integers(5, 60, 60)]:
+        speeds = np.cumsum(rng.uniform(1e-3, 3.0, n)) + rng.uniform(-5.0, 5.0)
+        curves.append(wk.PowerCurve(speeds, rng.normal(size=n) * 40.0,
+                                     -np.inf, np.inf, np.inf))
+    for curve in curves:
+        ks = curve.knot_speeds
+        ref = CubicSpline(ks, curve.knot_powers, bc_type="natural")
+        assert curve._coef.tobytes() == ref.c.tobytes()
+        speeds = np.concatenate([np.linspace(ks[0], ks[-1], 20_000), ks])
+        assert curve._spline(speeds).tobytes() == ref(speeds).tobytes()
+
+
+def test_power_curve_rejects_unordered_knots():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        wk.PowerCurve(np.array([1.0, 3.0, 2.0]), np.zeros(3), 0.0, 5.0, 1.0)
 
 
 def test_power_clamped_to_nameplate():
