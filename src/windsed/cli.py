@@ -351,6 +351,12 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
             scen = forecast.ScenarioSet.from_binary(Path(scenario_file).read_bytes())
         except (struct.error, ValueError) as exc:
             raise DataError(f"{scenario_file} is not a scenario dump: {exc}") from None
+        labels = tuple(s.label for s in spec.sites)
+        if scen.germs.shape[1] != spec.dimension or tuple(scen.site_labels) != labels:
+            raise DataError(
+                f"{scenario_file} holds germs of dimension {scen.germs.shape[1]} for "
+                f"sites {list(scen.site_labels)}; the config needs dimension "
+                f"{spec.dimension} for sites {list(labels)}")
         if not 0 <= scenario_index < len(scen):
             raise ConfigError(f"--scenario-index {scenario_index} is outside "
                               f"0..{len(scen) - 1} of {scenario_file}")

@@ -12,8 +12,8 @@ refactorized after `refactor_every` etas or sooner, once the etas cost a
 solve as much as the LU does, which keeps dispatch-sized instances
 (roughly 10^4 rows) tractable while remaining exact on toy problems.
 Per pivot, the simplex gathers as little as it can: the basic variables'
-bounds are kept per basis slot, a run of phase-2 bound flips walks one
-ranking of its pricing pass, and a re-solve that stays primal feasible
+bounds are kept per basis slot, a phase-2 bound flip keeps the reduced
+costs it was priced with, and a re-solve that stays primal feasible
 certifies its optimum with the reduced costs its previous solve ended on.
 
 No external LP solver is used anywhere; scipy supplies only the sparse LU.
@@ -310,9 +310,6 @@ class _Simplex:
         # the next `run` takes them up, and a basis change or a
         # refactorization drops them
         self.certified_d: np.ndarray | None = None
-        # the last pricing pass's d, and its ranking once asked for twice
-        self._priced: np.ndarray | None = None
-        self._ranking: list[int] | None = None
 
     # -- basis management ---------------------------------------------------
 
@@ -386,31 +383,10 @@ class _Simplex:
         viol[can_dn] = d[can_dn]
         return viol
 
-    def _can_enter(self, j: int, d: np.ndarray) -> bool:
-        """Whether column j has a nonzero `_dual_infeasibility`."""
-        st, tol = self.status[j], self.opts.opt_tol
-        return not self.fixed[j] and (
-            (st in (AT_LOWER, FREE_NB) and d[j] < -tol)
-            or (st in (AT_UPPER, FREE_NB) and d[j] > tol))
-
     def _choose_entering(self, d: np.ndarray) -> int:
-        """Dantzig's rule, the largest `_dual_infeasibility` (under Bland's
-        rule: the lowest column with one).  Called again with the same d,
-        after a phase-2 bound flip, it walks a ranking of d's violations
-        instead: the flip changed only the flipped column's status, so the
-        first ranked column that can still enter is the argmax.  The stable
-        sort keeps argmax's ties on the lowest column."""
-        if d is self._priced and not self.use_bland:
-            if self._ranking is None:
-                viol = self._dual_infeasibility(d)
-                cand = np.flatnonzero(viol)
-                self._ranking = cand[np.argsort(-viol[cand], kind="stable")].tolist()
-                self._ranking.reverse()
-            ranking = self._ranking
-            while ranking and not self._can_enter(ranking[-1], d):
-                ranking.pop()
-            return ranking[-1] if ranking else -1
-        self._priced, self._ranking = d, None
+        """Dantzig's rule: the column with the largest `_dual_infeasibility`
+        (under Bland's rule: the lowest column with one), or -1 when d is
+        dual feasible."""
         viol = self._dual_infeasibility(d)
         if not viol.any():
             return -1
@@ -512,7 +488,6 @@ class _Simplex:
         `certified_d` when the basis still holds it."""
         opts = self.opts
         d = None if phase1 else self.certified_d
-        self._priced = None
         while True:
             if self.iterations >= opts.max_iterations:
                 return "iteration_limit"
@@ -567,7 +542,6 @@ class _Simplex:
         the check itself costs no pricing pass, and one that stays primal
         feasible certifies its optimum with them, in no pricing pass at
         all."""
-        self._priced = None
         if self._infeasibility() > self.opts.feas_tol:
             d = self.certified_d
             if d is None:

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
-from .lp_solver import (Basis, LinearProgram, LpError, LpSolution,
+from .lp_solver import (AT_UPPER, Basis, LinearProgram, LpError, LpSolution,
                         RepeatSolver, SolveOptions, make_basis, solve_lp)
 
 INF = float("inf")
@@ -51,10 +51,13 @@ class DispatchInstance:
         return i * self.case.periods + t
 
     def start_basis(self) -> Basis:
-        """DC power-flow crash basis: with every segment fill at zero, the
-        lead bus of each island (the reference bus in its own island) sheds
-        the island's net load, and the angles and flows carry it as a DC
-        power flow.
+        """DC power-flow crash basis with merit-order fills: in each island
+        and period the cheapest committed segments sit at their upper bound
+        while their cumulative width fits within the island's net load
+        (Bixby, "Implementing the simplex method: the initial basis", 1992),
+        the lead bus of each island (the reference bus in its own island)
+        sheds the rest, and the angles and flows carry it as a DC power
+        flow.
 
         Each bus's balance row holds its angle, or at a lead bus its shed;
         each flow row holds its flow, and each ramp row its logical.  The
@@ -64,15 +67,26 @@ class DispatchInstance:
         this order the basis matrix is structurally symmetric apart from
         the lead buses' slots, which keeps the minimum-degree ordering of
         B'+B sparse, for the crash and for the optimal basis the cold solve
-        reaches from it.  Phase 1 repairs only lines over their limits and
-        islands whose committed p_min (or wind) exceeds their load."""
-        lead = _lead_buses(self.case)
+        reaches from it.  Phase 1 repairs only lines over their limits,
+        ramp rows the fills break, and islands whose committed p_min (or
+        wind) exceeds their load."""
+        lead, island = _lead_buses(self.case)
         bal_slot = self.angle.copy()
         bal_slot[lead] = self.shed[lead]
         n = self.lp.num_cols
         ramp = np.arange(n + self.shed.size + self.flow.size, n + self.lp.num_rows)
-        return make_basis(self.lp, np.concatenate(
+        basis = make_basis(self.lp, np.concatenate(
             [bal_slot.ravel(), self.flow.ravel(), ramp]))
+        net = np.zeros((len(lead), self.case.periods))
+        np.add.at(net, island, self.lp.row_lower[:self.shed.size].reshape(self.shed.shape))
+        gen_island = island[_bus_of(self.case, self.case.generators, "bus")]
+        cost, width = self.lp.objective, self.lp.col_upper
+        for k in range(len(lead)):
+            cols = self.seg[gen_island == k].transpose(1, 0, 2).reshape(self.case.periods, -1)
+            cols = cols[:, np.argsort(cost[cols[0]], kind="stable")]  # same every period
+            fill = (np.cumsum(width[cols], axis=1) <= net[k, :, None]) & (width[cols] > 0.0)
+            basis.status[cols[fill]] = AT_UPPER
+        return basis
 
     def set_renewable(self, renewable: np.ndarray):
         """Move the balance-row constants for a new renewable scenario."""
@@ -96,11 +110,11 @@ def _bus_of(case: GridCase, items, attr: str) -> np.ndarray:
     return np.array([bus_pos[getattr(k, attr)] for k in items], dtype=np.int64)
 
 
-def _lead_buses(case: GridCase) -> np.ndarray:
-    """Position of one bus per island of the network: the reference bus in
-    its own island, else the island's first bus.  Islands are numbered in
-    the order of their first bus, each found by a breadth-first search
-    over the lines."""
+def _lead_buses(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
+    """Position of one bus per island of the network (the reference bus in
+    its own island, else the island's first bus), and each bus's island.
+    Islands are numbered in the order of their first bus, each found by a
+    breadth-first search over the lines."""
     n_bus = len(case.buses)
     neighbours = [[] for _ in range(n_bus)]
     for a, b in zip(_bus_of(case, case.lines, "from_bus"),
@@ -123,7 +137,7 @@ def _lead_buses(case: GridCase) -> np.ndarray:
     lead = np.array(lead, dtype=np.int64)
     ref = case.bus_index()[case.reference_bus]
     lead[island[ref]] = ref
-    return lead
+    return lead, island
 
 
 def _blocks(*shapes):
@@ -262,12 +276,9 @@ def _extract(inst: DispatchInstance, sol: LpSolution) -> DispatchSolution:
                             x[inst.shed], sol.iterations, sol.basis)
 
 
-def solve_dispatch(case: GridCase, renewable, segments: int = 3,
-                   opts: SolveOptions | None = None,
-                   warm: Basis | None = None) -> DispatchSolution:
+def solve_dispatch(case: GridCase, renewable, segments: int = 3) -> DispatchSolution:
     inst = build_instance(case, renewable, segments)
-    sol = solve_lp(inst.lp, opts,
-                   warm_basis=inst.start_basis() if warm is None else warm)
+    sol = solve_lp(inst.lp, warm_basis=inst.start_basis())
     if sol.status != "optimal":
         raise DispatchError(
             f"dispatch LP unexpectedly {sol.status}: shedding should make the "

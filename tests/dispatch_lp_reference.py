@@ -4,7 +4,7 @@ against bit for bit."""
 import numpy as np
 
 from windsed.grid_model import linearize_cost
-from windsed.lp_solver import LinearProgram, make_basis
+from windsed.lp_solver import AT_UPPER, LinearProgram, make_basis
 
 INF = float("inf")
 
@@ -42,7 +42,10 @@ class LoopInstance:
         """The DC power-flow crash basis: each bus's angle in its balance
         row, except at its island's lead bus (the reference bus in its own
         island, else the island's first bus), where the shed column sits;
-        each line's flow in its flow row; each ramp row's logical."""
+        each line's flow in its flow row; each ramp row's logical.  In each
+        island and period the committed segments go to their upper bound
+        in ascending cost (ties in column order) while their running total
+        width fits within the island's net load."""
         case = self.case
         T = case.periods
         B = len(case.buses)
@@ -53,24 +56,41 @@ class LoopInstance:
             neighbours[i].add(j)
             neighbours[j].add(i)
         leads = []
-        seen = set()
+        island = {}
         for lead in [bus_pos[case.reference_bus]] + list(range(B)):
-            if lead in seen:
+            if lead in island:
                 continue
+            island[lead] = len(leads)
             leads.append(lead)
-            seen.add(lead)
             stack = [lead]
             while stack:
                 for j in neighbours[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
+                    if j not in island:
+                        island[j] = island[lead]
                         stack.append(j)
         basic = [self.shed_col(i, t) if i in leads else self.angle_col(i, t)
                  for i in range(B) for t in range(T)]
         basic += [self.flow_col(e, t) for e in range(len(case.lines)) for t in range(T)]
         n_bal_flow = len(basic)
         basic += range(self.lp.num_cols + n_bal_flow, self.lp.num_cols + self.lp.num_rows)
-        return make_basis(self.lp, basic)
+        basis = make_basis(self.lp, basic)
+        cost, width = self.lp.objective, self.lp.col_upper
+        for k in range(len(leads)):
+            for t in range(T):
+                net = 0.0
+                for i in range(B):
+                    if island[i] == k:
+                        net += self.lp.row_lower[self.balance_row(i, t)]
+                segs = [self.seg_col(g, t, s) for g, gen in enumerate(case.generators)
+                        if island[bus_pos[gen.bus]] == k for s in range(self.segments)]
+                total = 0.0
+                for c in sorted(segs, key=lambda c: cost[c]):
+                    total += width[c]
+                    if total > net:
+                        break
+                    if width[c] > 0.0:
+                        basis.status[c] = AT_UPPER
+        return basis
 
 
 def loop_build_instance(case, renewable, segments=3):

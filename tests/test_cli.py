@@ -241,6 +241,8 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["dispatch", "--scenario-file", "{good}", "--scenario-index", "3"], None, 2,
      "--scenario-index 3 is outside 0..2"),
     (["dispatch", "--scenario-file", "{corrupt}"], None, 3, "not a scenario dump"),
+    (["dispatch", "--scenario-file", "{other}"], None, 3,
+     "other.bin holds germs of dimension 3 for sites ['site_a']"),
     (["study"], _edit("segments", "abc"), 2, "`segments`"),
     (["study"], _edit("pce.levels", [1, 6]), 2, "`pce.levels`"),
     (["study"], _edit("pce.levels", [0, 1]), 2, "`pce.levels`"),
@@ -280,7 +282,8 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["kl"], _synthetic("dayz", 40), 2, "unknown `wind.synthetic` keys: ['dayz']"),
     (["kl"], _wind("dta", {}), 2, "unknown `wind` keys: ['dta']"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
-        "scenario-index-out-of-range", "scenario-file-corrupt", "segments-not-integer",
+        "scenario-index-out-of-range", "scenario-file-corrupt",
+        "scenario-file-other-spec", "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
         "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
         "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",
@@ -302,12 +305,15 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
     good.write_bytes(fc.generate_scenarios(spec3, seed=5, n_scenarios=3).to_binary())
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(good.read_bytes()[:11])
+    other = tmp_path / "other.bin"  # written for a spec with one site
+    other.write_bytes(fc.generate_scenarios(fc.ForecastSpec(spec3.sites[:1], spec3.sigma_p),
+                                            seed=5, n_scenarios=3).to_binary())
     path = write_config(tmp_path)
     if edit:
         raw = yaml.safe_load(path.read_text())
         edit(raw)
         path.write_text(yaml.safe_dump(raw))
-    argv = [a.format(good=good, corrupt=corrupt) for a in args]
+    argv = [a.format(good=good, corrupt=corrupt, other=other) for a in args]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err

@@ -402,62 +402,6 @@ def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
     assert len(kept) >= 50
 
 
-def _plain_argmax(sim, d):
-    """Entering column by a full scan of d on every call: the pricing rule
-    the flip ranking must reproduce."""
-    tol = sim.opts.opt_tol
-    st = sim.status
-    viol = np.zeros_like(d)
-    can_up = ((st == lp_solver.AT_LOWER) | (st == lp_solver.FREE_NB)) & ~sim.fixed & (d < -tol)
-    can_dn = ((st == lp_solver.AT_UPPER) | (st == lp_solver.FREE_NB)) & ~sim.fixed & (d > tol)
-    viol[can_up] = -d[can_up]
-    viol[can_dn] = d[can_dn]
-    if not viol.any():
-        return -1
-    if sim.use_bland:
-        return int(np.flatnonzero(viol > 0)[0])
-    return int(np.argmax(viol))
-
-
-def _boxed_lp(rng, n, m):
-    """Random LP with every column boxed and small integer data, so that
-    phase 2 makes runs of bound flips and reduced costs tie often."""
-    A = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.4)
-    c = rng.integers(-5, 6, n).astype(float)
-    lo = rng.integers(-3, 1, n).astype(float)
-    up = lo + rng.integers(0, 4, n)
-    rlo = np.where(rng.random(m) < 0.5, -INF, rng.integers(-6, 0, m).astype(float))
-    rhi = np.where(rng.random(m) < 0.5, INF, rng.integers(0, 7, m).astype(float))
-    return simple_lp(c, A, rlo, rhi, lo, up)
-
-
-def test_ranked_bound_flips_repeat_the_plain_argmax_path(monkeypatch):
-    """Walking a ranking of the last pricing pass after phase-2 bound flips
-    picks the columns a full argmax would: on random boxed LPs, with many
-    flips in a row and tied reduced costs, the solves make the same pivots
-    to the same bases and bit-identical x as a scan of d on every call."""
-    real_choose = lp_solver._Simplex._choose_entering
-    walked = []
-
-    def counting(sim, d):
-        walked.append(d is sim._priced and not sim.use_bland)
-        return real_choose(sim, d)
-
-    rng = np.random.default_rng(31)
-    for _ in range(150):
-        lp = _boxed_lp(rng, int(rng.integers(10, 40)), int(rng.integers(1, 8)))
-        monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", counting)
-        ranked = solve_lp(lp)
-        monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", _plain_argmax)
-        plain = solve_lp(lp)
-        assert ranked.status == plain.status
-        assert ranked.iterations == plain.iterations
-        assert np.array_equal(ranked.basis.basic, plain.basis.basic)
-        assert np.array_equal(ranked.basis.status, plain.basis.status)
-        assert ranked.x.tobytes() == plain.x.tobytes()
-    assert sum(walked) >= 400
-
-
 def _loosen_slack_rows(lp, basic):
     """Move apart the bounds of every row whose logical is basic: the basis
     and x stay as they are, and stay primal feasible."""

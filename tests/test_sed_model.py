@@ -168,8 +168,19 @@ RENEWABLE
 4 w 30.0
 """
 
+# A cheap generator that ramps 15 MW/h under a load that swings by 80 MW:
+# the merit-order crash gives it its full 90 MW in the second period only.
+RAMPS = """
+CASE T=3 SHED_PENALTY=5000.0
+BUS
+1 20.0 100.0 40.0
+GEN
+1 0.0 90.0 10.0 20.0 0.01 15.0 15.0 90.0 90.0
+1 0.0 100.0 20.0 40.0 0.01 100.0 100.0 100.0 100.0
+"""
+
 CASE_TEXTS = {"one_bus": ONE_BUS + "COMMITMENT\n0 1 0 1\n", "flat_t1": FLAT_T1,
-              "islands": ISLANDS}
+              "islands": ISLANDS, "ramps": RAMPS}
 
 
 def _named_case(name, request):
@@ -209,9 +220,10 @@ def test_block_assembly_matches_loop_reference(name, segments, request):
 
 @pytest.mark.parametrize("name", ["case3", "case118", "one_bus", "islands"])
 def test_lead_buses_are_those_of_connected_components(name, request):
-    """The breadth-first island search leads each island with the bus that
-    scipy's connected_components labelling gave: the island's first bus,
-    islands ordered by it, and the reference bus in its own island."""
+    """The breadth-first island search labels the buses as scipy's
+    connected_components does, and leads each island with the bus that
+    labelling gave: the island's first bus, islands ordered by it, and the
+    reference bus in its own island."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     case = _named_case(name, request)
@@ -222,8 +234,9 @@ def test_lead_buses_are_those_of_connected_components(name, request):
     island = connected_components(graph, directed=False)[1]
     want = np.unique(island, return_index=True)[1]
     want[island[pos[case.reference_bus]]] = pos[case.reference_bus]
-    got = _lead_buses(case)
+    got, got_island = _lead_buses(case)
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert got_island.tolist() == island.tolist()
     assert got.tolist() == {"case3": [0], "case118": [pos[case.reference_bus]],
                             "one_bus": [0], "islands": [0, 3, 5]}[name]
 
@@ -331,9 +344,10 @@ def test_solution_csv_export(case3):
 def test_start_basis_is_a_dc_power_flow(name, leads, request):
     """The crash basis factorizes, is structurally symmetric apart from the
     lead buses' balance slots, and starts from the DC power flow that
-    serves every bus's net load from its island's lead bus: angles and
-    flows solve the network equations with the lead angles at zero, and
-    only the lead buses shed."""
+    serves every bus's net load, less its merit-order fills, from its
+    island's lead bus: filled segments sit at their upper bound and the
+    rest at zero, angles and flows solve the network equations with the
+    lead angles at zero, and only the lead buses shed."""
     case = _named_case(name, request)
     rng = np.random.default_rng(8)
     power = rng.uniform(0.0, 20.0, (len(case.renewable_sites), case.periods))
@@ -348,7 +362,12 @@ def test_start_basis_is_a_dc_power_flow(name, leads, request):
     lead_slots = (lead[:, None] * case.periods + np.arange(case.periods)).ravel()
     assert len(rows) and np.all(np.isin(rows, lead_slots) | np.isin(cols, lead_slots))
     rest = np.setdiff1d(np.arange(len(case.buses)), lead)
-    net_load = inst.lp.row_lower[:inst.shed.size].reshape(inst.shed.shape)
+    filled = basis.status[inst.seg] == lp_solver.AT_UPPER
+    assert filled.any()
+    assert np.array_equal(sim.x[inst.seg], np.where(filled, inst.lp.col_upper[inst.seg], 0.0))
+    net_load = inst.lp.row_lower[:inst.shed.size].reshape(inst.shed.shape).copy()
+    np.subtract.at(net_load, [bus_pos[g.bus] for g in case.generators],
+                   sim.x[inst.seg].sum(axis=2))
     laplacian = np.zeros((len(case.buses),) * 2)
     for line in case.lines:
         ends = [bus_pos[line.from_bus], bus_pos[line.to_bus]]
@@ -394,11 +413,25 @@ def _highs_objective(lp: LinearProgram) -> float:
     return ref.fun
 
 
-@pytest.mark.parametrize("name", ["islands", "one_bus"])
+def test_merit_fills_break_a_ramp_row():
+    """The crash fills each period in merit order on its own, so on RAMPS
+    its x breaks ramp rows, which phase 1 then repairs (the HiGHS check
+    below solves the case)."""
+    case = _named_case("ramps", None)
+    inst = build_instance(case, np.zeros((0, case.periods)))
+    sim = lp_solver._Simplex(inst.lp, SolveOptions())
+    sim.start_warm(inst.start_basis())
+    ramp = np.arange(inst.shed.size + inst.flow.size, inst.lp.num_rows)
+    activity = inst.lp.matrix()[ramp] @ sim.x[:inst.lp.num_cols]
+    assert np.any(activity > inst.lp.row_upper[ramp] + 1.0)
+
+
+@pytest.mark.parametrize("name", ["islands", "one_bus", "ramps"])
 def test_crash_and_slack_starts_match_highs_off_a_connected_network(name, request):
     """On three islands (one without generation, one without the reference
-    bus) and on a bus with no lines, the crash start, the slack start and
-    HiGHS reach the same optimum."""
+    bus), on a bus with no lines, and on a case whose merit-order crash
+    breaks its ramp rows, the crash start, the slack start and HiGHS reach
+    the same optimum."""
     case = _named_case(name, request)
     rng = np.random.default_rng(9)
     for _ in range(3):
@@ -414,7 +447,7 @@ def test_crash_and_slack_starts_match_highs_off_a_connected_network(name, reques
 
 def test_118_zero_germ_matches_highs(case118, spec118):
     """The crash-started cold solve of the 118-bus LP reaches HiGHS's
-    optimum in about a seventh of the slack start's ~11k pivots."""
+    optimum in tens of pivots, against the slack start's ~11k."""
     power = spec118.power(np.zeros(spec118.dimension),
                           [s.site_label for s in case118.renewable_sites])
     sol = solve_dispatch(case118, power)  # no warm basis: the crash start
@@ -422,7 +455,28 @@ def test_118_zero_germ_matches_highs(case118, spec118):
     assert sol.status == "optimal"
     assert sol.objective - inst.objective_offset == pytest.approx(
         _highs_objective(inst.lp), rel=1e-9)
-    assert sol.iterations < 2000
+    assert sol.iterations < 100
+
+
+@pytest.mark.parametrize("name", ["case3", "case118"])
+def test_cold_solve_makes_no_bound_flips(name, request, monkeypatch):
+    """With the cheap segments filled up front, the cold solve reaches the
+    optimum without one phase-2 bound flip: every pivot changes the basis."""
+    case = request.getfixturevalue(name)
+    spec = request.getfixturevalue(name.replace("case", "spec"))
+    real = lp_solver._Simplex._pivot
+    flips = []
+
+    def pivot(sim, q, sigma, delta, t, pos, leave_bound):
+        flips.append(pos == -1)
+        return real(sim, q, sigma, delta, t, pos, leave_bound)
+
+    monkeypatch.setattr(lp_solver._Simplex, "_pivot", pivot)
+    power = spec.power(np.zeros(spec.dimension), [s.site_label for s in case.renewable_sites])
+    sol = solve_dispatch(case, power)
+    assert sol.status == "optimal"
+    assert len(flips) == sol.iterations > 0
+    assert not any(flips)
 
 
 def test_batch_values_do_not_depend_on_history(case3, spec3):
