@@ -11,7 +11,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -330,15 +329,36 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
 
 # -- dispatch -------------------------------------------------------------------
 
-def _parse_germ(text: str, dimension: int) -> np.ndarray:
+def _parse_germ(text: str, dimension: int, where: str = "--germ",
+                error: type = ConfigError) -> np.ndarray:
+    """`dimension` finite comma-separated numbers, else an `error` naming
+    where they came from."""
     try:
         germ = np.array([float(v) for v in text.split(",")])
     except ValueError:
         germ = np.empty(0)
     if germ.shape != (dimension,) or not np.all(np.isfinite(germ)):
-        raise ConfigError(f"--germ needs {dimension} finite comma-separated "
-                          f"numbers, got {text!r}")
+        raise error(f"{where} needs {dimension} finite comma-separated "
+                    f"numbers, got {text!r}")
     return germ
+
+
+def _read_germ(path: str, index: int, dimension: int) -> np.ndarray:
+    """The index-th germ of a germ list: one germ per non-blank line, as
+    `--germ` takes it (`np.savetxt(path, germs, delimiter=",")` writes one)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    if not lines:
+        raise DataError(f"{path} holds no germs")
+    if not 0 <= index < len(lines):
+        raise ConfigError(f"--scenario-index {index} is outside "
+                          f"0..{len(lines) - 1} of {path}")
+    lineno, line = lines[index]
+    return _parse_germ(line, dimension, f"{path}: line {lineno}", DataError)
 
 
 def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
@@ -347,20 +367,7 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
     case = load_case(cfg.case_path)
     spec = build_forecast_spec(cfg, case)
     if scenario_file:
-        try:
-            scen = forecast.ScenarioSet.from_binary(Path(scenario_file).read_bytes())
-        except (struct.error, ValueError) as exc:
-            raise DataError(f"{scenario_file} is not a scenario dump: {exc}") from None
-        labels = tuple(s.label for s in spec.sites)
-        if scen.germs.shape[1] != spec.dimension or tuple(scen.site_labels) != labels:
-            raise DataError(
-                f"{scenario_file} holds germs of dimension {scen.germs.shape[1]} for "
-                f"sites {list(scen.site_labels)}; the config needs dimension "
-                f"{spec.dimension} for sites {list(labels)}")
-        if not 0 <= scenario_index < len(scen):
-            raise ConfigError(f"--scenario-index {scenario_index} is outside "
-                              f"0..{len(scen) - 1} of {scenario_file}")
-        germ = scen.germs[scenario_index]
+        germ = _read_germ(scenario_file, scenario_index, spec.dimension)
     elif germ_arg:
         germ = _parse_germ(germ_arg, spec.dimension)
     else:
@@ -456,8 +463,10 @@ def main(argv=None) -> int:
             p.add_argument("--germ", default=None,
                            help="comma-separated germ vector (default: zeros)")
             p.add_argument("--scenario-file", default=None,
-                           help="binary ScenarioSet dump to read a germ from")
-            p.add_argument("--scenario-index", type=int, default=0)
+                           help="germ list to read a germ from: one germ per "
+                                "line, comma-separated as for --germ")
+            p.add_argument("--scenario-index", type=int, default=0,
+                           help="which germ of --scenario-file (default: 0)")
             p.add_argument("--dump-lp", action="store_true",
                            help="write the assembled LP in text form")
         if name == "study":

@@ -34,23 +34,20 @@ class SyntheticSite:
     label: str
     kernel: MaternKernel      # unit-variance lag shape
     sigma_w: float            # log-wind standard deviation
-    mean_wind: float = 8.0    # m/s, flat daily profile unless profile given
-    profile: tuple = ()       # optional 24 mean speeds
+    mean_wind: float = 8.0    # m/s, flat daily profile
 
 
 def synthetic_wind_table(site: SyntheticSite, days: int, seed: int,
-                         curve: PowerCurve | None = None,
                          start: str = "2004-01-01"):
-    """Rows of (timestamp, speed_mps, power_mw) at 10-minute cadence."""
+    """Rows of (timestamp, speed_mps, power_mw) at 10-minute cadence, the
+    power from the default 150 MW curve."""
     if days < 1:
         raise ValueError("need at least one day")
-    curve = curve or default_power_curve()
-    profile = np.array(site.profile, dtype=float) if site.profile else np.full(
-        HOURS, site.mean_wind)
-    if profile.shape != (HOURS,) or np.any(profile <= 0):
-        raise ValueError("mean profile must be 24 positive speeds")
+    if site.mean_wind <= 0:
+        raise ValueError("mean wind must be positive")
+    curve = default_power_curve()
     cov = (site.sigma_w ** 2) * site.kernel.covariance_matrix()
-    basis = kl_decompose(cov, np.log(profile))
+    basis = kl_decompose(cov, np.log(np.full(HOURS, site.mean_wind)))
     rng = np.random.Generator(np.random.Philox(
         key=[np.uint64(seed), np.uint64(_PHILOX_TAG_DATAGEN)]))
     xi = rng.standard_normal((days, HOURS))

@@ -7,22 +7,18 @@ expansion into log-wind fields around the day-ahead forecast profile, then
 through the rated power curve.  Cross-site dependence of leading modes is
 modeled as exact sharing of germ coordinates.
 
-Randomness comes exclusively from numpy's counter-based Philox generator,
-keyed per scenario index, so scenario sets are bit-reproducible and
-independent of evaluation order.
+A scenario is its germ: everything here is a deterministic function of the
+germs it is given, which the estimators (`estimate`) or the caller draw.
 """
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, kv
 
 from .wind_kl import HOURS, KLBasis, PowerCurve, kl_decompose, reconstruct
-
-_PHILOX_TAG_SCENARIO = 0x5EED0001
 
 
 class ForecastError(Exception):
@@ -292,93 +288,16 @@ class ForecastSpec:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    germs: np.ndarray         # (n_scenarios, dim)
-    power: np.ndarray         # (n_scenarios, n_sites, 24) MW
+    power: np.ndarray  # (n_scenarios, n_sites, 24) MW
     site_labels: tuple
-    weights: np.ndarray | None = None  # optional quadrature weights
-
-    def __post_init__(self):
-        if self.power.ndim != 3 or self.power.shape[2] != HOURS:
-            raise ValueError("power tensor must be (n, sites, 24)")
-        if self.power.shape[0] != self.germs.shape[0]:
-            raise ValueError("germ/power scenario counts differ")
-        if len(self.site_labels) != self.power.shape[1]:
-            raise ValueError("site label count mismatch")
-
-    def __len__(self):
-        return self.power.shape[0]
-
-    def to_csv(self) -> str:
-        out = ["scenario,site,hour,power_mw"]
-        for s in range(len(self)):
-            for j, label in enumerate(self.site_labels):
-                for h in range(HOURS):
-                    out.append(f"{s},{label},{h},{float(self.power[s, j, h])!r}")
-        return "\n".join(out) + "\n"
-
-    def to_binary(self) -> bytes:
-        """Columnar dump: magic, counts, then germs / power / weights as
-        little-endian float64 in C order (docs/file_formats.md)."""
-        n, nsites, _ = self.power.shape
-        dim = self.germs.shape[1]
-        labels = ",".join(self.site_labels).encode()
-        head = struct.pack("<4sIIII", b"WSCN", n, nsites, dim, len(labels))
-        body = (labels
-                + np.ascontiguousarray(self.germs, dtype="<f8").tobytes()
-                + np.ascontiguousarray(self.power, dtype="<f8").tobytes())
-        wflag = struct.pack("<B", 1 if self.weights is not None else 0)
-        if self.weights is not None:
-            body += np.ascontiguousarray(self.weights, dtype="<f8").tobytes()
-        return head + wflag + body
-
-    @classmethod
-    def from_binary(cls, blob: bytes) -> "ScenarioSet":
-        magic, n, nsites, dim, lablen = struct.unpack_from("<4sIIII", blob, 0)
-        if magic != b"WSCN":
-            raise ValueError("not a scenario dump")
-        off = struct.calcsize("<4sIIII")
-        (wflag,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        labels = tuple(blob[off:off + lablen].decode().split(","))
-        off += lablen
-        germs = np.frombuffer(blob, "<f8", n * dim, off).reshape(n, dim).copy()
-        off += 8 * n * dim
-        power = np.frombuffer(blob, "<f8", n * nsites * HOURS, off).reshape(
-            n, nsites, HOURS).copy()
-        off += 8 * n * nsites * HOURS
-        weights = None
-        if wflag:
-            weights = np.frombuffer(blob, "<f8", n, off).copy()
-        return cls(germs, power, labels, weights)
 
 
-def germ_sampler(seed: int, dimension: int):
-    """Per-index iid N(0,1) germ draws from counter-based Philox streams;
-    germ i is independent of how many or in what order others are drawn."""
-    def draw(index: int) -> np.ndarray:
-        bits = np.random.Philox(key=[np.uint64(seed), np.uint64(_PHILOX_TAG_SCENARIO + index)])
-        return np.random.Generator(bits).standard_normal(dimension)
-    return draw
-
-
-def sample_germs(seed: int, n_scenarios: int, dimension: int) -> np.ndarray:
-    draw = germ_sampler(seed, dimension)
-    return np.stack([draw(i) for i in range(n_scenarios)])
-
-
-def generate_scenarios(spec: ForecastSpec, germs=None, seed: int | None = None,
-                       n_scenarios: int | None = None,
-                       weights=None) -> ScenarioSet:
-    """Map germ vectors (given, or sampled with `seed`) into per-site hourly
-    power.  Shared dependence-group modes consume a single germ coordinate."""
+def generate_scenarios(spec: ForecastSpec, germs) -> ScenarioSet:
+    """Map germ vectors into per-site hourly power.  Shared dependence-group
+    modes consume a single germ coordinate."""
     dim = spec.dimension
-    if germs is None:
-        if seed is None or n_scenarios is None:
-            raise ValueError("need either explicit germs or (seed, n_scenarios)")
-        germs = sample_germs(seed, n_scenarios, dim)
     germs = np.atleast_2d(np.asarray(germs, dtype=float))
     if germs.shape[1] != dim:
         raise ForecastError(
             f"germ dimension {germs.shape[1]} != spec dimension {dim}")
-    return ScenarioSet(germs, spec.power(germs), tuple(s.label for s in spec.sites),
-                       None if weights is None else np.asarray(weights, dtype=float))
+    return ScenarioSet(spec.power(germs), tuple(s.label for s in spec.sites))

@@ -116,24 +116,31 @@ class GridCase:
         for b in self.buses:
             if len(b.load) != self.periods:
                 raise ValueError(f"bus {b.id}: load vector length != periods")
-        if not self._connected():
+        if np.any(self.islands()):
             warnings.warn("case network is not connected", stacklevel=2)
 
-    def _connected(self):
-        if not self.buses:
-            return True
-        adj = {b.id: set() for b in self.buses}
+    def islands(self) -> np.ndarray:
+        """Each bus's island, islands numbered in the order of their first
+        bus, each found by a breadth-first search over the lines."""
+        pos = self.bus_index()
+        neighbours = [[] for _ in self.buses]
         for ln in self.lines:
-            adj[ln.from_bus].add(ln.to_bus)
-            adj[ln.to_bus].add(ln.from_bus)
-        seen = {self.buses[0].id}
-        stack = [self.buses[0].id]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.buses)
+            neighbours[pos[ln.from_bus]].append(pos[ln.to_bus])
+            neighbours[pos[ln.to_bus]].append(pos[ln.from_bus])
+        island = np.full(len(self.buses), -1)
+        count = 0
+        for first in range(len(self.buses)):
+            if island[first] >= 0:
+                continue
+            island[first] = count
+            queue = [first]
+            for bus in queue:
+                for other in neighbours[bus]:
+                    if island[other] < 0:
+                        island[other] = count
+                        queue.append(other)
+            count += 1
+        return island
 
     @property
     def reference_bus(self) -> int:

@@ -112,29 +112,10 @@ def _bus_of(case: GridCase, items, attr: str) -> np.ndarray:
 
 def _lead_buses(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
     """Position of one bus per island of the network (the reference bus in
-    its own island, else the island's first bus), and each bus's island.
-    Islands are numbered in the order of their first bus, each found by a
-    breadth-first search over the lines."""
-    n_bus = len(case.buses)
-    neighbours = [[] for _ in range(n_bus)]
-    for a, b in zip(_bus_of(case, case.lines, "from_bus"),
-                    _bus_of(case, case.lines, "to_bus")):
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    island = np.full(n_bus, -1)
-    lead = []
-    for first in range(n_bus):
-        if island[first] >= 0:
-            continue
-        island[first] = len(lead)
-        queue = [first]
-        for bus in queue:
-            for other in neighbours[bus]:
-                if island[other] < 0:
-                    island[other] = len(lead)
-                    queue.append(other)
-        lead.append(first)
-    lead = np.array(lead, dtype=np.int64)
+    its own island, else the island's first bus), and each bus's island
+    (`GridCase.islands`)."""
+    island = case.islands()
+    lead = np.unique(island, return_index=True)[1]
     ref = case.bus_index()[case.reference_bus]
     lead[island[ref]] = ref
     return lead, island

@@ -382,7 +382,3 @@ def build_power_curve(speeds, powers, bin_width: float = 0.05,
         nameplate = float(powers.max())
     return PowerCurve(centers, means, cut_in, cut_out, nameplate)
 
-
-def wind_to_power(curve: PowerCurve, w_log) -> np.ndarray:
-    """Rated power for a log-wind profile: exponentiate, then evaluate."""
-    return curve(np.exp(np.asarray(w_log, dtype=float)))

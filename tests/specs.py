@@ -1,4 +1,4 @@
-"""Forecast specs for the bundled 3-bus and 118-bus cases."""
+"""Forecast specs for the bundled 3-bus and 118-bus cases, and seeded germs."""
 import numpy as np
 
 from windsed import forecast as fc
@@ -36,3 +36,11 @@ def make_spec118(case):
     groups = ((("site_15414", 1), ("site_16238", 1)),
               (("site_15414", 2), ("site_16238", 2)))
     return fc.ForecastSpec(tuple(sites), 0.35, groups)
+
+
+def sample_germs(seed: int, n: int, dim: int) -> np.ndarray:
+    """n iid N(0, 1) germs of dimension dim.  Germ i is drawn from its own
+    Philox stream, keyed (seed, 0x5EED0001 + i), so it does not depend on n."""
+    return np.stack([np.random.Generator(np.random.Philox(
+        key=[np.uint64(seed), np.uint64(0x5EED0001 + i)])).standard_normal(dim)
+        for i in range(n)])

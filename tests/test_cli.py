@@ -1,13 +1,16 @@
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from specs import sample_germs
 from windsed.cli import ExperimentConfig, build_forecast_spec, main
 from windsed.grid_model import linearize_cost, load_case
 
@@ -240,9 +243,12 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["dispatch", "--germ", "nan,0,0,0,0,0"], None, 2, "--germ needs 6 finite"),
     (["dispatch", "--scenario-file", "{good}", "--scenario-index", "3"], None, 2,
      "--scenario-index 3 is outside 0..2"),
-    (["dispatch", "--scenario-file", "{corrupt}"], None, 3, "not a scenario dump"),
-    (["dispatch", "--scenario-file", "{other}"], None, 3,
-     "other.bin holds germs of dimension 3 for sites ['site_a']"),
+    (["dispatch", "--scenario-file", "{corrupt}"], None, 3,
+     "corrupt.txt: line 1 needs 6 finite"),
+    (["dispatch", "--scenario-file", "{other}", "--scenario-index", "2"], None, 3,
+     "other.txt: line 3 needs 6 finite"),
+    (["dispatch", "--scenario-file", "{empty}"], None, 3, "empty.txt holds no germs"),
+    (["dispatch", "--scenario-file", "{dump}"], None, 3, "dump.bin: not UTF-8 text"),
     (["study"], _edit("segments", "abc"), 2, "`segments`"),
     (["study"], _edit("pce.levels", [1, 6]), 2, "`pce.levels`"),
     (["study"], _edit("pce.levels", [0, 1]), 2, "`pce.levels`"),
@@ -283,7 +289,8 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["kl"], _wind("dta", {}), 2, "unknown `wind` keys: ['dta']"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
-        "scenario-file-other-spec", "segments-not-integer",
+        "scenario-file-other-spec", "scenario-file-empty",
+        "scenario-file-binary-dump", "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
         "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
         "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",
@@ -300,20 +307,25 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and
     a message naming it, before any output is written."""
-    from windsed import forecast as fc
-    good = tmp_path / "good.bin"
-    good.write_bytes(fc.generate_scenarios(spec3, seed=5, n_scenarios=3).to_binary())
-    corrupt = tmp_path / "corrupt.bin"
-    corrupt.write_bytes(good.read_bytes()[:11])
-    other = tmp_path / "other.bin"  # written for a spec with one site
-    other.write_bytes(fc.generate_scenarios(fc.ForecastSpec(spec3.sites[:1], spec3.sigma_p),
-                                            seed=5, n_scenarios=3).to_binary())
+    germs = sample_germs(5, 3, spec3.dimension)
+    good = tmp_path / "good.txt"
+    np.savetxt(good, germs, delimiter=",")
+    corrupt = tmp_path / "corrupt.txt"  # cut inside its first germ
+    corrupt.write_text(good.read_text()[:11])
+    other = tmp_path / "other.txt"  # written for a spec with one site
+    np.savetxt(other, germs[:, :3], delimiter=",")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n")
+    dump = tmp_path / "dump.bin"  # the binary scenario dump of earlier versions
+    dump.write_bytes(struct.pack("<4sIIIIB", b"WSCN", 3, 2, 6, 13, 0)
+                     + b"site_a,site_b" + germs.astype("<f8").tobytes())
     path = write_config(tmp_path)
     if edit:
         raw = yaml.safe_load(path.read_text())
         edit(raw)
         path.write_text(yaml.safe_dump(raw))
-    argv = [a.format(good=good, corrupt=corrupt, other=other) for a in args]
+    argv = [a.format(good=good, corrupt=corrupt, other=other, empty=empty, dump=dump)
+            for a in args]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == code
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
@@ -344,17 +356,21 @@ def test_dispatch_all_off_commitment_full_shed(tmp_path, case3):
     assert summary["total_shed_mw"] == pytest.approx(total_load - wind, rel=1e-9)
 
 
-def test_dispatch_reads_scenario_file(tmp_path, case3, spec3):
-    from windsed import forecast as fc
-    ss = fc.generate_scenarios(spec3, seed=5, n_scenarios=3)
-    scen_path = tmp_path / "scen.bin"
-    scen_path.write_bytes(ss.to_binary())
+def test_dispatch_reads_scenario_file(tmp_path, spec3):
+    """A germ list written by np.savetxt gives back its germs bit for bit,
+    and the dispatch of the same germ passed as --germ."""
+    germs = sample_germs(5, 3, spec3.dimension)
+    scen_path = tmp_path / "germs.txt"
+    np.savetxt(scen_path, germs, delimiter=",")
     path = write_config(tmp_path)
-    out = tmp_path / "out"
+    out, again = tmp_path / "out", tmp_path / "again"
     assert main(["dispatch", "--config", str(path), "--scenario-file",
                  str(scen_path), "--scenario-index", "2"]) == 0
     summary = json.loads((out / "dispatch_summary.json").read_text())
-    assert summary["germ"] == [float(v) for v in ss.germs[2]]
+    assert summary["germ"] == germs[2].tolist()
+    assert main(["dispatch", "--config", str(path), "--out", str(again),
+                 "--germ=" + ",".join(map(repr, germs[2].tolist()))]) == 0
+    assert (out / "dispatch.csv").read_bytes() == (again / "dispatch.csv").read_bytes()
 
 
 def test_study_runs_verifies_and_reproduces(tmp_path):

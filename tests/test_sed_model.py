@@ -14,7 +14,7 @@ from windsed.lp_solver import LinearProgram, LpSolution, SolveOptions, solve_lp
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
                                _extract, _lead_buses, build_instance,
                                solve_dispatch)
-from specs import make_spec3
+from specs import make_spec3, sample_germs
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -276,7 +276,7 @@ def test_more_wind_never_costs_more():
 
 def test_every_germ_is_feasible(case3, spec3):
     ev = SedEvaluator(case3, spec3)
-    germs = fc.sample_germs(77, 64, spec3.dimension)
+    germs = sample_germs(77, 64, spec3.dimension)
     for g in germs:
         sol = ev.solve(g)
         assert sol.status == "optimal"
@@ -287,14 +287,14 @@ def test_q_bounded_below_by_best_case_wind(case3, spec3):
     nameplate = np.stack([np.full(24, s.nameplate)
                           for s in case3.renewable_sites])
     q_best = solve_dispatch(case3, nameplate).objective
-    germs = fc.sample_germs(5, 16, spec3.dimension)
+    germs = sample_germs(5, 16, spec3.dimension)
     for g in germs:
         assert ev(g) >= q_best - 1e-6 * abs(q_best)
 
 
 def test_batch_matches_pointwise(case3, spec3):
     ev = SedEvaluator(case3, spec3)
-    germs = fc.sample_germs(31, 40, spec3.dimension)
+    germs = sample_germs(31, 40, spec3.dimension)
     batch = ev.evaluate_batch(germs)
     fresh = SedEvaluator(case3, spec3)
     for k in (0, 13, 39):
@@ -303,7 +303,7 @@ def test_batch_matches_pointwise(case3, spec3):
 
 def test_power_path_matches_generate_scenarios(case3, spec3):
     ev = SedEvaluator(case3, spec3)
-    germ = fc.sample_germs(1, 1, spec3.dimension)[0]
+    germ = sample_germs(1, 1, spec3.dimension)[0]
     ss = fc.generate_scenarios(spec3, germs=germ[None, :])
     order = [list(ss.site_labels).index(s.site_label)
              for s in case3.renewable_sites]
@@ -482,10 +482,10 @@ def test_cold_solve_makes_no_bound_flips(name, request, monkeypatch):
 def test_batch_values_do_not_depend_on_history(case3, spec3):
     """Every batch starts from the zero germ's optimal basis, so what the
     evaluator solved before cannot move a batch's values, even at roundoff."""
-    germs = fc.sample_germs(8, 48, spec3.dimension)
+    germs = sample_germs(8, 48, spec3.dimension)
     fresh = SedEvaluator(case3, spec3).evaluate_batch(germs)
     used = SedEvaluator(case3, spec3)
-    used.evaluate_batch(fc.sample_germs(9, 30, spec3.dimension))
+    used.evaluate_batch(sample_germs(9, 30, spec3.dimension))
     used(2.0 * np.ones(spec3.dimension))
     assert np.array_equal(used.evaluate_batch(germs), fresh)
 
@@ -494,7 +494,7 @@ def test_parallel_map_values_do_not_depend_on_jobs(case3, spec3):
     """The germ count alone sets the chunks (here 3), so a pool of two
     workers returns exactly what one process does, whatever state the
     workers inherit and however the chunks fall to them."""
-    germs = fc.sample_germs(10, 200, spec3.dimension)
+    germs = sample_germs(10, 200, spec3.dimension)
     serial = est.parallel_map(SedEvaluator(case3, spec3), germs, jobs=1)
     ev = SedEvaluator(case3, spec3)
     ev(np.ones(spec3.dimension))  # workers inherit a moved basis
@@ -512,14 +512,14 @@ def test_unpickled_evaluator_starts_from_the_anchor(case3, spec3, monkeypatch):
         raise AssertionError("cold solve from the crash basis")
 
     monkeypatch.setattr(DispatchInstance, "start_basis", no_crash_start)
-    germs = fc.sample_germs(12, 40, spec3.dimension)
+    germs = sample_germs(12, 40, spec3.dimension)
     assert np.array_equal(pickle.loads(blob).evaluate_batch(germs),
                           ev.evaluate_batch(germs))
 
 
 def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
     ev = SedEvaluator(case3, spec3)
-    germs = fc.sample_germs(11, 200, spec3.dimension)
+    germs = sample_germs(11, 200, spec3.dimension)
     germs[50] = germs[7]  # duplicates are visited too
     germs[120] = 0.01
     order = ev._visit_order(germs)
@@ -575,7 +575,7 @@ def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch
     ev = SedEvaluator(case118, spec118)
     seen = _spy_solver(monkeypatch)
     refactors = _spy_refactorizations(monkeypatch)
-    values = ev.evaluate_batch(fc.sample_germs(3, 8, spec118.dimension))
+    values = ev.evaluate_batch(sample_germs(3, 8, spec118.dimension))
     assert np.all(np.isfinite(values))
     assert sum(seen["primal"]) == 0
     assert seen["dual"] == ["optimal"] * 8
@@ -590,7 +590,7 @@ def test_small_lp_refactorizes_when_its_etas_reach_the_lu_size(case3, spec3, mon
     etas."""
     ev = SedEvaluator(case3, spec3)
     refactors = _spy_refactorizations(monkeypatch)
-    ev.evaluate_batch(fc.sample_germs(4, 300, spec3.dimension))
+    ev.evaluate_batch(sample_germs(4, 300, spec3.dimension))
     by_size = [etas for etas, eta_nnz, lu_nnz in refactors if eta_nnz >= lu_nnz]
     assert len(by_size) >= 5
     assert max(by_size) < SolveOptions().refactor_every // 2

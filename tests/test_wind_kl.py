@@ -304,16 +304,6 @@ def test_all_empty_scatter_rejected():
         wk.build_power_curve(np.array([1.0]), np.array([1.0]), -0.1)
 
 
-def test_wind_to_power_exponentiates():
-    sp = np.linspace(1.0, 30.0, 3000)
-    curve = wk.build_power_curve(sp, np.minimum(sp, 15.0), 0.05,
-                                 cut_in=0.0, cut_out=100.0, nameplate=15.0)
-    w_log = np.log(np.array([5.0, 20.0]))
-    out = wk.wind_to_power(curve, w_log)
-    assert out[0] == pytest.approx(5.0, rel=0.02)
-    assert out[1] == pytest.approx(15.0, rel=0.02)
-
-
 def _bundled_site_curves():
     """The power curve of each renewable site in the bundled cases."""
     from windsed.datagen import default_power_curve
