@@ -126,16 +126,13 @@ def test_sigma_w_flat_curve_errors():
 
 # -- forecast spec + scenarios ------------------------------------------------------
 
-def three_site_spec(truncation=6, share_first_two=True):
+def three_site_spec():
     curve = default_power_curve(150.0)
     sites = []
     for label, (ell, nu) in zip(("a", "b", "c"), TABLE_KERNELS):
         sites.append(fc.SiteModel(label, np.full(24, 8.0),
-                                  fc.MaternKernel(ell, nu, 1.0), 0.12,
-                                  truncation, curve))
-    groups = ()
-    if share_first_two:
-        groups = ((("a", 1), ("b", 1)), (("a", 2), ("b", 2)))
+                                  fc.MaternKernel(ell, nu, 1.0), 0.12, 6, curve))
+    groups = ((("a", 1), ("b", 1)), (("a", 2), ("b", 2)))
     return fc.ForecastSpec(tuple(sites), 0.35, groups)
 
 
