@@ -472,6 +472,10 @@ def main(argv=None) -> int:
         if name == "study":
             p.add_argument("--verify", action="store_true",
                            help="re-check report invariants after the run")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--germ" in argv[:-1]:  # argparse takes a germ like -0.5,0 for an option
+        k = argv.index("--germ")
+        argv[k:k + 2] = [f"--germ={argv[k + 1]}"]
     args = parser.parse_args(argv)
     if args.print_schema:
         print(SCHEMA, end="")

@@ -19,6 +19,7 @@ from .lp_solver import (AT_UPPER, Basis, LinearProgram, LpError, LpSolution,
                         RepeatSolver, SolveOptions, make_basis, solve_lp)
 
 INF = float("inf")
+POWER_BLOCK = 512  # germs a batch maps to power at once: bounds its memory
 
 
 class DispatchError(Exception):
@@ -293,6 +294,7 @@ class SedEvaluator:
         self.segments = segments
         self.opts = opts or SolveOptions()
         self.dim = spec.dimension
+        self._next_power = None  # power row for the next `_load`, from a batch
         self._build(None)
         try:
             self._solver.solve_value()
@@ -321,12 +323,24 @@ class SedEvaluator:
         """Hourly power per site in the case's renewable-site order."""
         return self.spec.power(germ, self._site_labels)
 
+    def _check(self, germs: np.ndarray):
+        """DispatchError naming the first germ (row of `germs`) that has the
+        wrong length or is not finite."""
+        if germs.shape[1:] != (self.dim,):
+            raise DispatchError(f"germ has shape {germs.shape[1:]}, spec needs ({self.dim},)")
+        finite = np.isfinite(germs).all(axis=1)
+        if not finite.all():
+            raise DispatchError(f"germ {germs[np.argmin(finite)]!r} is not finite")
+
     def _load(self, germ) -> np.ndarray:
-        """Check the germ and move the LP to its scenario."""
+        """Move the LP to the germ's scenario: the power row `evaluate_batch`
+        mapped for it, else the checked germ's own."""
+        power, self._next_power = self._next_power, None  # never left stale
         germ = np.asarray(germ, dtype=float)
-        if germ.shape != (self.dim,):
-            raise DispatchError(f"germ has shape {germ.shape}, spec needs ({self.dim},)")
-        self.inst.set_renewable(self._power_for(germ))
+        if power is None:
+            self._check(germ[None])
+            power = self._power_for(germ)
+        self.inst.set_renewable(power)
         return germ
 
     def solve(self, germ) -> DispatchSolution:
@@ -391,13 +405,20 @@ class SedEvaluator:
         scenarios stay close and warm starts need few pivots.  Its values
         depend on its germs alone, not on what the evaluator solved before,
         so pool results do not depend on which worker ran which chunk.
-        Results return in input order."""
+        Results return in input order.  The germs are checked once, and
+        mapped to power one block of the tour at a time; each still goes
+        through `self(germ)`."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
+        self._check(germs)
         out = np.empty(len(germs))
         if not len(germs):
             return out
         self._solver.restart_from(self._anchor)
-        for i in self._visit_order(germs):
-            out[i] = self(germs[i])
+        order = self._visit_order(germs)
+        for start in range(0, len(order), POWER_BLOCK):
+            block = order[start:start + POWER_BLOCK]
+            for i, power in zip(block, self.spec.power(germs[block], self._site_labels)):
+                self._next_power = power  # `__call__` stays the one path to Q
+                out[i] = self(germs[i])
         return out
 

@@ -187,7 +187,10 @@ def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray,
 def reconstruct(basis: KLBasis, xi, n_modes: int) -> np.ndarray:
     """Truncated expansion mean + sum_{k<=N} sqrt(lambda_k) xi_k f_k.
 
-    Accepts a single germ vector or a (n_samples, >=N) matrix of them.
+    Accepts a single germ vector or a (n_samples, >=N) matrix of them.  The
+    modes are summed one at a time in mode order, elementwise, so a germ
+    gives the same bits alone as in any batch (a matrix product would sum
+    a single germ and a batch in different orders).
     """
     if n_modes > HOURS:
         raise ValueError("truncation exceeds 24 modes")
@@ -195,7 +198,10 @@ def reconstruct(basis: KLBasis, xi, n_modes: int) -> np.ndarray:
     if xi.shape[-1] < n_modes:
         raise ValueError("germ vector shorter than truncation order")
     modes = basis.eigenvectors[:, :n_modes] * np.sqrt(basis.eigenvalues[:n_modes])
-    return basis.mean + xi[..., :n_modes] @ modes.T
+    field = np.zeros(xi.shape[:-1] + (HOURS,))
+    for k in range(n_modes):
+        field += xi[..., k:k + 1] * modes[:, k]
+    return basis.mean + field
 
 
 # -- distribution diagnostics ----------------------------------------------------

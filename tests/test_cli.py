@@ -373,6 +373,17 @@ def test_dispatch_reads_scenario_file(tmp_path, spec3):
     assert (out / "dispatch.csv").read_bytes() == (again / "dispatch.csv").read_bytes()
 
 
+def test_dispatch_germ_may_start_with_a_minus_sign(tmp_path):
+    """A germ whose first coordinate is negative passes as the next token,
+    as it does after `--germ=`."""
+    path = write_config(tmp_path)
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["dispatch", "--config", str(path), "--germ", "-0.5,0,0,0,0,0"]) == 0
+    assert main(["dispatch", "--config", str(path), "--out", str(again),
+                 "--germ=-0.5,0,0,0,0,0"]) == 0
+    assert (out / "dispatch.csv").read_bytes() == (again / "dispatch.csv").read_bytes()
+
+
 def test_study_runs_verifies_and_reproduces(tmp_path):
     path = write_config(tmp_path)
     out1 = tmp_path / "r1"

@@ -1,4 +1,5 @@
 import pickle
+import re
 import warnings
 from pathlib import Path
 
@@ -329,6 +330,74 @@ def test_germ_dimension_checked(case3, spec3):
     ev = SedEvaluator(case3, spec3)
     with pytest.raises(DispatchError, match="shape"):
         ev(np.zeros(spec3.dimension + 1))
+
+
+def test_bad_germs_are_named_before_any_solve(case3, spec3):
+    """A batch checks its germs before its tour, and a single germ before
+    its LP: the first non-finite germ, or a wrong length, is named."""
+    ev = SedEvaluator(case3, spec3)
+    germs = sample_germs(13, 80, spec3.dimension)
+    germs[5, 2], germs[40, 0] = np.nan, np.inf
+    with pytest.raises(DispatchError, match=re.escape(f"germ {germs[5]!r} is not finite")):
+        est.parallel_map(ev, germs)
+    with pytest.raises(DispatchError, match=re.escape(f"germ {germs[40]!r} is not finite")):
+        ev(germs[40])
+    with pytest.raises(DispatchError, match=r"shape \(7,\), spec needs \(6,\)"):
+        ev.evaluate_batch(np.zeros((3, 7)))
+    assert ev(germs[0]) == SedEvaluator(case3, spec3)(germs[0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 600])
+def test_batch_power_rows_equal_single_germs_bit_for_bit(spec3, n):
+    germs = sample_germs(20 + n, n, spec3.dimension)
+    labels = ["site_b", "site_a"]
+    batch = spec3.power(germs, labels)
+    for k in {0, n // 2, n - 1}:
+        assert np.array_equal(batch[k], spec3.power(germs[k], labels))
+
+
+def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monkeypatch):
+    """A 1,100-germ batch maps power in three blocks, still passes every
+    germ once through `__call__` as its one argument, and gives the same
+    bits as calling the evaluator along the tour germ by germ."""
+    germs = sample_germs(14, 1100, spec3.dimension)
+    ev = SedEvaluator(case3, spec3)
+    honest_call, honest_power = SedEvaluator.__call__, fc.ForecastSpec.power
+    calls, blocks = [], []
+
+    def call(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return honest_call(self, *args, **kwargs)
+
+    def power(self, g, labels=None):
+        blocks.append(len(np.atleast_2d(g)))
+        return honest_power(self, g, labels)
+
+    monkeypatch.setattr(SedEvaluator, "__call__", call)
+    monkeypatch.setattr(fc.ForecastSpec, "power", power)
+    batch = ev.evaluate_batch(germs)
+    monkeypatch.undo()
+    assert blocks == [512, 512, 76]
+    assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+    seen = sorted(tuple(args[0]) for args, _ in calls)
+    assert seen == sorted(tuple(g) for g in germs)
+    order = ev._visit_order(germs)
+    ev._solver.restart_from(ev._anchor)
+    assert np.array_equal(batch[order], [ev(germs[i]) for i in order])
+
+
+def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
+    def fail(self):
+        raise lp_solver.LpError("singular basis")
+
+    germs = sample_germs(15, 20, spec3.dimension)
+    ev = SedEvaluator(case3, spec3)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
+    with pytest.raises(DispatchError, match="singular basis"):
+        ev.evaluate_batch(germs)
+    monkeypatch.undo()
+    germ = np.full(spec3.dimension, -1.5)
+    assert ev(germ) == SedEvaluator(case3, spec3)(germ)
 
 
 def test_solution_csv_export(case3):

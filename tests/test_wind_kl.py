@@ -166,6 +166,14 @@ def test_truncation_error_is_parseval_tail(gaussian_basis):
     assert err2 == pytest.approx(tail, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 7, 600])
+def test_reconstruct_batch_rows_equal_single_germs_bit_for_bit(gaussian_basis, n):
+    xi = np.random.default_rng(n).standard_normal((n, 24))
+    batch = wk.reconstruct(gaussian_basis, xi, 24)
+    for k in {0, n // 2, n - 1}:
+        assert np.array_equal(batch[k], wk.reconstruct(gaussian_basis, xi[k], 24))
+
+
 def test_reconstruct_bounds_checked(gaussian_basis):
     with pytest.raises(ValueError):
         wk.reconstruct(gaussian_basis, np.zeros(24), 25)
