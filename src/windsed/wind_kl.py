@@ -187,10 +187,9 @@ def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray,
 def reconstruct(basis: KLBasis, xi, n_modes: int) -> np.ndarray:
     """Truncated expansion mean + sum_{k<=N} sqrt(lambda_k) xi_k f_k.
 
-    Accepts a single germ vector or a (n_samples, >=N) matrix of them.  The
-    modes are summed one at a time in mode order, elementwise, so a germ
-    gives the same bits alone as in any batch (a matrix product would sum
-    a single germ and a batch in different orders).
+    Accepts a single germ vector or a (n_samples, >=N) matrix of them.  Modes
+    are summed one at a time, elementwise, so a germ gives the same bits
+    alone as in any batch (a matrix product would not).
     """
     if n_modes > HOURS:
         raise ValueError("truncation exceeds 24 modes")
