@@ -105,6 +105,7 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a mapping")
+        _check_keys(raw)
         known = {"case", "segments", "seed", "out", "jobs", "wind", "forecast",
                  "pce", "mc"}
         unknown = set(raw) - known
@@ -115,13 +116,17 @@ class ExperimentConfig:
         wind = _block(raw, "wind", {"data", "synthetic"})
         pce_block = _block(raw, "pce", {"levels"})
         mc_block = _block(raw, "mc", {"schedule", "realizations"})
+        wind_data = _block(wind, "data", where="wind.")
+        for label, path in wind_data.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"`wind.data.{label}` must be a file path, got {path!r}")
         return cls(
             case_path=str(raw["case"]),
             segments=_integer(raw.get("segments", 3), "segments"),
             seed=_integer(raw.get("seed", 42), "seed"),
             out=str(raw.get("out", "out")),
             jobs=_integer(raw.get("jobs", 1), "jobs"),
-            wind_data=dict(_block(wind, "data", where="wind.")),
+            wind_data=dict(wind_data),
             wind_synthetic=dict(_block(wind, "synthetic", {"days", "start", "sites"},
                                        where="wind.")),
             forecast=dict(_block(raw, "forecast",
@@ -138,6 +143,20 @@ class ExperimentConfig:
                    if k not in ("out", "jobs")}
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _check_keys(value, where: str = ""):
+    """ConfigError naming the first mapping key anywhere in the config that
+    is not a string, such as a site label YAML read as a number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                name = f"`{where}`" if where else "config"
+                raise ConfigError(f"{name} keys must be strings, got {key!r}")
+            _check_keys(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for item in value:
+            _check_keys(item, where)
 
 
 def _integer(value, name: str) -> int:

@@ -107,13 +107,6 @@ def mc_estimate(model, dimension: int, n_samples: int, seed: int,
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
-def pce_estimate(model, dimension: int, level: int, jobs: int = 1) -> float:
-    """Expected value as the zeroth PCE coefficient, which is the plain
-    weighted node sum of the quadrature."""
-    grid = build_sparse_grid(dimension, level)
-    return grid.integrate(parallel_map(model, grid.nodes, jobs))
-
-
 @dataclass(frozen=True)
 class PceRecord:
     level: int

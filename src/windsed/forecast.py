@@ -40,8 +40,8 @@ class MaternKernel:
     def __call__(self, lag):
         return matern(lag, self)
 
-    def covariance_matrix(self, hours: int = HOURS) -> np.ndarray:
-        lags = np.abs(np.arange(hours)[:, None] - np.arange(hours)[None, :])
+    def covariance_matrix(self) -> np.ndarray:
+        lags = np.abs(np.arange(HOURS)[:, None] - np.arange(HOURS)[None, :])
         return matern(lags.astype(float), self)
 
 
@@ -116,8 +116,10 @@ def fit_matern(cov: np.ndarray) -> MaternKernel:
     return MaternKernel(float(ell), float(nu), 1.0)
 
 
-def sigma_w_from_sigma_p(sigma_p: float, mean_wind, curve: PowerCurve,
-                         bracket: float = 3.0) -> float:
+SIGMA_W_MAX = 3.0  # the largest log-wind sigma_W the bracket scan tries
+
+
+def sigma_w_from_sigma_p(sigma_p: float, mean_wind, curve: PowerCurve) -> float:
     """Log-wind sigma_W such that pushing N(0, sigma_W^2) log-wind
     perturbations through the power curve yields an hourly-averaged relative
     power spread (std/mean) of sigma_p.
@@ -154,11 +156,11 @@ def sigma_w_from_sigma_p(sigma_p: float, mean_wind, curve: PowerCurve,
     # spread(s) rises while the perturbed winds stay inside the operating
     # range and collapses once exp(s) crosses cut-out, so bracket the first
     # crossing on a scan grid before bisecting.
-    grid = np.linspace(0.0, bracket, 241)[1:]
+    grid = np.linspace(0.0, SIGMA_W_MAX, 241)[1:]
     cross = next((k for k, s in enumerate(grid) if spread(float(s)) >= sigma_p), None)
     if cross is None:
         raise ForecastError(
-            f"target spread {sigma_p} unreachable within sigma_W <= {bracket} "
+            f"target spread {sigma_p} unreachable within sigma_W <= {SIGMA_W_MAX} "
             "(curve sensitivity too low)")
     lo_s = 0.0 if cross == 0 else float(grid[cross - 1])
     hi_s = float(grid[cross])

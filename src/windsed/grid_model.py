@@ -153,9 +153,6 @@ class GridCase:
     def bus_index(self) -> dict:
         return {b.id: k for k, b in enumerate(self.buses)}
 
-    def total_load(self) -> float:
-        return float(sum(sum(b.load) for b in self.buses))
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearCost:
@@ -314,32 +311,6 @@ def parse_case(text: str) -> GridCase:
 
     return GridCase(tuple(buses), tuple(lines), tuple(gens), tuple(sites),
                     periods, shed, base_mva)
-
-
-def serialize_case(case: GridCase) -> str:
-    """Inverse of parse_case; numbers use repr so a reparse is bit-exact."""
-    out = [f"CASE T={case.periods} SHED_PENALTY={case.shed_penalty!r} "
-           f"BASE_MVA={case.base_mva!r}"]
-    out.append("BUS")
-    for b in case.buses:
-        out.append(f"{b.id} " + " ".join(repr(float(v)) for v in b.load))
-    out.append("BRANCH")
-    for ln in case.lines:
-        out.append(f"{ln.from_bus} {ln.to_bus} {float(ln.reactance)!r} "
-                   f"{float(ln.flow_min)!r} {float(ln.flow_max)!r}")
-    out.append("GEN")
-    for g in case.generators:
-        out.append(" ".join([str(g.bus)] + [
-            repr(float(v)) for v in (g.p_min, g.p_max, g.cost_const,
-                                     g.cost_linear, g.cost_quad, g.ramp_up,
-                                     g.ramp_down, g.startup, g.shutdown)]))
-    out.append("RENEWABLE")
-    for s in case.renewable_sites:
-        out.append(f"{s.bus} {s.site_label} {float(s.nameplate)!r}")
-    out.append("COMMITMENT")
-    for k, g in enumerate(case.generators):
-        out.append(f"{k} " + " ".join(str(v) for v in g.commitment))
-    return "\n".join(out) + "\n"
 
 
 def load_case(path) -> GridCase:

@@ -8,7 +8,7 @@ Internally every row gets a logical (slack) column,  A x - s = 0,  so the
 right-hand side is always zero and scenario re-solves only touch bounds.
 The basis inverse is kept as a sparse LU factorization (minimum-degree
 ordering, no relaxed supernodes) plus sparse product-form eta updates,
-refactorized after `refactor_every` etas or sooner, once the etas cost a
+refactorized after `REFACTOR_EVERY` etas or sooner, once the etas cost a
 solve as much as the LU does, which keeps dispatch-sized instances
 (roughly 10^4 rows) tractable while remaining exact on toy problems.
 Per pivot, the simplex gathers as little as it can: the basic variables'
@@ -32,6 +32,13 @@ AT_LOWER = 0
 AT_UPPER = 1
 BASIC = 2
 FREE_NB = 3  # nonbasic free variable, held at zero
+
+FEAS_TOL = 1e-7  # primal bound violation accepted as feasible
+OPT_TOL = 1e-7  # reduced cost accepted as dual feasible
+PIVOT_TOL = 1e-9  # smallest pivot entry a ratio test or eta update takes
+MAX_ITERATIONS = 200_000  # pivots per solve before "iteration_limit"
+REFACTOR_EVERY = 64  # etas after which the basis is refactorized at the latest
+STALL_LIMIT = 60  # degenerate pivots before switching to Bland's rule
 
 
 class LpError(Exception):
@@ -114,51 +121,6 @@ class LinearProgram:
                 for j in range(self.num_cols)]
         return "\n".join(out) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "LinearProgram":
-        """Parse the to_text dump back into an equivalent program."""
-        header, *lines = [l for l in text.splitlines() if l.strip()]
-        sizes = dict(kv.split("=") for kv in header.split()[1:])
-        m, n = int(sizes["rows"]), int(sizes["cols"])
-        section = None
-        obj = np.zeros(n)
-        rlo = np.full(m, -INF)
-        rhi = np.full(m, INF)
-        clo = np.full(n, -INF)
-        cup = np.full(n, INF)
-        rows, cols, vals = [], [], []
-        for line in lines:
-            token = line.strip()
-            if token in ("OBJECTIVE", "MATRIX", "ROWBOUNDS", "COLBOUNDS"):
-                section = token
-                continue
-            parts = token.split()
-            if section == "OBJECTIVE":
-                obj[int(parts[0])] = float(parts[1])
-            elif section == "MATRIX":
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
-            elif section == "ROWBOUNDS":
-                rlo[int(parts[0])] = float(parts[1])
-                rhi[int(parts[0])] = float(parts[2])
-            elif section == "COLBOUNDS":
-                clo[int(parts[0])] = float(parts[1])
-                cup[int(parts[0])] = float(parts[2])
-            else:
-                raise ValueError(f"unexpected line outside section: {line!r}")
-        return cls(n, m, obj, rows, cols, vals, rlo, rhi, clo, cup)
-
-
-@dataclass
-class SolveOptions:
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    max_iterations: int = 200_000
-    refactor_every: int = 64
-    stall_limit: int = 60  # degenerate pivots before switching to Bland's rule
-
 
 @dataclass
 class Basis:
@@ -199,18 +161,6 @@ class LpSolution:
     iterations: int
     basis: Basis | None = None
     max_bound_violation: float = 0.0
-
-    def dual_objective(self, lp: LinearProgram, drop_tol: float = 1e-9) -> float:
-        """Dual bound from (row_duals, reduced_costs); equals the primal
-        objective at an exact optimum.  Multipliers below drop_tol are
-        treated as zero so that roundoff-level duals do not pair with
-        infinite bounds."""
-        mult = np.concatenate([self.row_duals, self.reduced_costs])
-        lower = np.concatenate([lp.row_lower, lp.col_lower])
-        upper = np.concatenate([lp.row_upper, lp.col_upper])
-        keep = np.abs(mult) > drop_tol
-        mult = mult[keep]
-        return float(np.sum(mult * np.where(mult > 0, lower[keep], upper[keep])))
 
 
 # what one eta costs a triangular solve beyond its nonzeros, in nonzeros:
@@ -262,9 +212,9 @@ class _Factors:
             v[r] = (v[r] - vals @ v[rows]) / pivot
         return self.lu.solve(v, trans="T")
 
-    def update(self, row: int, eta: np.ndarray, pivot_tol: float) -> bool:
+    def update(self, row: int, eta: np.ndarray) -> bool:
         pivot = eta[row]
-        if abs(pivot) < pivot_tol:
+        if abs(pivot) < PIVOT_TOL:
             return False
         rows = np.flatnonzero(eta)
         rows = rows[rows != row]
@@ -272,17 +222,16 @@ class _Factors:
         self.eta_nnz += len(rows) + _ETA_OVERHEAD
         return True
 
-    def stale(self, refactor_every: int) -> bool:
+    def stale(self) -> bool:
         """Whether a fresh LU would be cheaper to solve with: the eta file
-        has reached `refactor_every` etas, or costs as much per solve as
+        has reached `REFACTOR_EVERY` etas, or costs as much per solve as
         the LU itself (on small LPs, long before the count)."""
-        return len(self.etas) >= refactor_every or self.eta_nnz >= self.lu_nnz
+        return len(self.etas) >= REFACTOR_EVERY or self.eta_nnz >= self.lu_nnz
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, opts: SolveOptions):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.opts = opts
         self.m = lp.num_rows
         self.n = lp.num_cols
         amat = lp.matrix()
@@ -350,9 +299,8 @@ class _Simplex:
     def _phase1_cost(self) -> np.ndarray:
         c = np.zeros(self.n + self.m)
         xb = self.x[self.basic]
-        tol = self.opts.feas_tol
-        c[self.basic[xb < self.lb - tol]] = -1.0
-        c[self.basic[xb > self.ub + tol]] = 1.0
+        c[self.basic[xb < self.lb - FEAS_TOL]] = -1.0
+        c[self.basic[xb > self.ub + FEAS_TOL]] = 1.0
         return c
 
     def _violations(self) -> tuple[np.ndarray, np.ndarray]:
@@ -374,11 +322,10 @@ class _Simplex:
     def _dual_infeasibility(self, d: np.ndarray) -> np.ndarray:
         """Per column, how far d says moving it off its bound would lower
         the cost; zero for columns that cannot move that way."""
-        tol = self.opts.opt_tol
         st = self.status
         viol = np.zeros_like(d)
-        can_up = ((st == AT_LOWER) | (st == FREE_NB)) & ~self.fixed & (d < -tol)
-        can_dn = ((st == AT_UPPER) | (st == FREE_NB)) & ~self.fixed & (d > tol)
+        can_up = ((st == AT_LOWER) | (st == FREE_NB)) & ~self.fixed & (d < -OPT_TOL)
+        can_dn = ((st == AT_UPPER) | (st == FREE_NB)) & ~self.fixed & (d > OPT_TOL)
         viol[can_up] = -d[can_up]
         viol[can_dn] = d[can_dn]
         return viol
@@ -409,7 +356,6 @@ class _Simplex:
         slot of the blocking variable, or -1 for a bound flip of q itself,
         or -2 if the step is unbounded.
         """
-        opts = self.opts
         best_t = INF
         best_pos = -2
         best_bound = 0.0
@@ -419,7 +365,7 @@ class _Simplex:
         if np.isfinite(span):
             best_t = span
             best_pos = -1
-        idx = np.flatnonzero(np.abs(delta) > opts.pivot_tol)
+        idx = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
         if len(idx):
             rate = -sigma * delta[idx]  # movement of basic vars per unit step
             basic = self.basic[idx]
@@ -428,8 +374,8 @@ class _Simplex:
             upb = self.ub[idx]
             rising = rate > 0
             if phase1:
-                below = xb < lob - opts.feas_tol
-                above = xb > upb + opts.feas_tol
+                below = xb < lob - FEAS_TOL
+                above = xb > upb + FEAS_TOL
             else:
                 below = above = np.zeros_like(rising)
             # A basic moving up blocks at its upper bound, or at its lower
@@ -475,9 +421,19 @@ class _Simplex:
         self.lb[pos] = self.lower[q]
         self.ub[pos] = self.upper[q]
         self.certified_d = None
-        if (not self.factors.update(pos, delta, self.opts.pivot_tol)
-                or self.factors.stale(self.opts.refactor_every)):
+        if not self.factors.update(pos, delta) or self.factors.stale():
             self._refactorize()
+
+    def _count_step(self, step: float):
+        """After more than STALL_LIMIT degenerate pivots in a row, switch to
+        Bland's rule until a pivot makes progress."""
+        if step <= 1e-12:
+            self.stall += 1
+            if self.stall > STALL_LIMIT:
+                self.use_bland = True
+        else:
+            self.stall = 0
+            self.use_bland = False
 
     # -- main loops ----------------------------------------------------------
 
@@ -486,19 +442,18 @@ class _Simplex:
         bound flip leaves the basis, and so y and d, unchanged, so d is
         kept across it rather than priced again.  Phase 2 starts from
         `certified_d` when the basis still holds it."""
-        opts = self.opts
         d = None if phase1 else self.certified_d
         while True:
-            if self.iterations >= opts.max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
-            if phase1 and self._infeasibility() <= opts.feas_tol:
+            if phase1 and self._infeasibility() <= FEAS_TOL:
                 return "feasible"
             if d is None:
                 d, _ = self._reduced_costs(self._phase1_cost() if phase1 else self.cost)
             q = self._choose_entering(d)
             if q < 0:
                 if phase1:
-                    return "feasible" if self._infeasibility() <= opts.feas_tol else "infeasible"
+                    return "feasible" if self._infeasibility() <= FEAS_TOL else "infeasible"
                 self.certified_d = d
                 return "optimal"
             sigma = 1.0 if (self.status[q] in (AT_LOWER, FREE_NB) and d[q] < 0) else -1.0
@@ -510,13 +465,7 @@ class _Simplex:
                     raise LpError("phase-1 ratio test found no blocking bound")
                 return "unbounded"
             self.iterations += 1
-            if t <= 1e-12:
-                self.stall += 1
-                if self.stall > opts.stall_limit:
-                    self.use_bland = True
-            else:
-                self.stall = 0
-                self.use_bland = False
+            self._count_step(t)
             self._pivot(q, sigma, delta, t, pos, leave_bound)
             if phase1 or pos != -1:
                 d = None
@@ -542,7 +491,7 @@ class _Simplex:
         the check itself costs no pricing pass, and one that stays primal
         feasible certifies its optimum with them, in no pricing pass at
         all."""
-        if self._infeasibility() > self.opts.feas_tol:
+        if self._infeasibility() > FEAS_TOL:
             d = self.certified_d
             if d is None:
                 d, _ = self._reduced_costs(self.cost)
@@ -572,7 +521,7 @@ class _Simplex:
         reduced cost moves toward zero block; among near-minimal ratios the
         largest |a| wins (under Bland's rule: the lowest column).  Returns
         (-1, 0) when none blocks: the leaving row cannot reach its bound."""
-        idx = np.flatnonzero(np.abs(a) > self.opts.pivot_tol)
+        idx = np.flatnonzero(np.abs(a) > PIVOT_TOL)
         st = self.status[idx]
         rising = a[idx] > 0.0
         free = st == FREE_NB
@@ -593,12 +542,11 @@ class _Simplex:
         refactorizations.  Returns "optimal" once primal feasible, and
         "infeasible" when a violated row cannot move toward its bound on a
         fresh factorization."""
-        opts = self.opts
         while True:
             below, above = self._violations()
-            if self._infeasibility(below, above) <= opts.feas_tol:
+            if self._infeasibility(below, above) <= FEAS_TOL:
                 return "optimal"
-            if self.iterations >= opts.max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
             pos, side = self._leaving_row(below, above)
             unit = np.zeros(self.m)
@@ -619,13 +567,7 @@ class _Simplex:
             bound = self.lower[leaving] if side > 0 else self.upper[leaving]
             shift = (self.x[leaving] - bound) / delta[pos]
             self.iterations += 1
-            if step <= 1e-12:
-                self.stall += 1
-                if self.stall > opts.stall_limit:
-                    self.use_bland = True
-            else:
-                self.stall = 0
-                self.use_bland = False
+            self._count_step(step)
             factors = self.factors
             self._pivot(q, 1.0 if shift > 0 else -1.0, delta, abs(shift), pos, bound)
             if self.factors is factors:
@@ -661,15 +603,14 @@ class _Simplex:
         )
 
 
-def solve_lp(lp: LinearProgram, opts: SolveOptions | None = None,
-             warm_basis: Basis | None = None) -> LpSolution:
-    """Solve an LP once; deterministic for identical inputs and options.
+def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
+    """Solve an LP once; deterministic for identical inputs.
 
     A warm-start basis (typically from a previous scenario that differs only
     in bound data) is validated and used as the starting point; a singular
     warm basis raises LpError rather than being silently repaired.
     """
-    return RepeatSolver(lp, opts, warm_basis).solve()
+    return RepeatSolver(lp, warm_basis).solve()
 
 
 class RepeatSolver:
@@ -697,12 +638,10 @@ class RepeatSolver:
     given there is re-solved by the dual simplex too.
     """
 
-    def __init__(self, lp: LinearProgram, opts: SolveOptions | None = None,
-                 start: Basis | None = None):
+    def __init__(self, lp: LinearProgram, start: Basis | None = None):
         self.lp = lp
-        self.opts = opts or SolveOptions()
         lp.validate()
-        self._sim = _Simplex(lp, self.opts)
+        self._sim = _Simplex(lp)
         self._start_basis = start if start is not None else make_basis(lp)
         self._started = False
         self.restarts = 0
@@ -728,7 +667,7 @@ class RepeatSolver:
             # already certified with the live factors; re-verify the primal
             # side and resume if the incremental x drifted.
             for _ in range(3):
-                if sim._infeasibility() <= sim.opts.feas_tol:
+                if sim._infeasibility() <= FEAS_TOL:
                     break
                 sim._refactorize()
                 status = sim.run()

@@ -235,15 +235,10 @@ def build_sparse_grid(dimension: int, level: int) -> SparseGrid:
 class PCESurrogate:
     idxset: MultiIndexSet
     coefficients: np.ndarray
-    level: int
 
     @property
     def dimension(self):
         return self.idxset.dimension
-
-    @property
-    def order(self):
-        return self.idxset.order
 
     def __call__(self, xi):
         """Value at one point (d,) as a float, or at many (N, d) as an array,
@@ -260,28 +255,6 @@ class PCESurrogate:
     def variance(self) -> float:
         norms = self.idxset.norms_squared()
         return float(np.sum(self.coefficients[1:] ** 2 * norms[1:]))
-
-    def to_text(self) -> str:
-        out = [f"PCE n={self.dimension} p={self.order} level={self.level}"]
-        for t, c in zip(self.idxset.indices, self.coefficients):
-            out.append(" ".join(str(e) for e in t) + f" {float(c)!r}")
-        return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PCESurrogate":
-        lines = [l for l in text.splitlines() if l.strip()]
-        head = dict(kv.split("=") for kv in lines[0].split()[1:])
-        n, p, level = int(head["n"]), int(head["p"]), int(head["level"])
-        idxset = MultiIndexSet.total_degree(n, p)
-        if len(lines) - 1 != len(idxset):
-            raise ValueError("surrogate file has wrong coefficient count")
-        coeffs = np.empty(len(idxset))
-        for k, (line, t) in enumerate(zip(lines[1:], idxset.indices)):
-            parts = line.split()
-            if tuple(int(e) for e in parts[:n]) != t:
-                raise ValueError("surrogate file indices out of order")
-            coeffs[k] = float(parts[n])
-        return cls(idxset, coeffs, level)
 
 
 def project(grid: SparseGrid, idxset: MultiIndexSet, values) -> PCESurrogate:
@@ -301,4 +274,4 @@ def project(grid: SparseGrid, idxset: MultiIndexSet, values) -> PCESurrogate:
             f"an order-p projection needs level >= p+1")
     terms = (grid.weights * values)[:, None] * eval_basis(idxset, grid.nodes)
     sums = np.array([math.fsum(column) for column in terms.T])
-    return PCESurrogate(idxset, sums / idxset.norms_squared(), grid.level)
+    return PCESurrogate(idxset, sums / idxset.norms_squared())

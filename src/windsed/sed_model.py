@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
 from .lp_solver import (AT_UPPER, Basis, LinearProgram, LpError, LpSolution,
-                        RepeatSolver, SolveOptions, make_basis, solve_lp)
+                        RepeatSolver, make_basis, solve_lp)
 
 INF = float("inf")
 POWER_BLOCK = 512  # germs a batch maps to power at once: bounds its memory
@@ -228,16 +228,6 @@ class DispatchSolution:
     def total_shed(self) -> float:
         return float(self.shed.sum())
 
-    def recompute_objective(self, case: GridCase, pwl) -> float:
-        """Independent cost recomputation from the schedule (not via the LP
-        objective): piecewise-linear production cost plus shed penalty."""
-        total = 0.0
-        for g_idx, gen in enumerate(case.generators):
-            for t in range(case.periods):
-                if gen.commitment[t]:
-                    total += pwl[g_idx](self.generation[g_idx, t])
-        return total + case.shed_penalty * float(self.shed.sum())
-
     def to_csv(self) -> str:
         out = ["entity,index,period,value"]
         for name, arr in (("generator", self.generation), ("flow", self.flows),
@@ -281,8 +271,7 @@ class SedEvaluator:
     one worker at a time.
     """
 
-    def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3,
-                 opts: SolveOptions | None = None):
+    def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
         case_labels = [s.site_label for s in case.renewable_sites]
         spec_labels = [s.label for s in spec.sites]
         if set(case_labels) != set(spec_labels):
@@ -292,7 +281,6 @@ class SedEvaluator:
         self.spec = spec
         self._site_labels = case_labels
         self.segments = segments
-        self.opts = opts or SolveOptions()
         self.dim = spec.dimension
         self._next_power = None  # power row for the next `_load`, from a batch
         self._build(None)
@@ -316,7 +304,7 @@ class SedEvaluator:
         from `start` (None: the crash basis)."""
         self.inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
                                    self.segments)
-        self._solver = RepeatSolver(self.inst.lp, self.opts,
+        self._solver = RepeatSolver(self.inst.lp,
                                     self.inst.start_basis() if start is None else start)
 
     def _power_for(self, germ: np.ndarray) -> np.ndarray:

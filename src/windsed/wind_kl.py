@@ -1,5 +1,5 @@
 """Karhunen-Loeve representation of daily log-wind profiles plus the
-diagnostics used to justify it: explained-variance fractions, empirical CDFs
+diagnostics used to justify it: explained-variance fractions, KS distances
 against a standard normal, distance correlation between mode coordinates,
 and the filtered rated-power curve for converting wind speed to power.
 
@@ -71,18 +71,6 @@ class KLBasis:
         for k in range(HOURS):
             out.append(f"VEC {k} " + " ".join(repr(float(v)) for v in self.eigenvectors[:, k]))
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "KLBasis":
-        lines = [l.split() for l in text.splitlines() if l.strip()]
-        if lines[0][0] != "KLBASIS":
-            raise ValueError("not a KL basis file")
-        mean = np.array([float(v) for v in lines[1][1:]])
-        lam = np.array([float(v) for v in lines[2][1:]])
-        vec = np.empty((HOURS, HOURS))
-        for row in lines[3:]:
-            vec[:, int(row[1])] = [float(v) for v in row[2:]]
-        return cls(mean, lam, vec)
 
 
 # -- data preparation ---------------------------------------------------------
@@ -163,11 +151,10 @@ def variance_fraction(basis: KLBasis, n_modes: int) -> float:
     return 100.0 * float(basis.eigenvalues[:n_modes].sum()) / total
 
 
-def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray,
-                    lam_tol: float = 1e-12):
+def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray):
     """Mode coordinates xi_jk = (sample_j - mean).f_k / sqrt(lambda_k).
 
-    Modes with lambda <= lam_tol are skipped (their xi column is zero) and
+    Modes with lambda <= 1e-12 are skipped (their xi column is zero) and
     returned in the second element.
     """
     mat = samples.samples if isinstance(samples, WindSampleSet) else np.asarray(samples, dtype=float)
@@ -177,7 +164,7 @@ def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray,
     skipped = []
     for k in range(HOURS):
         lam = basis.eigenvalues[k]
-        if lam > lam_tol:
+        if lam > 1e-12:
             xi[:, k] = proj[:, k] / math.sqrt(lam)
         else:
             skipped.append(k)
@@ -205,26 +192,6 @@ def reconstruct(basis: KLBasis, xi, n_modes: int) -> np.ndarray:
 
 # -- distribution diagnostics ----------------------------------------------------
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous step CDF of a sample."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        if len(pts) == 0:
-            raise ValueError("empty sample")
-        object.__setattr__(self, "points", pts)
-
-    def __call__(self, x):
-        return np.searchsorted(self.points, x, side="right") / len(self.points)
-
-
-def empirical_cdf(values) -> EmpiricalCdf:
-    return EmpiricalCdf(np.asarray(values, dtype=float))
-
-
 def _normal_cdf(x):
     return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / math.sqrt(2.0)))
 
@@ -242,7 +209,10 @@ def compare_to_normal(values) -> float:
     return float(max(upper, lower))
 
 
-def distance_correlation(x, y, block: int = 1024) -> float:
+DCOR_BLOCK = 1024  # rows of the distance matrices held at once
+
+
+def distance_correlation(x, y) -> float:
     """Szekely sample distance correlation via double-centered distance
     matrices, computed blockwise so 1e4-sample inputs stay in memory.
 
@@ -263,8 +233,8 @@ def distance_correlation(x, y, block: int = 1024) -> float:
     ax = np.zeros(n)
     ay = np.zeros(n)
     sxx = syy = sxy = 0.0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, DCOR_BLOCK):
+        hi = min(lo + DCOR_BLOCK, n)
         dx = np.sqrt(np.sum((x[lo:hi, None, :] - x[None, :, :]) ** 2, axis=2))
         dy = np.sqrt(np.sum((y[lo:hi, None, :] - y[None, :, :]) ** 2, axis=2))
         ax[lo:hi] = dx.sum(axis=1)

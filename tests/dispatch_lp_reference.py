@@ -1,6 +1,7 @@
 """Per-element loop form of `sed_model.build_instance`, `start_basis` and
 `_extract`, kept as the reference the numpy block assembly is checked
-against bit for bit."""
+against bit for bit, and a recomputation of a schedule's cost from the
+case data."""
 import numpy as np
 
 from windsed.grid_model import linearize_cost
@@ -224,3 +225,15 @@ def loop_extract(inst, x):
     angles = np.array([[x[inst.angle_col(i, t)] for t in range(T)] for i in range(B)])
     shed = np.array([[x[inst.shed_col(i, t)] for t in range(T)] for i in range(B)])
     return gen, flows, angles, shed
+
+
+def recompute_objective(sol, case, pwl) -> float:
+    """Independent cost recomputation from a `DispatchSolution`'s schedule
+    (not via the LP objective): piecewise-linear production cost plus shed
+    penalty."""
+    total = 0.0
+    for g_idx, gen in enumerate(case.generators):
+        for t in range(case.periods):
+            if gen.commitment[t]:
+                total += pwl[g_idx](sol.generation[g_idx, t])
+    return total + case.shed_penalty * float(sol.shed.sum())

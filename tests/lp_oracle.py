@@ -1,16 +1,21 @@
-"""Brute-force vertex enumeration oracle for small bounded LPs.
+"""Brute-force vertex enumeration oracle for small bounded LPs, and a
+reader of the LP text dump (`LinearProgram.to_text`, `--dump-lp`).
 
-Independent of the simplex implementation: enumerates every choice of n
-active hyperplanes drawn from {row at lower, row at upper, var at lower,
-var at upper}, solves the square systems in batches, keeps feasible points,
-and takes the best objective.  Requires finite variable bounds so the
-feasible set is a polytope (every nonempty one has a vertex).
+The oracle is independent of the simplex implementation: it enumerates
+every choice of n active hyperplanes drawn from {row at lower, row at
+upper, var at lower, var at upper}, solves the square systems in batches,
+keeps feasible points, and takes the best objective.  It requires finite
+variable bounds so the feasible set is a polytope (every nonempty one has a
+vertex).
 """
 import itertools
 
 import numpy as np
 
+from windsed.lp_solver import LinearProgram
+
 FEAS_EPS = 1e-9
+INF = float("inf")
 
 
 def _planes(A, rlo, rhi, lo, up):
@@ -104,3 +109,38 @@ def random_lp(rng, max_vars: int = 8, max_rows: int = 8,
                 rlo[i] = rhi[i] = round(a, 2)
         if count_combinations(A, rlo, rhi, lo, up) <= max_combos:
             return c, A, rlo, rhi, lo, up
+
+
+def lp_from_text(text: str) -> LinearProgram:
+    """Parse the to_text dump back into an equivalent program."""
+    header, *lines = [l for l in text.splitlines() if l.strip()]
+    sizes = dict(kv.split("=") for kv in header.split()[1:])
+    m, n = int(sizes["rows"]), int(sizes["cols"])
+    section = None
+    obj = np.zeros(n)
+    rlo = np.full(m, -INF)
+    rhi = np.full(m, INF)
+    clo = np.full(n, -INF)
+    cup = np.full(n, INF)
+    rows, cols, vals = [], [], []
+    for line in lines:
+        token = line.strip()
+        if token in ("OBJECTIVE", "MATRIX", "ROWBOUNDS", "COLBOUNDS"):
+            section = token
+            continue
+        parts = token.split()
+        if section == "OBJECTIVE":
+            obj[int(parts[0])] = float(parts[1])
+        elif section == "MATRIX":
+            rows.append(int(parts[0]))
+            cols.append(int(parts[1]))
+            vals.append(float(parts[2]))
+        elif section == "ROWBOUNDS":
+            rlo[int(parts[0])] = float(parts[1])
+            rhi[int(parts[0])] = float(parts[2])
+        elif section == "COLBOUNDS":
+            clo[int(parts[0])] = float(parts[1])
+            cup[int(parts[0])] = float(parts[2])
+        else:
+            raise ValueError(f"unexpected line outside section: {line!r}")
+    return LinearProgram(n, m, obj, rows, cols, vals, rlo, rhi, clo, cup)

@@ -2,11 +2,12 @@
 the vectorized version is checked against."""
 import numpy as np
 
+from windsed.lp_solver import FEAS_TOL, PIVOT_TOL
+
 INF = float("inf")
 
 
 def ratio_test_loop(sim, q, sigma, delta, phase1):
-    opts = sim.opts
     best_t = INF
     best_pos = -2
     best_bound = 0.0
@@ -19,8 +20,8 @@ def ratio_test_loop(sim, q, sigma, delta, phase1):
     xb = sim.x[sim.basic]
     lob = sim.lower[sim.basic]
     upb = sim.upper[sim.basic]
-    ftol = opts.feas_tol
-    idx = np.flatnonzero(np.abs(delta) > opts.pivot_tol)
+    ftol = FEAS_TOL
+    idx = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
     cand_t = np.full(len(idx), INF)
     cand_bound = np.zeros(len(idx))
     for k, i in enumerate(idx):

@@ -19,7 +19,7 @@ from windsed import wind_kl as wk
 from windsed.cli import main as cli_main
 from windsed.datagen import default_power_curve
 from windsed.grid_model import linearize_cost, load_case
-from windsed.lp_solver import LinearProgram, SolveOptions, solve_lp
+from windsed.lp_solver import LinearProgram, solve_lp
 from windsed.pce import MultiIndexSet, build_sparse_grid, project
 from windsed.sed_model import SedEvaluator, solve_dispatch
 
@@ -46,8 +46,7 @@ def standin(case3):
     """Six-dimensional smooth dispatch stand-in: 3-bus case, 2 sites x 3 modes,
     with cached node evaluations shared across criteria 8 and 9."""
     spec = make_spec3(case3, truncation=3)
-    model = SedEvaluator(case3, spec, segments=3,
-                         opts=SolveOptions(refactor_every=24))
+    model = SedEvaluator(case3, spec, segments=3)
     return {"model": model, "spec": spec, "cache": {}}
 
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
+from lp_oracle import lp_from_text
 from specs import sample_germs
 from windsed.cli import ExperimentConfig, build_forecast_spec, main
 from windsed.grid_model import linearize_cost, load_case
+from windsed.sed_model import build_instance
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -197,13 +199,32 @@ def test_dispatch_zero_germ_matches_merit_order_oracle(tmp_path, case3):
     assert summary["objective"] == pytest.approx(oracle, abs=1e-6 * oracle)
 
 
-def test_dispatch_dump_lp_parseable(tmp_path):
+def test_dispatch_dump_lp_parseable(tmp_path, case3):
+    """The `dispatch.lp` that `--dump-lp` writes reads back as the LP that
+    `build_instance` assembles at the germ: the objective, the matrix
+    triplets in row-major order and all four bound arrays, bit for bit."""
     path = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["dispatch", "--config", str(path), "--dump-lp"]) == 0
-    from windsed.lp_solver import LinearProgram
-    lp = LinearProgram.from_text((out / "dispatch.lp").read_text())
-    assert lp.num_rows > 0 and lp.num_cols > 0
+    germ = "-0.5,0.25,0,1.5,0,-2"
+    assert main(["dispatch", "--config", str(path), "--germ", germ, "--dump-lp"]) == 0
+    got = lp_from_text((tmp_path / "out" / "dispatch.lp").read_text())
+    cfg = ExperimentConfig.load(str(path))
+    spec = build_forecast_spec(cfg, case3)
+    labels = [s.site_label for s in case3.renewable_sites]
+
+    def lp_at(g):
+        return build_instance(case3, spec.power(g, labels), cfg.segments).lp
+
+    want = lp_at(np.array([float(v) for v in germ.split(",")]))
+    assert not np.array_equal(want.row_lower, lp_at(np.zeros(6)).row_lower)
+    assert (got.num_rows, got.num_cols) == (want.num_rows, want.num_cols)
+    order = np.lexsort((want.col_idx, want.row_idx))  # no duplicate entries
+    for mine, theirs in ((got.objective, want.objective),
+                         (got.row_idx, want.row_idx[order]),
+                         (got.col_idx, want.col_idx[order]),
+                         (got.values, want.values[order]),
+                         (got.row_lower, want.row_lower), (got.row_upper, want.row_upper),
+                         (got.col_lower, want.col_lower), (got.col_upper, want.col_upper)):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 def _edit(key, value=None):
@@ -231,6 +252,16 @@ def _wind(key, value=None):
 def _synthetic(key, value=None):
     """`_wind` for a key inside wind.synthetic."""
     return _wind(f"synthetic.{key}", value)
+
+
+def _number_label(key):
+    """Config edit relabelling the dotted `key`'s entry as 1, a number."""
+    def edit(raw):
+        *parents, last = key.split(".")
+        for name in parents:
+            raw = raw[name]
+        raw[1] = raw.pop(last)
+    return edit
 
 
 SITE_A = "forecast.sites.site_a"
@@ -287,6 +318,12 @@ SYN_A = "wind.synthetic.sites.site_a"
      f"unknown `{SYN_A}` keys: ['mean_wnd']"),
     (["kl"], _synthetic("dayz", 40), 2, "unknown `wind.synthetic` keys: ['dayz']"),
     (["kl"], _wind("dta", {}), 2, "unknown `wind` keys: ['dta']"),
+    (["kl"], _edit("wind", {"data": {1: "a.csv", "site_b": "b.csv"}}), 2,
+     "`wind.data` keys must be strings, got 1"),
+    (["kl"], _edit("wind", {"data": {"site_a": 0}}), 2,
+     "`wind.data.site_a` must be a file path, got 0"),
+    (["dispatch"], _number_label(SITE_A), 2,
+     "`forecast.sites` keys must be strings, got 1"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -302,7 +339,9 @@ SYN_A = "wind.synthetic.sites.site_a"
         "wind-not-mapping", "mean_wind-not-numeric", "mean_wind-negative",
         "forecast-site-not-mapping", "forecast-not-mapping",
         "forecast-site-unknown-key", "forecast-unknown-key", "forecast-nameplate",
-        "synthetic-site-unknown-key", "synthetic-unknown-key", "wind-unknown-key"])
+        "synthetic-site-unknown-key", "synthetic-unknown-key", "wind-unknown-key",
+        "wind-data-label-not-a-string", "wind-data-path-not-a-string",
+        "forecast-site-label-not-a-string"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and
@@ -335,8 +374,8 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
 def test_dispatch_all_off_commitment_full_shed(tmp_path, case3):
     import dataclasses
 
+    from case_text import serialize_case
     from windsed.datagen import default_power_curve
-    from windsed.grid_model import serialize_case
     gens = tuple(dataclasses.replace(g, commitment=(0,) * 24)
                  for g in case3.generators)
     dark = dataclasses.replace(case3, generators=gens)

@@ -1,11 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from case_text import serialize_case
 from windsed.grid_model import (Bus, CaseFormatError, GridCase, Line,
-                                ThermalGenerator, linearize_cost, parse_case,
-                                serialize_case)
+                                ThermalGenerator, linearize_cost, parse_case)
 
 MINI_CASE = """
 CASE T=2 SHED_PENALTY=5000.0
@@ -164,3 +168,11 @@ def test_type_invariants():
         ThermalGenerator(1, 0.0, 2.0, 0, 0, -1.0, 1, 1, 1, 1, commitment=(1,))
     with pytest.raises(ValueError):
         GridCase((Bus(1, (1.0,)),), (), (), (), periods=0)
+
+
+def test_make_case118_writes_the_bundled_case():
+    """scripts/make_case118.py regenerates data/case118.txt byte for byte."""
+    root = Path(__file__).parent.parent
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "make_case118.py")],
+                          capture_output=True, check=True)
+    assert proc.stdout == (root / "data" / "case118.txt").read_bytes()

@@ -5,7 +5,7 @@ from lp_oracle import random_lp, vertex_enumeration
 from ratio_test_reference import ratio_test_loop
 from windsed import lp_solver
 from windsed.lp_solver import (Basis, LinearProgram, LpError, RepeatSolver,
-                               SolveOptions, make_basis, solve_lp)
+                               make_basis, solve_lp)
 
 INF = np.inf
 
@@ -47,12 +47,14 @@ def test_unbounded_detected():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_iteration_limit_reported():
+def test_iteration_limit_reported(monkeypatch):
+    """This LP takes two pivots, so a limit of one ends the solve early."""
     rng = np.random.default_rng(3)
     c, A, rlo, rhi, lo, up = random_lp(rng)
     lp = simple_lp(c, A, rlo, rhi, lo, up)
-    sol = solve_lp(lp, SolveOptions(max_iterations=1))
-    assert sol.status in ("iteration_limit", "optimal", "infeasible")
+    assert solve_lp(lp).iterations == 2
+    monkeypatch.setattr(lp_solver, "MAX_ITERATIONS", 1)
+    assert solve_lp(lp).status == "iteration_limit"
 
 
 def test_validation_rejects_bad_input():
@@ -67,8 +69,10 @@ def test_validation_rejects_bad_input():
 
 
 def loop_dual_objective(sol, lp, drop_tol=1e-9):
-    """Per-multiplier loop form of `LpSolution.dual_objective`, kept as the
-    reference for the vectorized sum."""
+    """Dual bound from the solution's row duals and reduced costs; equals
+    the primal objective at an exact optimum.  Multipliers below drop_tol
+    count as zero, so roundoff-level duals do not pair with infinite
+    bounds."""
     total = 0.0
     for y, lo, up in zip(sol.row_duals, lp.row_lower, lp.row_upper):
         if abs(y) > drop_tol:
@@ -91,10 +95,8 @@ def test_random_lps_match_oracle_and_duality():
             n_opt += 1
             assert sol.status == "optimal"
             assert abs(sol.objective - val) <= 1e-8 * (1 + abs(val))
-            dual = sol.dual_objective(lp)
+            dual = loop_dual_objective(sol, lp)
             assert abs(sol.objective - dual) <= 1e-7 * (1 + abs(sol.objective))
-            ref = loop_dual_objective(sol, lp)
-            assert abs(dual - ref) <= 1e-12 * (1 + abs(ref))  # summation order
         else:
             n_inf += 1
             assert sol.status == "infeasible"
@@ -155,22 +157,6 @@ def test_repeat_solver_tracks_bound_sweeps():
     assert abs(rs.solve_value() - 0.5) < 1e-9
 
 
-def test_lp_text_round_trip():
-    rng = np.random.default_rng(23)
-    c, A, rlo, rhi, lo, up = random_lp(rng)
-    lp = simple_lp(c, A, rlo, rhi, lo, up)
-    text = lp.to_text()
-    lp2 = LinearProgram.from_text(text)
-    assert lp2.num_rows == lp.num_rows and lp2.num_cols == lp.num_cols
-    assert np.array_equal(lp2.objective, lp.objective)
-    assert np.array_equal(lp2.matrix().toarray(), lp.matrix().toarray())
-    assert np.array_equal(lp2.row_lower, lp.row_lower)
-    assert np.array_equal(lp2.col_upper, lp.col_upper)
-    s1 = solve_lp(lp)
-    s2 = solve_lp(lp2)
-    assert s1.status == s2.status
-
-
 def test_ratio_test_matches_reference_loop(monkeypatch):
     """Every ratio test on the random oracle LPs, in both phases and under
     Bland's rule, agrees bit for bit with the per-candidate loop."""
@@ -214,7 +200,7 @@ def test_ratio_test_matches_reference_on_near_ties():
         row_up[row_lo == -INF] = rng.choice([INF, 1.0])
         lp = LinearProgram(n, m, np.zeros(n), [], [], [], row_lo, row_up,
                            np.zeros(n), rng.choice([1.0, INF], n))
-        sim = lp_solver._Simplex(lp, SolveOptions())
+        sim = lp_solver._Simplex(lp)
         sim.start_warm(make_basis(lp))
         bound = np.where(np.isfinite(row_lo), row_lo, np.where(np.isfinite(row_up), row_up, 0.0))
         sim.x[sim.basic] = bound + rng.choice([-2e-7, -1e-8, 0.0, 3e-9, 5e-8, 0.5], m)
@@ -258,11 +244,11 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
         calls = []
         in_dual = []
 
-        def failing(self, row, eta, pivot_tol):
+        def failing(self, row, eta):
             calls.append(row)
             if len(calls) == 1:
                 raise LpError("forced update failure")
-            return real(self, row, eta, pivot_tol)
+            return real(self, row, eta)
 
         def dual(sim, d):
             in_dual.append(len(calls))
@@ -452,7 +438,7 @@ def test_factor_solves_after_eta_updates_match_dense_solves():
         m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
         A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.2)
         lp = simple_lp(np.zeros(n), A, -np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
-        sim = lp_solver._Simplex(lp, SolveOptions())
+        sim = lp_solver._Simplex(lp)
         basic = np.arange(n, n + m)
         factors = lp_solver._Factors(sim.fmat, basic)
         for _ in range(int(rng.integers(1, 25))):
@@ -461,7 +447,7 @@ def test_factor_solves_after_eta_updates_match_dense_solves():
             row = int(np.argmax(np.abs(eta)))
             if abs(eta[row]) < 0.1:
                 continue
-            assert factors.update(row, eta, 1e-9)
+            assert factors.update(row, eta)
             basic[row] = q
             B = sim.fmat[:, basic].toarray()
             rhs = rng.normal(size=m)

@@ -254,7 +254,7 @@ def test_surrogate_moments_and_eval():
     idx = MultiIndexSet.total_degree(2, 1)
     coeffs = np.zeros(len(idx))
     coeffs[list(idx.indices).index((1, 0))] = 3.0
-    s = PCESurrogate(idx, coeffs, level=2)
+    s = PCESurrogate(idx, coeffs)
     assert s.mean() == 0.0
     assert s.variance() == pytest.approx(9.0)  # <He_1^2> = 1
     assert s(np.array([2.0, 5.0])) == pytest.approx(6.0)
@@ -282,12 +282,3 @@ def test_surrogate_variance_matches_monte_carlo():
     vals = (draws[:, 0] + 0.5 * draws[:, 0] * draws[:, 1]
             + 0.2 * (draws[:, 1] ** 2 - 1))
     assert s.variance() == pytest.approx(float(vals.var()), rel=0.01)
-
-
-def test_surrogate_text_round_trip():
-    grid = build_sparse_grid(2, 2)
-    idx = MultiIndexSet.total_degree(2, 1)
-    s = fit(lambda x: 1 + 0.25 * x[0] - x[1], grid, idx)
-    s2 = PCESurrogate.from_text(s.to_text())
-    assert np.array_equal(s2.coefficients, s.coefficients)
-    assert s2.order == s.order and s2.dimension == s.dimension

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispatch_lp_reference import loop_build_instance, loop_extract
+from dispatch_lp_reference import (loop_build_instance, loop_extract,
+                                   recompute_objective)
 from windsed import estimate as est
 from windsed import forecast as fc
 from windsed.grid_model import linearize_cost, parse_case
 from windsed import lp_solver
-from windsed.lp_solver import LinearProgram, LpSolution, SolveOptions, solve_lp
+from windsed.lp_solver import LinearProgram, LpSolution, solve_lp
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
                                _extract, _lead_buses, build_instance,
                                solve_dispatch)
@@ -77,7 +78,7 @@ def test_flow_definition_residual(case3):
 def test_objective_recomputed_independently(case3):
     sol = solve_dispatch(case3, np.full((2, 24), 10.0))
     pwl = tuple(linearize_cost(g, 3) for g in case3.generators)
-    again = sol.recompute_objective(case3, pwl)
+    again = recompute_objective(sol, case3, pwl)
     assert abs(again - sol.objective) <= 1e-6 * (1 + abs(sol.objective))
 
 
@@ -248,14 +249,6 @@ def test_ramp_rows_only_for_later_periods(case3):
     assert inst.lp.num_rows == B * T + E * T + 2 * G * (T - 1)
 
 
-def test_dump_lp_round_trips(case3):
-    inst = build_instance(case3, np.zeros((2, 24)))
-    text = inst.lp.to_text()
-    again = LinearProgram.from_text(text)
-    assert np.array_equal(again.matrix().toarray(), inst.lp.matrix().toarray())
-    assert np.array_equal(again.row_upper, inst.lp.row_upper)
-
-
 # -- germ evaluation ----------------------------------------------------------
 
 def test_zero_germ_matches_direct_mean_solve(case3, spec3):
@@ -422,7 +415,7 @@ def test_start_basis_is_a_dc_power_flow(name, leads, request):
     power = rng.uniform(0.0, 20.0, (len(case.renewable_sites), case.periods))
     inst = build_instance(case, power)
     basis = inst.start_basis()
-    sim = lp_solver._Simplex(inst.lp, SolveOptions())
+    sim = lp_solver._Simplex(inst.lp)
     sim.start_warm(basis)  # raises LpError if singular
     bus_pos = case.bus_index()
     lead = np.array([bus_pos[b] for b in leads or [case.reference_bus]])
@@ -488,7 +481,7 @@ def test_merit_fills_break_a_ramp_row():
     below solves the case)."""
     case = _named_case("ramps", None)
     inst = build_instance(case, np.zeros((0, case.periods)))
-    sim = lp_solver._Simplex(inst.lp, SolveOptions())
+    sim = lp_solver._Simplex(inst.lp)
     sim.start_warm(inst.start_basis())
     ramp = np.arange(inst.shed.size + inst.flow.size, inst.lp.num_rows)
     activity = inst.lp.matrix()[ramp] @ sim.x[:inst.lp.num_cols]
@@ -655,14 +648,14 @@ def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch
 def test_small_lp_refactorizes_when_its_etas_reach_the_lu_size(case3, spec3, monkeypatch):
     """A 3-bus LU is so small that solving with a few dozen etas costs more
     than refactorizing, so the eta file is refactorized once its nonzeros,
-    with a per-eta overhead, reach the LU's: long before `refactor_every`
+    with a per-eta overhead, reach the LU's: long before `REFACTOR_EVERY`
     etas."""
     ev = SedEvaluator(case3, spec3)
     refactors = _spy_refactorizations(monkeypatch)
     ev.evaluate_batch(sample_germs(4, 300, spec3.dimension))
     by_size = [etas for etas, eta_nnz, lu_nnz in refactors if eta_nnz >= lu_nnz]
     assert len(by_size) >= 5
-    assert max(by_size) < SolveOptions().refactor_every // 2
+    assert max(by_size) < lp_solver.REFACTOR_EVERY // 2
 
 
 def test_over_generation_fails_naming_the_germ(case3, monkeypatch):

@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windsed import wind_kl as wk
+from windsed.cli import main
+from windsed.datagen import read_wind_csv
 from windsed.forecast import MaternKernel
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 def ten_minute_day(date, speeds_by_interval):
@@ -202,14 +207,6 @@ def test_sampled_covariance_converges_to_input(gaussian_basis):
 
 # -- CDFs and KS --------------------------------------------------------------------
 
-def test_two_point_cdf_steps():
-    cdf = wk.empirical_cdf([-1.0, 1.0])
-    assert cdf(-1.0001) == 0.0
-    assert cdf(-1.0) == 0.5
-    assert cdf(0.0) == 0.5
-    assert cdf(1.0) == 1.0
-
-
 def test_ks_normal_sample_small():
     rng = np.random.default_rng(21)
     ks = wk.compare_to_normal(rng.standard_normal(10_000))
@@ -357,8 +354,32 @@ def test_power_clamped_to_nameplate():
 
 # -- serialization ----------------------------------------------------------------------
 
-def test_kl_basis_text_round_trip(gaussian_basis):
-    again = wk.KLBasis.from_text(gaussian_basis.to_text())
-    assert np.array_equal(again.mean, gaussian_basis.mean)
-    assert np.array_equal(again.eigenvalues, gaussian_basis.eigenvalues)
-    assert np.array_equal(again.eigenvectors, gaussian_basis.eigenvectors)
+def kl_basis_from_text(text: str) -> wk.KLBasis:
+    """Parse a `klbasis_<site>.txt` (`KLBasis.to_text`) back into a basis."""
+    lines = [l.split() for l in text.splitlines() if l.strip()]
+    if lines[0][0] != "KLBASIS":
+        raise ValueError("not a KL basis file")
+    mean = np.array([float(v) for v in lines[1][1:]])
+    lam = np.array([float(v) for v in lines[2][1:]])
+    vec = np.empty((wk.HOURS, wk.HOURS))
+    for row in lines[3:]:
+        vec[:, int(row[1])] = [float(v) for v in row[2:]]
+    return wk.KLBasis(mean, lam, vec)
+
+
+def test_kl_basis_text_round_trip(tmp_path):
+    """The `klbasis_<site>.txt` that `windsed kl` writes reads back as the
+    KL basis of the site's wind CSV, bit for bit."""
+    cfg = {"case": str(DATA / "case3.txt"), "out": str(tmp_path),
+           "wind": {"synthetic": {"days": 40, "sites": {
+               "site_a": {"matern_l": 11.40, "matern_nu": 0.56}}}}}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["kl", "--config", str(path)]) == 0
+    records, _ = read_wind_csv(tmp_path / "wind_site_a.csv")
+    samples = wk.hourly_average(records, "site_a")
+    want = wk.kl_decompose(wk.empirical_covariance(samples), samples.samples.mean(axis=0))
+    again = kl_basis_from_text((tmp_path / "klbasis_site_a.txt").read_text())
+    for got, expected in ((again.mean, want.mean), (again.eigenvalues, want.eigenvalues),
+                          (again.eigenvectors, want.eigenvectors)):
+        assert got.tobytes() == expected.tobytes()
