@@ -11,15 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
-from .lp_solver import (AT_UPPER, Basis, LinearProgram, LpError, LpSolution,
-                        RepeatSolver, make_basis, solve_lp)
+from .lp_solver import (AT_UPPER, BASIC, FEAS_TOL, FREE_NB, Basis, LinearProgram,
+                        LpError, LpSolution, RepeatSolver, _Factors, make_basis,
+                        solve_lp)
 
 INF = float("inf")
 POWER_BLOCK = 512  # germs a batch maps to power at once: bounds its memory
+ATLAS_GERMS = 512  # fixed germs whose optimal bases make an evaluator's atlas
+REGION_ROWS = 2_000  # largest LP, in rows, that screens its germs against an atlas
 
 
 class DispatchError(Exception):
@@ -258,6 +262,74 @@ def solve_dispatch(case: GridCase, renewable, segments: int = 3) -> DispatchSolu
     return _extract(inst, sol)
 
 
+class _Region:
+    """Where one optimal basis of a dispatch LP stays optimal, over a
+    scenario's power row p (sites x T values, site-major).
+
+    A bound move keeps a basis dual feasible, so wherever it is also primal
+    feasible it is optimal (Gal & Nedoma, "Multiparametric linear
+    programming", Management Science 18(7), 1972).  Within the basis the
+    basic variables and Q are affine in p.  Taken about a power row p0,
+    with u = p - p0, the slacks of the basic variables' finite bounds are
+    the rows of f + M u, and Q = q0 + g.u.  With D the derivative of each
+    basic variable less its lower bound (a basic balance-row logical's
+    bounds move with p too), a lower bound's row of M is D's and an upper
+    bound's is -D's.  The region comes from a fresh factorization of the
+    basis (`_Factors`), so it depends on the basis and p0 alone."""
+
+    def __init__(self, inst: DispatchInstance, fmat: sp.csc_matrix, basis: Basis,
+                 p0: np.ndarray):
+        lp, status, basic = inst.lp, basis.status, basis.basic
+        n, T = lp.num_cols, inst.case.periods
+        inst.set_renewable(p0)
+        lower = np.concatenate([lp.col_lower, lp.row_lower])
+        upper = np.concatenate([lp.col_upper, lp.row_upper])
+        x = np.where(status == AT_UPPER, upper, lower)
+        x[(status == FREE_NB) | (status == BASIC)] = 0.0
+        lu = _Factors(fmat, basic).lu
+        # the balance-row logical each entry of p moves: its value is
+        # balance_base - p, and its fmat column is -e_row
+        logical = n + (inst.site_bus[:, None] * T + np.arange(T)).ravel()
+        entry = np.arange(logical.size)
+        moves = np.zeros((lp.num_rows, logical.size))
+        nonbasic = status[logical] != BASIC
+        moves[logical[nonbasic] - n, entry[nonbasic]] = -1.0
+        x[basic] = lu.solve(-(fmat @ x))
+        grad = lu.solve(moves)  # d x_B / d p
+        slot = np.full(len(status), -1)
+        slot[basic] = np.arange(len(basic))
+        held = slot[logical] >= 0
+        slack = grad.copy()  # d (x_B - lower bound) / d p
+        slack[slot[logical[held]], entry[held]] += 1.0
+        lo, up = np.isfinite(lower[basic]), np.isfinite(upper[basic])
+        self.p0 = p0.ravel()
+        self.f = np.concatenate([(x[basic] - lower[basic])[lo],
+                                 (upper[basic] - x[basic])[up]])
+        self.m = sp.csr_matrix(np.vstack([slack[lo], -slack[up]]))
+        self.ones = sp.csr_matrix(np.ones((1, len(self.f))))
+        self.q0 = float(np.sum(lp.objective * x[:n]))
+        self.offset = inst.objective_offset
+        cost_b = np.concatenate([lp.objective, np.zeros(lp.num_rows)])[basic]
+        self.g = sp.csr_matrix(np.sum(cost_b[:, None] * grad, axis=0)[None])
+
+    def screen(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of p (germs x sites*T) lie in the region, and Q at each
+        of those.  A germ lies in it when its negative slacks sum to at most
+        the simplex's FEAS_TOL.  Every product is CSR times dense, which is
+        single-threaded C and sums term by term in a fixed order; the rows
+        `ones` and `g` sum the slacks and Q that way, where numpy's sum
+        would switch to pairwise order for a single germ.  So no BLAS
+        routine runs, and a germ's screen and Q have the same bits in any
+        block."""
+        u = p - self.p0
+        slack = self.m @ u.T  # (rows, germs)
+        slack += self.f[:, None]
+        np.minimum(slack, 0.0, out=slack)
+        hit = (self.ones @ slack)[0] >= -FEAS_TOL
+        q = (self.g @ u[hit].T)[0]
+        return hit, (self.q0 + q) + self.offset
+
+
 class SedEvaluator:
     """Per-worker cost evaluator Q(germ) with warm-started basis reuse.
 
@@ -269,6 +341,14 @@ class SedEvaluator:
     unpickling rebuilds to start from the anchor, so the cold solve happens
     once, in the process that constructs the evaluator.  Safe to use from
     one worker at a time.
+
+    On a small LP (at most REGION_ROWS rows) the first `evaluate_batch`
+    also builds an atlas: the regions (`_Region`) of the optimal bases
+    reached on ATLAS_GERMS fixed germs.  Within a region its basis is
+    optimal and Q is affine in the wind power, so a batch takes most of
+    its values from the atlas without a simplex solve.  The atlas depends
+    on the anchor alone, so every process builds the same one, and a
+    pickled evaluator carries it once built.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
@@ -283,6 +363,8 @@ class SedEvaluator:
         self.segments = segments
         self.dim = spec.dimension
         self._next_power = None  # power row for the next `_load`, from a batch
+        self._next_q = None  # Q for the next call, screened by a batch
+        self._atlas = None  # regions of optimal bases, built at the first batch
         self._build(None)
         try:
             self._solver.solve_value()
@@ -343,7 +425,11 @@ class SedEvaluator:
         return _extract(self.inst, sol)
 
     def __call__(self, germ) -> float:
-        """Q(germ) only: skips schedule extraction on the hot path."""
+        """Q(germ) only: skips schedule extraction on the hot path.  A value
+        `evaluate_batch` screened for the germ is returned as it is."""
+        value, self._next_q = self._next_q, None  # never left stale
+        if value is not None:
+            return value
         germ = self._load(germ)
         try:
             value = self._solver.solve_value()
@@ -387,6 +473,57 @@ class SedEvaluator:
             cur = int(near[0])
         return order
 
+    def _regions(self) -> tuple[_Region, ...]:
+        """The atlas, built at the first call (not in the constructor, so a
+        single dispatch never pays for it); none for an LP of more than
+        REGION_ROWS rows, where germs rarely share a basis (on the 118-bus
+        case every germ ends in its own)."""
+        if self._atlas is None:
+            self._atlas = self._build_atlas() if self.inst.lp.num_rows <= REGION_ROWS else ()
+        return self._atlas
+
+    def _build_atlas(self) -> tuple[_Region, ...]:
+        """The regions of the optimal bases the solver reaches on ATLAS_GERMS
+        standard-normal germs from a fixed Philox key, toured from the
+        anchor: one region per distinct basis, the most reached first (ties
+        in the order reached), each taken about the power row of the tour's
+        first germ.  A germ whose LP fails adds no region, and the solver
+        starts again from the anchor.  The germs go to the solver directly,
+        not through `__call__`, so they are not evaluations."""
+        rng = np.random.Generator(np.random.Philox(key=0xA71A5))
+        germs = rng.standard_normal((ATLAS_GERMS, self.dim))
+        germs = germs[self._visit_order(germs)]
+        powers = self.spec.power(germs, self._site_labels)
+        reached: dict[bytes, list] = {}
+        self._solver.restart_from(self._anchor)
+        for power in powers:
+            self.inst.set_renewable(power)
+            try:
+                self._solver.solve_value()
+            except LpError:
+                self._solver.restart_from(self._anchor)
+                continue
+            basis = self._solver.basis()
+            reached.setdefault(basis.status.tobytes(), [0, basis])[0] += 1
+        fmat = self._solver._sim.fmat  # [A, -I], as the solver factorizes it
+        ranked = sorted(reached.values(), key=lambda hits_basis: -hits_basis[0])
+        return tuple(_Region(self.inst, fmat, basis, powers[0]) for _, basis in ranked)
+
+    def _screen(self, power: np.ndarray) -> np.ndarray:
+        """Q at each power row (germs x sites x T) that lies in a region of
+        the atlas, from the first such region in atlas order; NaN at the
+        rest."""
+        p = power.reshape(len(power), -1)
+        q = np.full(len(p), np.nan)
+        pending = np.arange(len(p))
+        for region in self._regions():
+            if not len(pending):
+                break
+            hit, value = region.screen(p[pending])
+            q[pending[hit]] = value
+            pending = pending[~hit]
+        return q
+
     def evaluate_batch(self, germs) -> np.ndarray:
         """Q for a batch of germs.  The batch starts from the anchor basis
         and visits its germs along a nearest-neighbour tour, so consecutive
@@ -394,19 +531,34 @@ class SedEvaluator:
         depend on its germs alone, not on what the evaluator solved before,
         so pool results do not depend on which worker ran which chunk.
         Results return in input order.  The germs are checked once, and
-        mapped to power one block of the tour at a time; each still goes
+        mapped to power one block of the tour at a time.
+
+        Each block is screened against the atlas before any simplex solve: a
+        germ inside a region takes that region's Q, from the first region
+        in atlas order, so its value depends on the germ and the atlas
+        alone.  A bound move keeps a basis dual feasible, so a basis primal
+        feasible within the simplex's FEAS_TOL is the simplex's own
+        optimum there, and the screened Q agrees with a simplex solve to
+        about an ulp.  The other germs take the tour's simplex, warm-started
+        from the previous one.  Each germ, screened or not, still goes once
         through `self(germ)`."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
         self._check(germs)
         out = np.empty(len(germs))
         if not len(germs):
             return out
+        self._regions()  # built first: building it runs the solver
         self._solver.restart_from(self._anchor)
         order = self._visit_order(germs)
         for start in range(0, len(order), POWER_BLOCK):
             block = order[start:start + POWER_BLOCK]
-            for i, power in zip(block, self.spec.power(germs[block], self._site_labels)):
-                self._next_power = power  # `__call__` stays the one path to Q
+            power = self.spec.power(germs[block], self._site_labels)
+            for i, row, q in zip(block, power, self._screen(power)):
+                # `__call__` stays the one path to Q
+                if np.isnan(q):
+                    self._next_power = row
+                else:
+                    self._next_q = float(q)
                 out[i] = self(germs[i])
         return out
 

@@ -13,6 +13,7 @@ from windsed import forecast as fc
 from windsed.grid_model import linearize_cost, parse_case
 from windsed import lp_solver
 from windsed.lp_solver import LinearProgram, LpSolution, solve_lp
+from windsed import sed_model as sed
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
                                _extract, _lead_buses, build_instance,
                                solve_dispatch)
@@ -350,9 +351,11 @@ def test_batch_power_rows_equal_single_germs_bit_for_bit(spec3, n):
 
 
 def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monkeypatch):
-    """A 1,100-germ batch maps power in three blocks, still passes every
-    germ once through `__call__` as its one argument, and gives the same
-    bits as calling the evaluator along the tour germ by germ."""
+    """A 1,100-germ batch maps power in three blocks, after the atlas's own
+    block of its 512 germs, and passes every batch germ once through
+    `__call__` as its one argument, and no atlas germ.  Its values agree
+    with calling the evaluator along the tour germ by germ, which runs the
+    simplex on every germ, to 1e-12: a screened Q moves by about an ulp."""
     germs = sample_germs(14, 1100, spec3.dimension)
     ev = SedEvaluator(case3, spec3)
     honest_call, honest_power = SedEvaluator.__call__, fc.ForecastSpec.power
@@ -370,13 +373,14 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
     monkeypatch.setattr(fc.ForecastSpec, "power", power)
     batch = ev.evaluate_batch(germs)
     monkeypatch.undo()
-    assert blocks == [512, 512, 76]
+    assert blocks == [sed.ATLAS_GERMS, 512, 512, 76]
     assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
     seen = sorted(tuple(args[0]) for args, _ in calls)
     assert seen == sorted(tuple(g) for g in germs)
     order = ev._visit_order(germs)
     ev._solver.restart_from(ev._anchor)
-    assert np.array_equal(batch[order], [ev(germs[i]) for i in order])
+    simplex = np.array([ev(germs[i]) for i in order])
+    assert np.allclose(batch[order], simplex, rtol=1e-12, atol=0.0)
 
 
 def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
@@ -384,13 +388,79 @@ def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
         raise lp_solver.LpError("singular basis")
 
     germs = sample_germs(15, 20, spec3.dimension)
+    germs[7] = 3.0  # outside every region of the atlas: a simplex solve
     ev = SedEvaluator(case3, spec3)
+    assert np.isnan(ev._screen(spec3.power(germs, ev._site_labels))).sum() == 1
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
     with pytest.raises(DispatchError, match="singular basis"):
         ev.evaluate_batch(germs)
     monkeypatch.undo()
+    assert ev._next_power is None and ev._next_q is None
     germ = np.full(spec3.dimension, -1.5)
     assert ev(germ) == SedEvaluator(case3, spec3)(germ)
+
+
+def _violations(ev: SedEvaluator, germ: np.ndarray) -> np.ndarray:
+    """Each atlas region's summed bound violation at the germ (zero inside)."""
+    p = ev.spec.power(germ, ev._site_labels).ravel()
+    out = []
+    for region in ev._regions():
+        slack = region.f + region.m @ (p - region.p0)
+        out.append(-np.minimum(slack, 0.0).sum())
+    return np.array(out)
+
+
+def test_screened_q_matches_the_simplex(case3, spec3):
+    """Most germs of a batch take their Q from a region of the atlas, and
+    that Q equals what the simplex gives a fresh evaluator at the germ to
+    1e-12 relative."""
+    germs = sample_germs(16, 2000, spec3.dimension)
+    ev = SedEvaluator(case3, spec3)
+    batch = ev.evaluate_batch(germs)
+    screened = ~np.isnan(ev._screen(spec3.power(germs, ev._site_labels)))
+    assert screened.mean() > 0.8
+    fresh = SedEvaluator(case3, spec3)
+    simplex = np.array([fresh(g) for g in germs])
+    assert np.allclose(batch, simplex, rtol=1e-12, atol=0.0)
+
+
+def test_screened_q_matches_the_simplex_on_a_region_boundary(case3, spec3):
+    """Bisect from a germ inside the first region of the atlas toward one
+    outside it, onto the point where its basis stops being feasible and a
+    second region's basis holds: both regions' Q, and the batch's, equal
+    the simplex's there to 1e-12 relative."""
+    ev = SedEvaluator(case3, spec3)
+    germs = sample_germs(17, 40, spec3.dimension)
+    inside = [_violations(ev, g)[0] == 0.0 for g in germs]
+    a, b = germs[inside.index(True)], germs[inside.index(False)]
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _violations(ev, a + mid * (b - a))[0] == 0.0 else (lo, mid)
+    edge = a + hi * (b - a)
+    viol = _violations(ev, edge)
+    assert 0.0 < viol[0] <= lp_solver.FEAS_TOL
+    holds = np.flatnonzero(viol[1:] == 0.0) + 1
+    assert len(holds)  # a second basis of the atlas is feasible at the edge
+    simplex = SedEvaluator(case3, spec3)(edge)
+    p = spec3.power(edge[None], ev._site_labels).reshape(1, -1)
+    for k in (0, holds[0]):
+        hit, q = ev._regions()[k].screen(p)
+        assert hit[0] and q[0] == pytest.approx(simplex, rel=1e-12)
+    assert ev.evaluate_batch(edge[None])[0] == pytest.approx(simplex, rel=1e-12)
+
+
+def test_atlas_germs_are_not_evaluations(case3, spec3, monkeypatch):
+    """The atlas solves its germs on the solver directly, never through
+    `__call__`, so a tracer counting evaluations sees the batch's alone."""
+    ev = SedEvaluator(case3, spec3)
+
+    def no_call(self, germ):
+        raise AssertionError("atlas germ passed through __call__")
+
+    monkeypatch.setattr(SedEvaluator, "__call__", no_call)
+    assert len(ev._regions()) > 1
+    assert ev._regions() is ev._regions()  # built once
 
 
 def test_solution_csv_export(case3):
@@ -638,6 +708,7 @@ def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch
     seen = _spy_solver(monkeypatch)
     refactors = _spy_refactorizations(monkeypatch)
     values = ev.evaluate_batch(sample_germs(3, 8, spec118.dimension))
+    assert ev._atlas == ()  # above REGION_ROWS: every germ takes the simplex
     assert np.all(np.isfinite(values))
     assert sum(seen["primal"]) == 0
     assert seen["dual"] == ["optimal"] * 8
@@ -658,15 +729,20 @@ def test_small_lp_refactorizes_when_its_etas_reach_the_lu_size(case3, spec3, mon
     assert max(by_size) < lp_solver.REFACTOR_EVERY // 2
 
 
-def test_over_generation_fails_naming_the_germ(case3, monkeypatch):
-    """With 90 MW sites on the 3-bus case a windy germ pushes wind above load
-    less committed minimum output, so the dispatch LP has no feasible point.
-    The dual re-solve reports it infeasible, the evaluator names the germ,
-    and it still evaluates feasible germs afterwards."""
+def _over_generation_case():
+    """The 3-bus case with 90 MW sites, where a windy germ pushes wind above
+    load less committed minimum output: its dispatch LP has no feasible
+    point."""
     text = (DATA / "case3.txt").read_text()
     for label in ("site_a 40.0", "site_b 30.0"):
         text = text.replace(label, label.split()[0] + " 90.0")
-    case = parse_case(text)
+    return parse_case(text)
+
+
+def test_over_generation_fails_naming_the_germ(monkeypatch):
+    """The dual re-solve reports a windy germ infeasible, the evaluator names
+    the germ, and it still evaluates feasible germs afterwards."""
+    case = _over_generation_case()
     spec = make_spec3(case)
     ev = SedEvaluator(case, spec)
     q0 = ev(np.zeros(spec.dimension))
@@ -678,3 +754,23 @@ def test_over_generation_fails_naming_the_germ(case3, monkeypatch):
         ev.solve(germ)
     assert seen["dual"][:2] == ["infeasible", "infeasible"]
     assert ev(np.zeros(spec.dimension)) == pytest.approx(q0, rel=1e-12)
+
+
+def test_atlas_failures_do_not_abort_a_batch(monkeypatch):
+    """On the over-generation case many atlas germs are infeasible.  They add
+    no region and the atlas goes on from the anchor, so a batch of calm
+    germs evaluates, and a windy germ inside a batch is still named."""
+    case = _over_generation_case()
+    spec = make_spec3(case)
+    ev = SedEvaluator(case, spec)
+    seen = _spy_solver(monkeypatch)
+    calm = -np.abs(sample_germs(5, 40, spec.dimension))
+    values = ev.evaluate_batch(calm)
+    assert seen["dual"].count("infeasible") > 10  # atlas germs that failed
+    assert len(ev._regions()) > 1
+    fresh = SedEvaluator(case, spec)
+    assert np.allclose(values, [fresh(g) for g in calm], rtol=1e-12, atol=0.0)
+    calm[17] = [2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+    with pytest.raises(DispatchError, match=r"at germ array\(\[2\., 0\., .*infeasible"):
+        ev.evaluate_batch(calm)
+    assert ev._next_power is None and ev._next_q is None
