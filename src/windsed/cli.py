@@ -101,6 +101,8 @@ class ExperimentConfig:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML: {exc}") from None
         if not isinstance(raw, dict):

@@ -52,13 +52,13 @@ def synthetic_wind_table(site: SyntheticSite, days: int, seed: int,
         key=[np.uint64(seed), np.uint64(_PHILOX_TAG_DATAGEN)]))
     xi = rng.standard_normal((days, HOURS))
     speeds = np.exp(reconstruct(basis, xi, HOURS))  # (days, 24)
+    powers = curve(speeds)
     day0 = datetime.date.fromisoformat(start)
     rows = []
     for d in range(days):
         stamp_day = day0 + datetime.timedelta(days=d)
         for h in range(HOURS):
-            s = float(speeds[d, h])
-            p = float(curve(s))
+            s, p = float(speeds[d, h]), float(powers[d, h])
             for m in range(0, 60, 10):
                 ts = f"{stamp_day.isoformat()}T{h:02d}:{m:02d}:00"
                 rows.append((ts, s, p))

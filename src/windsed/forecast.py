@@ -71,12 +71,8 @@ def _pooled_lag_data(cov: np.ndarray):
     diag = np.diag(cov)
     if np.any(diag <= 0):
         raise ForecastError("covariance has nonpositive diagonal")
-    lags, vals = [], []
-    for i in range(n):
-        for j in range(n):
-            lags.append(abs(i - j))
-            vals.append(cov[i, j] / diag[i])
-    return np.array(lags, dtype=float), np.array(vals)
+    r = np.arange(n, dtype=float)
+    return np.abs(r[:, None] - r[None, :]).ravel(), (cov / diag[:, None]).ravel()
 
 
 def fit_matern(cov: np.ndarray) -> MaternKernel:

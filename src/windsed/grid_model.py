@@ -199,8 +199,7 @@ _SECTIONS = ("CASE", "BUS", "BRANCH", "GEN", "RENEWABLE", "COMMITMENT")
 def parse_case(text: str) -> GridCase:
     """Parse the documented case format into a validated GridCase."""
     periods = None
-    shed = 5000.0
-    base_mva = 100.0
+    options = {"SHED_PENALTY": 5000.0, "BASE_MVA": 100.0}
     bus_rows, branch_rows, gen_rows, ren_rows, commit_rows = [], [], [], [], []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -219,10 +218,14 @@ def parse_case(text: str) -> GridCase:
                     try:
                         if key == "T":
                             periods = int(val)
-                        elif key == "SHED_PENALTY":
-                            shed = float(val)
-                        elif key == "BASE_MVA":
-                            base_mva = float(val)
+                            if periods < 1:
+                                raise CaseFormatError(f"T must be at least 1, got {val}",
+                                                      lineno)
+                        elif key in options:
+                            options[key] = float(val)
+                            if not 0.0 < options[key] < float("inf"):
+                                raise CaseFormatError(
+                                    f"{key} must be positive and finite, got {val}", lineno)
                         else:
                             raise CaseFormatError(f"unknown CASE option {key}", lineno)
                     except ValueError as exc:
@@ -310,9 +313,13 @@ def parse_case(text: str) -> GridCase:
         raise CaseFormatError("duplicate renewable site label")
 
     return GridCase(tuple(buses), tuple(lines), tuple(gens), tuple(sites),
-                    periods, shed, base_mva)
+                    periods, options["SHED_PENALTY"], options["BASE_MVA"])
 
 
 def load_case(path) -> GridCase:
-    with open(path, encoding="utf-8") as fh:
-        return parse_case(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_case(text)

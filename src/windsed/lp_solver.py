@@ -16,6 +16,11 @@ bounds are kept per basis slot, a phase-2 bound flip keeps the reduced
 costs it was priced with, and a re-solve that stays primal feasible
 certifies its optimum with the reduced costs its previous solve ended on.
 
+One object, `RepeatSolver`, holds [A, -I], the bounds, the basis, the
+factors and the counters; one driver, `RepeatSolver._optimize`, runs the
+dual (`run_dual`) and primal (`run_phase`) loops and every recovery path.
+`solve_lp` is a single solve through it.
+
 No external LP solver is used anywhere; scipy supplies only the sparse LU.
 """
 from __future__ import annotations
@@ -229,22 +234,55 @@ class _Factors:
         return len(self.etas) >= REFACTOR_EVERY or self.eta_nnz >= self.lu_nnz
 
 
-class _Simplex:
-    def __init__(self, lp: LinearProgram):
+def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
+    """Solve an LP once; deterministic for identical inputs.
+
+    A warm-start basis (typically from a previous scenario that differs only
+    in bound data) is validated and used as the starting point; a singular
+    warm basis raises LpError rather than being silently repaired.
+    """
+    return RepeatSolver(lp, warm_basis).solve()
+
+
+class RepeatSolver:
+    """Re-solves one LP structure under changing bounds.
+
+    Keeps the constraint matrix [A, -I], the basis and its LU factors alive
+    between calls, so a scenario sweep pays for factorization once.  The
+    matrix must not change; bounds may, and each solve takes the LP's
+    current ones.  Bound moves leave reduced costs untouched, so the
+    previous optimal basis stays dual feasible.  When it is also still
+    primal feasible it is still optimal, and the re-solve costs one
+    triangular solve for x and no pivot and no pricing pass: the reduced
+    costs the previous solve certified belong to the same basis and
+    factors, so they certify it again.  Otherwise the dual simplex repairs
+    primal feasibility from it, and one phase-2 pricing pass certifies the
+    result.
+
+    The first solve starts from `start` when given (a crash basis built for
+    the LP's structure, such as the dispatch LP's DC power flow, which puts
+    the cold solve's phase 1 close to feasibility), else from the slack
+    basis.  A solve that fails numerically is
+    retried once from that same start basis, through the same phases and
+    feasibility certification; `restarts` counts these retries.
+    `restart_from` replaces the start basis and makes the next solve begin
+    there, so a caller can pin a sweep's starting point; an optimal basis
+    given there is re-solved by the dual simplex too.  `load` takes a basis
+    without solving, for a caller that reads its x and factors.
+    """
+
+    def __init__(self, lp: LinearProgram, start: Basis | None = None):
         self.lp = lp
+        lp.validate()
         self.m = lp.num_rows
         self.n = lp.num_cols
-        amat = lp.matrix()
         self.fmat = sp.hstack(
-            [amat, -sp.identity(self.m, format="csc")], format="csc"
+            [lp.matrix(), -sp.identity(self.m, format="csc")], format="csc"
         )
         self.fmat.sum_duplicates()
         self.fmat_t = self.fmat.T.tocsr()  # cached for pricing
-        self.lower = np.concatenate([lp.col_lower, lp.row_lower])
-        self.upper = np.concatenate([lp.col_upper, lp.row_upper])
         self.cost = np.concatenate([lp.objective, np.zeros(self.m)])
-        self.fixed = self.lower == self.upper
-        self.iterations = 0
+        self._reset()
         self.factors: _Factors | None = None
         self.basic: np.ndarray | None = None
         self.status: np.ndarray | None = None
@@ -252,17 +290,62 @@ class _Simplex:
         # bounds of the basic variables, per basis slot
         self.lb: np.ndarray | None = None
         self.ub: np.ndarray | None = None
-        self.stall = 0
-        self.use_bland = False
         # reduced costs of the current basis and factors, from the phase-2
         # pass that ended the last solve; bound moves leave them valid, so
-        # the next `run` takes them up, and a basis change or a
+        # the next solve takes them up, and a basis change or a
         # refactorization drops them
         self.certified_d: np.ndarray | None = None
+        self._start_basis = start if start is not None else make_basis(lp)
+        self._started = False
+        self.restarts = 0
+
+    def basis(self) -> Basis:
+        """The current basis (after a solve: the optimal one)."""
+        return Basis(self.basic.copy(), self.status.copy())
+
+    def restart_from(self, basis: Basis):
+        """Begin the next solve, and any retry, from `basis`."""
+        self._start_basis = basis
+        self._started = False
+
+    def load(self, basis: Basis):
+        """Take `basis` at the LP's current bounds, with no pivot: factorize
+        it afresh and set x (and `lower`, `upper`, `factors`).  The next
+        solve still begins from the start basis."""
+        self._reset()
+        self._start(basis)
+        self._started = False
+
+    def solve(self) -> LpSolution:
+        """Solve against the LP's current bound arrays (mutate lp.row_lower
+        etc. between calls)."""
+        return self._solution(self._optimize())
+
+    def solve_value(self) -> float:
+        """Optimal objective only; skips dual extraction and basis export."""
+        status = self._optimize()
+        if status != "optimal":
+            raise LpError(f"repeat solve ended {status}")
+        return self.objective()
+
+    def objective(self) -> float:
+        """c.x over the structural columns.  An elementwise product and a
+        numpy sum, not a dot: at dispatch sizes a BLAS dot wakes OpenBLAS
+        helper threads that then spin between solves."""
+        return float(np.sum(self.cost[: self.n] * self.x[: self.n]))
 
     # -- basis management ---------------------------------------------------
 
-    def start_warm(self, basis: Basis):
+    def _reset(self):
+        """Take the LP's current bounds and zero the per-solve counters."""
+        self.lower = np.concatenate([self.lp.col_lower, self.lp.row_lower])
+        self.upper = np.concatenate([self.lp.col_upper, self.lp.row_upper])
+        self.fixed = self.lower == self.upper
+        self.iterations = 0
+        self.stall = 0  # degenerate pivots in a row
+        self.use_bland = False
+
+    def _start(self, basis: Basis):
         if basis.basic.shape != (self.m,) or basis.status.shape != (self.n + self.m,):
             raise ValueError("warm-start basis has wrong dimensions")
         if np.count_nonzero(basis.status == BASIC) != self.m:
@@ -270,14 +353,6 @@ class _Simplex:
         self.basic = basis.basic.copy()
         self.status = basis.status.copy()
         self._refactorize()  # raises LpError if singular
-
-    def _nonbasic_value(self, j: int) -> float:
-        st = self.status[j]
-        if st == AT_LOWER:
-            return self.lower[j]
-        if st == AT_UPPER:
-            return self.upper[j]
-        return 0.0
 
     def _recompute_x(self):
         x = np.where(self.status == AT_UPPER, self.upper, self.lower)
@@ -402,14 +477,14 @@ class _Simplex:
 
     def _pivot(self, q: int, sigma: float, delta: np.ndarray, t: float,
                pos: int, leave_bound: float):
-        entering_from = self._nonbasic_value(q)
         self.x[self.basic] -= sigma * t * delta
         if pos == -1:  # bound flip
-            self.status[q] = AT_UPPER if self.status[q] == AT_LOWER else AT_LOWER
-            self.x[q] = self._nonbasic_value(q)
+            up = self.status[q] == AT_LOWER
+            self.status[q] = AT_UPPER if up else AT_LOWER
+            self.x[q] = self.upper[q] if up else self.lower[q]
             return
         leaving = self.basic[pos]
-        self.x[q] = entering_from + sigma * t
+        self.x[q] += sigma * t  # a nonbasic x holds its bound, or 0 if free
         self.x[leaving] = leave_bound
         self.status[leaving] = (
             AT_LOWER if leave_bound == self.lower[leaving] else AT_UPPER
@@ -435,7 +510,55 @@ class _Simplex:
             self.stall = 0
             self.use_bland = False
 
-    # -- main loops ----------------------------------------------------------
+    # -- the driver ----------------------------------------------------------
+
+    def _optimize(self) -> str:
+        """Solve at the LP's current bounds: from the current basis once
+        started (its nonbasic variables snap to the moved bounds), else from
+        the start basis.
+
+        A basis that a bound move left primal infeasible but dual feasible
+        (every re-solve of a sweep) goes through the dual simplex, checked
+        on the reduced costs the previous solve certified, so in no pricing
+        pass.  Then phase 1 (re-checked on a fresh factorization before
+        declaring infeasibility) and phase 2 certify the result: one that
+        stayed primal feasible, with those same reduced costs.  An optimum's
+        primal side is re-verified, and the solve resumes on a fresh
+        factorization, up to three times, if the incremental x drifted.  A
+        solve that fails numerically is retried once from the start basis."""
+        self._reset()
+        if self._started:
+            self._recompute_x()
+        else:
+            self._start(self._start_basis)
+            self._started = True
+        for retry in (False, True):
+            try:
+                for check in range(4):  # a solve, then up to three re-certifications
+                    if check:
+                        self._refactorize()
+                    status = "optimal"
+                    if self._infeasibility() > FEAS_TOL:
+                        d = self.certified_d
+                        if d is None:
+                            d, _ = self._reduced_costs(self.cost)
+                        if self._choose_entering(d) < 0:
+                            status = self.run_dual(d)
+                    if status == "optimal":
+                        status = self.run_phase(phase1=True)
+                        if status == "infeasible":
+                            self._refactorize()
+                            status = self.run_phase(phase1=True)
+                        if status == "feasible":
+                            status = self.run_phase(phase1=False)
+                    if status != "optimal" or self._infeasibility() <= FEAS_TOL:
+                        return status
+                raise LpError("could not certify feasibility in repeat solve")
+            except LpError:
+                if retry:
+                    raise
+                self.restarts += 1
+                self._start(self._start_basis)
 
     def run_phase(self, phase1: bool) -> str:
         """Primal simplex until optimal for the phase's costs.  A phase-2
@@ -469,37 +592,6 @@ class _Simplex:
             self._pivot(q, sigma, delta, t, pos, leave_bound)
             if phase1 or pos != -1:
                 d = None
-
-    def run_phases(self) -> str:
-        """Phase 1 (re-checked on a fresh factorization before declaring
-        infeasibility), then phase 2 once feasible."""
-        status = self.run_phase(phase1=True)
-        if status == "infeasible":
-            self._refactorize()
-            status = self.run_phase(phase1=True)
-        if status == "feasible":
-            status = self.run_phase(phase1=False)
-        return status
-
-    def run(self) -> str:
-        """Solve from the current basis.  A basis that some bound moved out
-        of primal feasibility but that is still dual feasible (every
-        re-solve of a scenario sweep) goes through the dual simplex; any
-        other goes through the primal phases, which also certify the dual's
-        result with one phase-2 pricing pass.  A re-solve checks dual
-        feasibility on the reduced costs its previous solve certified, so
-        the check itself costs no pricing pass, and one that stays primal
-        feasible certifies its optimum with them, in no pricing pass at
-        all."""
-        if self._infeasibility() > FEAS_TOL:
-            d = self.certified_d
-            if d is None:
-                d, _ = self._reduced_costs(self.cost)
-            if self._choose_entering(d) < 0:
-                status = self.run_dual(d)
-                if status != "optimal":
-                    return status
-        return self.run_phases()
 
     # -- dual simplex ---------------------------------------------------------
 
@@ -578,133 +670,16 @@ class _Simplex:
             else:  # refactorized: start d afresh too
                 d, _ = self._reduced_costs(self.cost)
 
-    def objective(self) -> float:
-        """c.x over the structural columns.  An elementwise product and a
-        numpy sum, not a dot: at dispatch sizes a BLAS dot wakes OpenBLAS
-        helper threads that then spin between solves."""
-        return float(np.sum(self.cost[: self.n] * self.x[: self.n]))
-
     def _solution(self, status: str) -> LpSolution:
         d, y = self._reduced_costs(self.cost)
-        x = self.x[: self.n]
-        obj = self.objective()
         viol = float(np.max(np.maximum(*self._violations()), initial=0.0))
-        if status == "infeasible":
-            obj = float("nan")
         return LpSolution(
             status=status,
-            objective=obj,
-            x=x.copy(),
+            objective=float("nan") if status == "infeasible" else self.objective(),
+            x=self.x[: self.n].copy(),
             row_duals=y.copy(),
             reduced_costs=d[: self.n].copy(),
             iterations=self.iterations,
-            basis=Basis(self.basic.copy(), self.status.copy()),
+            basis=self.basis(),
             max_bound_violation=viol,
         )
-
-
-def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
-    """Solve an LP once; deterministic for identical inputs.
-
-    A warm-start basis (typically from a previous scenario that differs only
-    in bound data) is validated and used as the starting point; a singular
-    warm basis raises LpError rather than being silently repaired.
-    """
-    return RepeatSolver(lp, warm_basis).solve()
-
-
-class RepeatSolver:
-    """Re-solves one LP structure under changing bounds.
-
-    Keeps the constraint matrix, basis, and LU factors alive between calls,
-    so a scenario sweep pays for factorization once.  The matrix must not
-    change; bounds may.  Bound moves leave reduced costs untouched, so the
-    previous optimal basis stays dual feasible.  When it is also still
-    primal feasible it is still optimal, and the re-solve costs one
-    triangular solve for x and no pivot and no pricing pass: the reduced
-    costs the previous solve certified belong to the same basis and
-    factors, so they certify it again.  Otherwise the dual simplex repairs
-    primal feasibility from it, and one phase-2 pricing pass certifies the
-    result.
-
-    The first solve starts from `start` when given (a crash basis built for
-    the LP's structure, such as the dispatch LP's DC power flow, which puts
-    the cold solve's phase 1 close to feasibility), else from the slack
-    basis.  A solve that fails numerically is
-    retried once from that same start basis, through the same phases and
-    feasibility certification; `restarts` counts these retries.
-    `restart_from` replaces the start basis and makes the next solve begin
-    there, so a caller can pin a sweep's starting point; an optimal basis
-    given there is re-solved by the dual simplex too.
-    """
-
-    def __init__(self, lp: LinearProgram, start: Basis | None = None):
-        self.lp = lp
-        lp.validate()
-        self._sim = _Simplex(lp)
-        self._start_basis = start if start is not None else make_basis(lp)
-        self._started = False
-        self.restarts = 0
-
-    def _start(self):
-        self._sim.start_warm(self._start_basis)
-        self._started = True
-
-    def basis(self) -> Basis:
-        """The current basis (after a solve: the optimal one)."""
-        return Basis(self._sim.basic.copy(), self._sim.status.copy())
-
-    def restart_from(self, basis: Basis):
-        """Begin the next solve, and any retry, from `basis`."""
-        self._start_basis = basis
-        self._started = False
-
-    def _optimize(self) -> str:
-        sim = self._sim
-        status = sim.run()
-        if status == "optimal":
-            # phase 2 exits on a full pricing pass, so dual feasibility is
-            # already certified with the live factors; re-verify the primal
-            # side and resume if the incremental x drifted.
-            for _ in range(3):
-                if sim._infeasibility() <= FEAS_TOL:
-                    break
-                sim._refactorize()
-                status = sim.run()
-                if status != "optimal":
-                    break
-            else:
-                raise LpError("could not certify feasibility in repeat solve")
-        return status
-
-    def _run(self) -> str:
-        sim = self._sim
-        sim.lower = np.concatenate([self.lp.col_lower, self.lp.row_lower])
-        sim.upper = np.concatenate([self.lp.col_upper, self.lp.row_upper])
-        sim.fixed = sim.lower == sim.upper
-        sim.iterations = 0
-        sim.stall = 0
-        sim.use_bland = False
-        if self._started:
-            # statuses survive; nonbasic variables snap to the moved bounds
-            sim._recompute_x()
-        else:
-            self._start()
-        try:
-            return self._optimize()
-        except LpError:
-            self.restarts += 1
-            self._start()
-            return self._optimize()
-
-    def solve(self) -> LpSolution:
-        """Solve against the LP's current bound arrays (mutate lp.row_lower
-        etc. between calls)."""
-        return self._sim._solution(self._run())
-
-    def solve_value(self) -> float:
-        """Optimal objective only; skips dual extraction and basis export."""
-        status = self._run()
-        if status != "optimal":
-            raise LpError(f"repeat solve ended {status}")
-        return self._sim.objective()

@@ -243,7 +243,7 @@ class PCESurrogate:
     def __call__(self, xi):
         """Value at one point (d,) as a float, or at many (N, d) as an array,
         each the correctly rounded (fsum) sum of its terms: a BLAS dot rounds
-        by memory alignment, and a gemv wakes threads (`_Simplex.objective`)."""
+        by memory alignment, and a gemv wakes threads (`RepeatSolver.objective`)."""
         terms = eval_basis(self.idxset, xi) * self.coefficients
         if terms.ndim == 1:
             return math.fsum(terms)

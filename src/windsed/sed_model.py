@@ -16,9 +16,8 @@ from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
-from .lp_solver import (AT_UPPER, BASIC, FEAS_TOL, FREE_NB, Basis, LinearProgram,
-                        LpError, LpSolution, RepeatSolver, _Factors, make_basis,
-                        solve_lp)
+from .lp_solver import (AT_UPPER, BASIC, FEAS_TOL, Basis, LinearProgram, LpError,
+                        LpSolution, RepeatSolver, make_basis, solve_lp)
 
 INF = float("inf")
 POWER_BLOCK = 512  # germs a batch maps to power at once: bounds its memory
@@ -274,28 +273,25 @@ class _Region:
     the rows of f + M u, and Q = q0 + g.u.  With D the derivative of each
     basic variable less its lower bound (a basic balance-row logical's
     bounds move with p too), a lower bound's row of M is D's and an upper
-    bound's is -D's.  The region comes from a fresh factorization of the
-    basis (`_Factors`), so it depends on the basis and p0 alone."""
+    bound's is -D's.  The region comes from the solver's fresh
+    factorization of the basis at p0 (`RepeatSolver.load`), so it depends on
+    the basis and p0 alone."""
 
-    def __init__(self, inst: DispatchInstance, fmat: sp.csc_matrix, basis: Basis,
+    def __init__(self, inst: DispatchInstance, solver: RepeatSolver, basis: Basis,
                  p0: np.ndarray):
         lp, status, basic = inst.lp, basis.status, basis.basic
         n, T = lp.num_cols, inst.case.periods
         inst.set_renewable(p0)
-        lower = np.concatenate([lp.col_lower, lp.row_lower])
-        upper = np.concatenate([lp.col_upper, lp.row_upper])
-        x = np.where(status == AT_UPPER, upper, lower)
-        x[(status == FREE_NB) | (status == BASIC)] = 0.0
-        lu = _Factors(fmat, basic).lu
+        solver.load(basis)
+        x, lower, upper = solver.x, solver.lower, solver.upper
         # the balance-row logical each entry of p moves: its value is
-        # balance_base - p, and its fmat column is -e_row
+        # balance_base - p, and its [A, -I] column is -e_row
         logical = n + (inst.site_bus[:, None] * T + np.arange(T)).ravel()
         entry = np.arange(logical.size)
         moves = np.zeros((lp.num_rows, logical.size))
         nonbasic = status[logical] != BASIC
         moves[logical[nonbasic] - n, entry[nonbasic]] = -1.0
-        x[basic] = lu.solve(-(fmat @ x))
-        grad = lu.solve(moves)  # d x_B / d p
+        grad = solver.factors.lu.solve(moves)  # d x_B / d p
         slot = np.full(len(status), -1)
         slot[basic] = np.arange(len(basic))
         held = slot[logical] >= 0
@@ -307,9 +303,9 @@ class _Region:
                                  (upper[basic] - x[basic])[up]])
         self.m = sp.csr_matrix(np.vstack([slack[lo], -slack[up]]))
         self.ones = sp.csr_matrix(np.ones((1, len(self.f))))
-        self.q0 = float(np.sum(lp.objective * x[:n]))
+        self.q0 = solver.objective()
         self.offset = inst.objective_offset
-        cost_b = np.concatenate([lp.objective, np.zeros(lp.num_rows)])[basic]
+        cost_b = solver.cost[basic]
         self.g = sp.csr_matrix(np.sum(cost_b[:, None] * grad, axis=0)[None])
 
     def screen(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,9 +501,9 @@ class SedEvaluator:
                 continue
             basis = self._solver.basis()
             reached.setdefault(basis.status.tobytes(), [0, basis])[0] += 1
-        fmat = self._solver._sim.fmat  # [A, -I], as the solver factorizes it
         ranked = sorted(reached.values(), key=lambda hits_basis: -hits_basis[0])
-        return tuple(_Region(self.inst, fmat, basis, powers[0]) for _, basis in ranked)
+        return tuple(_Region(self.inst, self._solver, basis, powers[0])
+                     for _, basis in ranked)
 
     def _screen(self, power: np.ndarray) -> np.ndarray:
         """Q at each power row (germs x sites x T) that lies in a region of

@@ -1,4 +1,4 @@
-"""Per-candidate loop form of `_Simplex._ratio_test`, kept as the reference
+"""Per-candidate loop form of `RepeatSolver._ratio_test`, kept as the reference
 the vectorized version is checked against."""
 import numpy as np
 

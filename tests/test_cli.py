@@ -264,6 +264,27 @@ def _number_label(key):
     return edit
 
 
+def _case_edit(old: bytes, new: bytes):
+    """Config edit pointing `case` at a copy of the 3-bus case with `old`
+    replaced by `new`, written next to the output directory."""
+    def edit(raw):
+        text = (DATA / "case3.txt").read_bytes()
+        assert old in text
+        path = Path(raw["out"]).parent / "edited_case.txt"
+        path.write_bytes(text.replace(old, new, 1))
+        raw["case"] = str(path)
+    return edit
+
+
+def _raw_line(key, line: bytes):
+    """Config edit replacing `key` with `line`, raw bytes written after the
+    rest of the config."""
+    def edit(raw):
+        del raw[key]
+        return line
+    return edit
+
+
 SITE_A = "forecast.sites.site_a"
 SYN_A = "wind.synthetic.sites.site_a"
 
@@ -324,6 +345,18 @@ SYN_A = "wind.synthetic.sites.site_a"
      "`wind.data.site_a` must be a file path, got 0"),
     (["dispatch"], _number_label(SITE_A), 2,
      "`forecast.sites` keys must be strings, got 1"),
+    (["study"], _raw_line("seed", b"seed: \xff\xfe\n"), 2, "config.yaml: not UTF-8 text"),
+    (["dispatch"], _case_edit(b"# Three-bus", b"# \xff Three-bus"), 3,
+     "edited_case.txt: not UTF-8 text"),
+    (["dispatch"], _case_edit(b"T=24", b"T=0"), 3, "line 5: T must be at least 1"),
+    (["dispatch"], _case_edit(b"SHED_PENALTY=5000.0", b"SHED_PENALTY=-5"), 3,
+     "line 5: SHED_PENALTY must be positive and finite, got -5"),
+    (["dispatch"], _case_edit(b"SHED_PENALTY=5000.0", b"SHED_PENALTY=inf"), 3,
+     "line 5: SHED_PENALTY must be positive and finite, got inf"),
+    (["dispatch"], _case_edit(b"BASE_MVA=100.0", b"BASE_MVA=nan"), 3,
+     "line 5: BASE_MVA must be positive and finite, got nan"),
+    (["dispatch"], _case_edit(b"BASE_MVA=100.0", b"BASE_MVA=-100"), 3,
+     "line 5: BASE_MVA must be positive and finite, got -100"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -341,7 +374,9 @@ SYN_A = "wind.synthetic.sites.site_a"
         "forecast-site-unknown-key", "forecast-unknown-key", "forecast-nameplate",
         "synthetic-site-unknown-key", "synthetic-unknown-key", "wind-unknown-key",
         "wind-data-label-not-a-string", "wind-data-path-not-a-string",
-        "forecast-site-label-not-a-string"])
+        "forecast-site-label-not-a-string", "config-not-utf8", "case-not-utf8",
+        "case-periods-zero", "case-shed-penalty-negative", "case-shed-penalty-inf",
+        "case-base-mva-nan", "case-base-mva-negative"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and
@@ -361,8 +396,8 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
     path = write_config(tmp_path)
     if edit:
         raw = yaml.safe_load(path.read_text())
-        edit(raw)
-        path.write_text(yaml.safe_dump(raw))
+        tail = edit(raw) or b""
+        path.write_bytes(yaml.safe_dump(raw).encode() + tail)
     argv = [a.format(good=good, corrupt=corrupt, other=other, empty=empty, dump=dump)
             for a in args]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == code

@@ -87,6 +87,27 @@ def test_fit_rejects_constant_covariance():
         fc.fit_matern(np.ones((24, 24)))
 
 
+def test_pooled_lag_data_matches_the_pairwise_loop():
+    """The lag cloud the fit runs on is, bit for bit, the loop over anchor
+    rows i and columns j: lag |i - j| against cov[i, j] / cov[i, i]."""
+    a = np.random.default_rng(3).normal(size=(24, 24))
+    cov = a @ a.T + 24.0 * np.eye(24)
+    pairs = [(i, j) for i in range(24) for j in range(24)]
+    lags, vals = fc._pooled_lag_data(cov)
+    assert np.array_equal(lags, np.array([abs(i - j) for i, j in pairs], dtype=float))
+    assert np.array_equal(vals, np.array([cov[i, j] / cov[i, i] for i, j in pairs]))
+
+
+def test_power_curve_on_an_array_matches_scalar_calls():
+    """A power curve maps an array of speeds, cut-in and cut-out included,
+    to the same bits as one call per speed (synthetic wind tables map a
+    whole (days, 24) array at once)."""
+    curve = default_power_curve()
+    speeds = np.exp(np.random.default_rng(4).normal(2.0, 0.6, (40, 24)))
+    speeds[0, :5] = [0.5, 3.2, 9.0, 26.0, 40.0]
+    assert np.array_equal(curve(speeds), [[curve(float(s)) for s in row] for row in speeds])
+
+
 # -- sigma_P -> sigma_W --------------------------------------------------------
 
 def test_sigma_w_zero_for_zero_sigma_p():

@@ -160,7 +160,7 @@ def test_repeat_solver_tracks_bound_sweeps():
 def test_ratio_test_matches_reference_loop(monkeypatch):
     """Every ratio test on the random oracle LPs, in both phases and under
     Bland's rule, agrees bit for bit with the per-candidate loop."""
-    vectorized = lp_solver._Simplex._ratio_test
+    vectorized = lp_solver.RepeatSolver._ratio_test
     seen = {True: 0, False: 0, "bland": 0}
     force_bland = [False]
 
@@ -180,7 +180,7 @@ def test_ratio_test_matches_reference_loop(monkeypatch):
         sim.use_bland = bland
         return got
 
-    monkeypatch.setattr(lp_solver._Simplex, "_ratio_test", checked)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_ratio_test", checked)
     rng = np.random.default_rng(2718)
     for k in range(120):
         force_bland[0] = k % 4 == 0
@@ -200,8 +200,8 @@ def test_ratio_test_matches_reference_on_near_ties():
         row_up[row_lo == -INF] = rng.choice([INF, 1.0])
         lp = LinearProgram(n, m, np.zeros(n), [], [], [], row_lo, row_up,
                            np.zeros(n), rng.choice([1.0, INF], n))
-        sim = lp_solver._Simplex(lp)
-        sim.start_warm(make_basis(lp))
+        sim = RepeatSolver(lp)
+        sim.load(make_basis(lp))
         bound = np.where(np.isfinite(row_lo), row_lo, np.where(np.isfinite(row_up), row_up, 0.0))
         sim.x[sim.basic] = bound + rng.choice([-2e-7, -1e-8, 0.0, 3e-9, 5e-8, 0.5], m)
         delta = rng.choice([-2.0, -1.0, -0.5, 0.0, 1e-10, 0.5, 1.0, 2.0], m)
@@ -234,7 +234,7 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
     lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
                    [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
     real = lp_solver._Factors.update
-    real_dual = lp_solver._Simplex.run_dual
+    real_dual = lp_solver.RepeatSolver.run_dual
     for start, row_lower in ((None, 2.0), (make_basis(lp), 2.0), (None, 12.0)):
         rs = RepeatSolver(lp, start=start)
         if row_lower != lp.row_lower[0]:
@@ -258,7 +258,7 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
                 in_dual.append(len(calls))
 
         monkeypatch.setattr(lp_solver._Factors, "update", failing)
-        monkeypatch.setattr(lp_solver._Simplex, "run_dual", dual)
+        monkeypatch.setattr(lp_solver.RepeatSolver, "run_dual", dual)
         sol = rs.solve()
         monkeypatch.undo()
         assert rs.restarts == 1
@@ -268,6 +268,39 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
         assert len(calls) >= 2  # the rebuilt solve pivoted again
         if row_lower == 12.0:  # the forced failure landed in a dual pivot
             assert in_dual[:2] == [0, 1]
+
+
+@pytest.mark.parametrize("drifts", [1, 3, 100])
+def test_drifted_optimum_is_re_certified_on_a_fresh_factorization(monkeypatch, drifts):
+    """An optimum whose x has drifted out of its bounds is solved again on a
+    fresh factorization, which recomputes x: up to three times, and past
+    that the solve restarts once from the start basis and then fails."""
+    lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                   [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
+    want = solve_lp(lp).objective
+    real = lp_solver.RepeatSolver.run_phase
+    passes = []
+
+    def drifting(sim, phase1):
+        status = real(sim, phase1)
+        if not phase1:
+            passes.append(status)
+            if len(passes) <= drifts:
+                slot = np.flatnonzero(np.isfinite(sim.lb))[0]
+                sim.x[sim.basic[slot]] = sim.lb[slot] - 1.0
+        return status
+
+    monkeypatch.setattr(lp_solver.RepeatSolver, "run_phase", drifting)
+    rs = RepeatSolver(lp)
+    if drifts > 3:
+        with pytest.raises(LpError, match="could not certify"):
+            rs.solve()
+        assert rs.restarts == 1 and passes == ["optimal"] * 8
+        return
+    sol = rs.solve()
+    assert rs.restarts == 0 and passes == ["optimal"] * (drifts + 1)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(want, rel=1e-12)
+    assert sol.max_bound_violation <= 1e-9
 
 
 def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
@@ -289,7 +322,7 @@ def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
 def _count_primal_pivots(monkeypatch) -> list:
     """Spy on the primal phase driver: the returned list collects the
     pivots each `run_phase` call makes."""
-    real = lp_solver._Simplex.run_phase
+    real = lp_solver.RepeatSolver.run_phase
     pivots = []
 
     def counted(sim, phase1):
@@ -299,7 +332,7 @@ def _count_primal_pivots(monkeypatch) -> list:
         finally:
             pivots.append(sim.iterations - before)
 
-    monkeypatch.setattr(lp_solver._Simplex, "run_phase", counted)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "run_phase", counted)
     return pivots
 
 
@@ -312,16 +345,16 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
     exactly those of its basis."""
     rng = np.random.default_rng(4242)
     primal = _count_primal_pivots(monkeypatch)
-    real_run = lp_solver._Simplex.run
+    real_optimize = lp_solver.RepeatSolver._optimize
     reused = []
 
-    def run(sim):
-        if sim.certified_d is not None:
+    def optimize(sim):
+        if sim._started and sim.certified_d is not None:
             assert np.array_equal(sim.certified_d, sim._reduced_costs(sim.cost)[0])
             reused.append(sim.iterations)
-        return real_run(sim)
+        return real_optimize(sim)
 
-    monkeypatch.setattr(lp_solver._Simplex, "run", run)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_optimize", optimize)
     seen = {"optimal": 0, "infeasible": 0}
     dual_pivots = n_fixed = n_free = 0
     for _ in range(100):
@@ -360,9 +393,9 @@ def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
     reduced costs `run_phase` keeps across it are bitwise those a fresh
     pricing pass gives."""
     rng = np.random.default_rng(99)
-    real_phase = lp_solver._Simplex.run_phase
-    real_pivot = lp_solver._Simplex._pivot
-    real_choose = lp_solver._Simplex._choose_entering
+    real_phase = lp_solver.RepeatSolver.run_phase
+    real_pivot = lp_solver.RepeatSolver._pivot
+    real_choose = lp_solver.RepeatSolver._choose_entering
     kept = []
 
     def run_phase(sim, phase1):
@@ -379,9 +412,9 @@ def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
             kept.append(sim.iterations)
         return real_choose(sim, d)
 
-    monkeypatch.setattr(lp_solver._Simplex, "run_phase", run_phase)
-    monkeypatch.setattr(lp_solver._Simplex, "_pivot", pivot)
-    monkeypatch.setattr(lp_solver._Simplex, "_choose_entering", choose)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "run_phase", run_phase)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_pivot", pivot)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_choose_entering", choose)
     for _ in range(200):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         solve_lp(simple_lp(c, A, rlo, rhi, lo, up))
@@ -401,14 +434,14 @@ def test_feasible_re_solve_certifies_with_its_kept_reduced_costs(monkeypatch):
     """A re-solve whose basis stays primal feasible makes no pricing pass:
     its phase 2 ends on the reduced costs its previous solve certified.
     Its value is bit-identical to a re-solve that prices afresh."""
-    real = lp_solver._Simplex._reduced_costs
+    real = lp_solver.RepeatSolver._reduced_costs
     calls = []
 
     def counted(sim, cost):
         calls.append(1)
         return real(sim, cost)
 
-    monkeypatch.setattr(lp_solver._Simplex, "_reduced_costs", counted)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_reduced_costs", counted)
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(200):
@@ -422,8 +455,8 @@ def test_feasible_re_solve_certifies_with_its_kept_reduced_costs(monkeypatch):
             continue
         del calls[:]
         value = kept.solve_value()
-        assert not calls and kept._sim.iterations == 0
-        fresh._sim.certified_d = None
+        assert not calls and kept.iterations == 0
+        fresh.certified_d = None
         assert fresh.solve_value() == value
         assert len(calls) == 1
         checked += 1
@@ -438,7 +471,7 @@ def test_factor_solves_after_eta_updates_match_dense_solves():
         m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
         A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.2)
         lp = simple_lp(np.zeros(n), A, -np.ones(m), np.ones(m), -np.ones(n), np.ones(n))
-        sim = lp_solver._Simplex(lp)
+        sim = RepeatSolver(lp)
         basic = np.arange(n, n + m)
         factors = lp_solver._Factors(sim.fmat, basic)
         for _ in range(int(rng.integers(1, 25))):

@@ -485,8 +485,8 @@ def test_start_basis_is_a_dc_power_flow(name, leads, request):
     power = rng.uniform(0.0, 20.0, (len(case.renewable_sites), case.periods))
     inst = build_instance(case, power)
     basis = inst.start_basis()
-    sim = lp_solver._Simplex(inst.lp)
-    sim.start_warm(basis)  # raises LpError if singular
+    sim = lp_solver.RepeatSolver(inst.lp)
+    sim.load(basis)  # raises LpError if singular
     bus_pos = case.bus_index()
     lead = np.array([bus_pos[b] for b in leads or [case.reference_bus]])
     pattern = sim.fmat[:, basis.basic] != 0
@@ -551,8 +551,8 @@ def test_merit_fills_break_a_ramp_row():
     below solves the case)."""
     case = _named_case("ramps", None)
     inst = build_instance(case, np.zeros((0, case.periods)))
-    sim = lp_solver._Simplex(inst.lp)
-    sim.start_warm(inst.start_basis())
+    sim = lp_solver.RepeatSolver(inst.lp)
+    sim.load(inst.start_basis())
     ramp = np.arange(inst.shed.size + inst.flow.size, inst.lp.num_rows)
     activity = inst.lp.matrix()[ramp] @ sim.x[:inst.lp.num_cols]
     assert np.any(activity > inst.lp.row_upper[ramp] + 1.0)
@@ -596,14 +596,14 @@ def test_cold_solve_makes_no_bound_flips(name, request, monkeypatch):
     optimum without one phase-2 bound flip: every pivot changes the basis."""
     case = request.getfixturevalue(name)
     spec = request.getfixturevalue(name.replace("case", "spec"))
-    real = lp_solver._Simplex._pivot
+    real = lp_solver.RepeatSolver._pivot
     flips = []
 
     def pivot(sim, q, sigma, delta, t, pos, leave_bound):
         flips.append(pos == -1)
         return real(sim, q, sigma, delta, t, pos, leave_bound)
 
-    monkeypatch.setattr(lp_solver._Simplex, "_pivot", pivot)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_pivot", pivot)
     power = spec.power(np.zeros(spec.dimension), [s.site_label for s in case.renewable_sites])
     sol = solve_dispatch(case, power)
     assert sol.status == "optimal"
@@ -664,7 +664,7 @@ def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
 def _spy_solver(monkeypatch):
     """Spy on the solver's drivers: pivots made by each primal `run_phase`
     call, and the status each `run_dual` call ends in."""
-    real_phase, real_dual = lp_solver._Simplex.run_phase, lp_solver._Simplex.run_dual
+    real_phase, real_dual = lp_solver.RepeatSolver.run_phase, lp_solver.RepeatSolver.run_dual
     seen = {"primal": [], "dual": []}
 
     def phase(sim, phase1):
@@ -678,8 +678,8 @@ def _spy_solver(monkeypatch):
         seen["dual"].append(real_dual(sim, d))
         return seen["dual"][-1]
 
-    monkeypatch.setattr(lp_solver._Simplex, "run_phase", phase)
-    monkeypatch.setattr(lp_solver._Simplex, "run_dual", dual)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "run_phase", phase)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "run_dual", dual)
     return seen
 
 
@@ -687,7 +687,7 @@ def _spy_refactorizations(monkeypatch) -> list:
     """Spy on refactorizations: the returned list collects, for each
     factorization one replaces, its eta count, its eta nonzeros with their
     per-eta overhead, and its L+U nonzeros."""
-    real = lp_solver._Simplex._refactorize
+    real = lp_solver.RepeatSolver._refactorize
     seen = []
 
     def spy(sim):
@@ -695,7 +695,7 @@ def _spy_refactorizations(monkeypatch) -> list:
             seen.append((len(sim.factors.etas), sim.factors.eta_nnz, sim.factors.lu_nnz))
         return real(sim)
 
-    monkeypatch.setattr(lp_solver._Simplex, "_refactorize", spy)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_refactorize", spy)
     return seen
 
 
