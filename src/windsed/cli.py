@@ -22,7 +22,7 @@ from . import __version__, datagen, estimate, forecast, wind_kl
 from .grid_model import CaseFormatError, GridCase, load_case
 from .lp_solver import LpError
 from .pce import MAX_LEVEL
-from .sed_model import DispatchError, SedEvaluator
+from .sed_model import DispatchError, SedEvaluator, build_instance, solve_dispatch
 from .wind_kl import WindDataError
 
 SCHEMA = """\
@@ -280,6 +280,7 @@ def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
             raise ConfigError(f"`wind.synthetic.start` must be a YYYY-MM-DD date, "
                               f"got {start!r}") from None
         site_block = _block(synth, "sites", where="wind.synthetic.")
+        curve = datagen.default_power_curve()
         sites = []
         for label in sorted(site_block):
             entry = _block(site_block, label,
@@ -288,9 +289,10 @@ def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
             where = f"wind.synthetic.sites.{label}"
             kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
                                            _positive(entry, "matern_nu", where), 1.0)
-            sites.append(datagen.SyntheticSite(
-                label, kernel, _positive(entry, "sigma_w", where, 0.3),
-                _positive(entry, "mean_wind", where, 8.0)))
+            sigma_w = _positive(entry, "sigma_w", where, 0.3)
+            mean_wind = np.full(wind_kl.HOURS, _positive(entry, "mean_wind", where, 8.0))
+            sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
+                                            wind_kl.HOURS, curve))
         for k, site in enumerate(sites):
             rows = datagen.synthetic_wind_table(site, days, cfg.seed + k, start=start)
             paths[site.label] = str(outdir / f"wind_{site.label}.csv")
@@ -393,11 +395,14 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
         germ = _parse_germ(germ_arg, spec.dimension)
     else:
         germ = np.zeros(spec.dimension)
-    evaluator = SedEvaluator(case, spec, cfg.segments)
-    sol = evaluator.solve(germ)
+    power = spec.power(germ, [s.site_label for s in case.renewable_sites])
+    try:
+        sol = solve_dispatch(case, power, cfg.segments)
+    except (DispatchError, LpError) as exc:
+        raise DispatchError(f"dispatch at germ {germ!r}: {exc}") from exc
     if dump_lp:
-        (outdir / "dispatch.lp").write_text(evaluator.inst.lp.to_text(),
-                                            encoding="utf-8")
+        (outdir / "dispatch.lp").write_text(
+            build_instance(case, power, cfg.segments).lp.to_text(), encoding="utf-8")
     (outdir / "dispatch.csv").write_text(sol.to_csv(), encoding="utf-8")
     summary = {
         "objective": sol.objective,

@@ -1,20 +1,19 @@
 """Synthetic wind data generator.
 
 Stands in for real 10-minute SCADA exports: draws daily log-wind fields from
-a Matern-covariance KL model around a mean profile, holds each hourly value
-across its six 10-minute intervals, and writes the same
-`timestamp,speed_mps,power_mw` CSV the ingestion path reads.
+a site's KL model (`forecast.SiteModel`), holds each hourly value across its
+six 10-minute intervals, and writes the same `timestamp,speed_mps,power_mw`
+CSV the ingestion path reads.
 """
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import MaternKernel
+from .forecast import SiteModel
 from .wind_kl import (HOURS, PowerCurve, WindDataError, build_power_curve,
-                      kl_decompose, reconstruct)
+                      reconstruct)
 
 _PHILOX_TAG_DATAGEN = 0xDA7A0001
 
@@ -29,30 +28,18 @@ def default_power_curve(nameplate: float = 150.0) -> PowerCurve:
                              nameplate=nameplate)
 
 
-@dataclass(frozen=True)
-class SyntheticSite:
-    label: str
-    kernel: MaternKernel      # unit-variance lag shape
-    sigma_w: float            # log-wind standard deviation
-    mean_wind: float = 8.0    # m/s, flat daily profile
-
-
-def synthetic_wind_table(site: SyntheticSite, days: int, seed: int,
+def synthetic_wind_table(site: SiteModel, days: int, seed: int,
                          start: str = "2004-01-01"):
-    """Rows of (timestamp, speed_mps, power_mw) at 10-minute cadence, the
-    power from the default 150 MW curve."""
+    """Rows of (timestamp, speed_mps, power_mw) at 10-minute cadence: one
+    standard-normal germ per day through the site's KL expansion, to its
+    truncation, and the power from the site's curve."""
     if days < 1:
         raise ValueError("need at least one day")
-    if site.mean_wind <= 0:
-        raise ValueError("mean wind must be positive")
-    curve = default_power_curve()
-    cov = (site.sigma_w ** 2) * site.kernel.covariance_matrix()
-    basis = kl_decompose(cov, np.log(np.full(HOURS, site.mean_wind)))
     rng = np.random.Generator(np.random.Philox(
         key=[np.uint64(seed), np.uint64(_PHILOX_TAG_DATAGEN)]))
     xi = rng.standard_normal((days, HOURS))
-    speeds = np.exp(reconstruct(basis, xi, HOURS))  # (days, 24)
-    powers = curve(speeds)
+    speeds = np.exp(reconstruct(site.kl_basis(), xi, site.truncation))  # (days, 24)
+    powers = site.curve(speeds)
     day0 = datetime.date.fromisoformat(start)
     rows = []
     for d in range(days):

@@ -317,9 +317,12 @@ def parse_case(text: str) -> GridCase:
 
 
 def load_case(path) -> GridCase:
+    """The case in the file at `path`; every CaseFormatError names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_case(fh.read())
     except UnicodeDecodeError as exc:
         raise CaseFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_case(text)
+    except CaseFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -226,7 +226,6 @@ class DispatchSolution:
     angles: np.ndarray        # (B, T) rad
     shed: np.ndarray          # (B, T) MW
     iterations: int
-    basis: Basis | None
 
     def total_shed(self) -> float:
         return float(self.shed.sum())
@@ -248,16 +247,18 @@ def _extract(inst: DispatchInstance, sol: LpSolution) -> DispatchSolution:
     fill = sum(x[inst.seg[:, :, s]] for s in range(inst.segments))
     return DispatchSolution(sol.status, sol.objective + inst.objective_offset,
                             inst.p_floor + fill, x[inst.flow], x[inst.angle],
-                            x[inst.shed], sol.iterations, sol.basis)
+                            x[inst.shed], sol.iterations)
 
 
 def solve_dispatch(case: GridCase, renewable, segments: int = 3) -> DispatchSolution:
+    """The dispatch at one renewable injection: one cold solve of its LP
+    from the crash basis (`DispatchInstance.start_basis`)."""
     inst = build_instance(case, renewable, segments)
     sol = solve_lp(inst.lp, warm_basis=inst.start_basis())
     if sol.status != "optimal":
         raise DispatchError(
-            f"dispatch LP unexpectedly {sol.status}: shedding should make the "
-            "balance satisfiable for any renewable injection")
+            f"dispatch LP ended {sol.status}: shedding covers a shortfall but not "
+            "a surplus, such as wind above load less committed minimum output")
     return _extract(inst, sol)
 
 
@@ -327,24 +328,23 @@ class _Region:
 
 
 class SedEvaluator:
-    """Per-worker cost evaluator Q(germ) with warm-started basis reuse.
+    """A study's cost evaluator Q(germ) with warm-started basis reuse.
 
     The constructor builds the instance (`inst`) at the zero germ, solves
     its LP from the crash basis and keeps the optimal basis as the anchor.
-    Each evaluation regenerates the renewable injection from the germ, moves
-    the balance-row bounds, and re-solves from the previous optimal basis.  A
-    pickled evaluator carries the anchor but not the LP or the solver, which
-    unpickling rebuilds to start from the anchor, so the cold solve happens
-    once, in the process that constructs the evaluator.  Safe to use from
-    one worker at a time.
+    On a small LP (at most REGION_ROWS rows) it then builds the atlas: the
+    regions (`_Region`) of the optimal bases reached on ATLAS_GERMS fixed
+    germs.  Within a region its basis is optimal and Q is affine in the
+    wind power, so a batch takes most of its values from the atlas without
+    a simplex solve.  Each other evaluation regenerates the renewable
+    injection from the germ, moves the balance-row bounds, and re-solves
+    from the previous optimal basis, the first from the anchor.
 
-    On a small LP (at most REGION_ROWS rows) the first `evaluate_batch`
-    also builds an atlas: the regions (`_Region`) of the optimal bases
-    reached on ATLAS_GERMS fixed germs.  Within a region its basis is
-    optimal and Q is affine in the wind power, so a batch takes most of
-    its values from the atlas without a simplex solve.  The atlas depends
-    on the anchor alone, so every process builds the same one, and a
-    pickled evaluator carries it once built.
+    So the cold solve and the atlas happen once, in the process that
+    constructs the evaluator.  Forked workers inherit them.  A pickled
+    evaluator carries the anchor and the atlas but not the LP or the
+    solver, which unpickling rebuilds to start from the anchor.  Safe to
+    use from one worker at a time.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
@@ -358,15 +358,18 @@ class SedEvaluator:
         self._site_labels = case_labels
         self.segments = segments
         self.dim = spec.dimension
-        self._next_power = None  # power row for the next `_load`, from a batch
+        self._next_power = None  # power row for the next call, mapped by a batch
         self._next_q = None  # Q for the next call, screened by a batch
-        self._atlas = None  # regions of optimal bases, built at the first batch
         self._build(None)
         try:
             self._solver.solve_value()
         except LpError as exc:
             raise DispatchError(f"dispatch LP failed at the zero germ: {exc}") from exc
         self._anchor = self._solver.basis()  # optimal basis at the zero germ
+        # above REGION_ROWS germs rarely share a basis (on the 118-bus case
+        # each ends in its own), so such an LP has no atlas
+        self._atlas = self._build_atlas() if self.inst.lp.num_rows <= REGION_ROWS else ()
+        self._solver.restart_from(self._anchor)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -398,35 +401,19 @@ class SedEvaluator:
         if not finite.all():
             raise DispatchError(f"germ {germs[np.argmin(finite)]!r} is not finite")
 
-    def _load(self, germ) -> np.ndarray:
-        """Move the LP to the germ's scenario: the power row `evaluate_batch`
-        mapped for it, else the checked germ's own."""
+    def __call__(self, germ) -> float:
+        """Q(germ).  A value `evaluate_batch` screened for the germ is
+        returned as it is; else the LP moves to the power row the batch
+        mapped for it, or to the checked germ's own, and is re-solved."""
+        value, self._next_q = self._next_q, None  # never left stale
+        if value is not None:
+            return value
         power, self._next_power = self._next_power, None  # never left stale
         germ = np.asarray(germ, dtype=float)
         if power is None:
             self._check(germ[None])
             power = self._power_for(germ)
         self.inst.set_renewable(power)
-        return germ
-
-    def solve(self, germ) -> DispatchSolution:
-        germ = self._load(germ)
-        try:
-            sol = self._solver.solve()
-        except LpError as exc:
-            raise DispatchError(f"dispatch LP failed at germ {germ!r}: {exc}") from exc
-        if sol.status != "optimal":
-            raise DispatchError(
-                f"dispatch LP unexpectedly {sol.status} at germ {germ!r}")
-        return _extract(self.inst, sol)
-
-    def __call__(self, germ) -> float:
-        """Q(germ) only: skips schedule extraction on the hot path.  A value
-        `evaluate_batch` screened for the germ is returned as it is."""
-        value, self._next_q = self._next_q, None  # never left stale
-        if value is not None:
-            return value
-        germ = self._load(germ)
         try:
             value = self._solver.solve_value()
         except LpError as exc:
@@ -469,15 +456,6 @@ class SedEvaluator:
             cur = int(near[0])
         return order
 
-    def _regions(self) -> tuple[_Region, ...]:
-        """The atlas, built at the first call (not in the constructor, so a
-        single dispatch never pays for it); none for an LP of more than
-        REGION_ROWS rows, where germs rarely share a basis (on the 118-bus
-        case every germ ends in its own)."""
-        if self._atlas is None:
-            self._atlas = self._build_atlas() if self.inst.lp.num_rows <= REGION_ROWS else ()
-        return self._atlas
-
     def _build_atlas(self) -> tuple[_Region, ...]:
         """The regions of the optimal bases the solver reaches on ATLAS_GERMS
         standard-normal germs from a fixed Philox key, toured from the
@@ -512,7 +490,7 @@ class SedEvaluator:
         p = power.reshape(len(power), -1)
         q = np.full(len(p), np.nan)
         pending = np.arange(len(p))
-        for region in self._regions():
+        for region in self._atlas:
             if not len(pending):
                 break
             hit, value = region.screen(p[pending])
@@ -543,7 +521,6 @@ class SedEvaluator:
         out = np.empty(len(germs))
         if not len(germs):
             return out
-        self._regions()  # built first: building it runs the solver
         self._solver.restart_from(self._anchor)
         order = self._visit_order(germs)
         for start in range(0, len(order), POWER_BLOCK):

@@ -160,15 +160,11 @@ def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray):
     mat = samples.samples if isinstance(samples, WindSampleSet) else np.asarray(samples, dtype=float)
     centered = mat - basis.mean
     proj = centered @ basis.eigenvectors
+    lam = basis.eigenvalues
+    keep = lam > 1e-12
     xi = np.zeros_like(proj)
-    skipped = []
-    for k in range(HOURS):
-        lam = basis.eigenvalues[k]
-        if lam > 1e-12:
-            xi[:, k] = proj[:, k] / math.sqrt(lam)
-        else:
-            skipped.append(k)
-    return xi, skipped
+    xi[:, keep] = proj[:, keep] / np.sqrt(lam[keep])
+    return xi, np.flatnonzero(~keep).tolist()
 
 
 def reconstruct(basis: KLBasis, xi, n_modes: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from lp_oracle import lp_from_text
 from specs import sample_germs
 from windsed.cli import ExperimentConfig, build_forecast_spec, main
 from windsed.grid_model import linearize_cost, load_case
-from windsed.sed_model import build_instance
+from windsed.sed_model import SedEvaluator, build_instance
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -135,10 +135,11 @@ def test_kl_synthetic_pipeline(tmp_path):
 def test_kl_cloned_sites_have_unit_dcor(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    from windsed.datagen import (SyntheticSite, synthetic_wind_table,
+    from windsed.datagen import (default_power_curve, synthetic_wind_table,
                                  write_wind_csv)
-    from windsed.forecast import MaternKernel
-    site = SyntheticSite("x", MaternKernel(11.4, 0.56, 1.0), 0.3)
+    from windsed.forecast import MaternKernel, SiteModel
+    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56, 1.0), 0.3, 24,
+                     default_power_curve())
     rows = synthetic_wind_table(site, 40, seed=5)
     write_wind_csv(out / "a.csv", rows)
     write_wind_csv(out / "b.csv", rows)  # identical clone
@@ -316,7 +317,7 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["study", "--jobs", "0"], None, 2, "`jobs`"),
     (["study", "--seed", "-1"], None, 2, "`seed`"),
     (["study"], _edit("seed", 1e23), 2, "`seed` must fit in a uint64"),
-    (["study"], _edit("case", str(DATA)), 3, "data error"),
+    (["study"], _edit("case", str(DATA)), 3, f"Is a directory: '{DATA}'"),
     (["kl"], _synthetic("sites.site_a.matern_l"), 2, f"`{SYN_A}.matern_l`"),
     (["kl"], _synthetic("sites.site_a.matern_l", -1), 2, f"`{SYN_A}.matern_l`"),
     (["kl"], _synthetic("sites.site_a.sigma_w", "abc"), 2, f"`{SYN_A}.sigma_w`"),
@@ -348,15 +349,19 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["study"], _raw_line("seed", b"seed: \xff\xfe\n"), 2, "config.yaml: not UTF-8 text"),
     (["dispatch"], _case_edit(b"# Three-bus", b"# \xff Three-bus"), 3,
      "edited_case.txt: not UTF-8 text"),
-    (["dispatch"], _case_edit(b"T=24", b"T=0"), 3, "line 5: T must be at least 1"),
+    (["dispatch"], _case_edit(b"T=24", b"T=0"), 3,
+     "edited_case.txt: line 5: T must be at least 1"),
     (["dispatch"], _case_edit(b"SHED_PENALTY=5000.0", b"SHED_PENALTY=-5"), 3,
-     "line 5: SHED_PENALTY must be positive and finite, got -5"),
+     "edited_case.txt: line 5: SHED_PENALTY must be positive and finite, got -5"),
     (["dispatch"], _case_edit(b"SHED_PENALTY=5000.0", b"SHED_PENALTY=inf"), 3,
-     "line 5: SHED_PENALTY must be positive and finite, got inf"),
+     "edited_case.txt: line 5: SHED_PENALTY must be positive and finite, got inf"),
     (["dispatch"], _case_edit(b"BASE_MVA=100.0", b"BASE_MVA=nan"), 3,
-     "line 5: BASE_MVA must be positive and finite, got nan"),
+     "edited_case.txt: line 5: BASE_MVA must be positive and finite, got nan"),
     (["dispatch"], _case_edit(b"BASE_MVA=100.0", b"BASE_MVA=-100"), 3,
-     "line 5: BASE_MVA must be positive and finite, got -100"),
+     "edited_case.txt: line 5: BASE_MVA must be positive and finite, got -100"),
+    (["dispatch", "--germ", "2,0,0,2,0,0"],
+     _case_edit(b"site_a 40.0\n3 site_b 30.0", b"site_a 90.0\n3 site_b 90.0"), 4,
+     "germ array([2., 0., 0., 2., 0., 0.])"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -376,7 +381,7 @@ SYN_A = "wind.synthetic.sites.site_a"
         "wind-data-label-not-a-string", "wind-data-path-not-a-string",
         "forecast-site-label-not-a-string", "config-not-utf8", "case-not-utf8",
         "case-periods-zero", "case-shed-penalty-negative", "case-shed-penalty-inf",
-        "case-base-mva-nan", "case-base-mva-negative"])
+        "case-base-mva-nan", "case-base-mva-negative", "dispatch-over-generation"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and
@@ -404,6 +409,32 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_dispatch_builds_no_atlas(tmp_path, monkeypatch):
+    """`windsed dispatch` solves its one LP directly: no study evaluator, so
+    no atlas."""
+    def no_atlas(self):
+        raise AssertionError("dispatch built an atlas")
+
+    monkeypatch.setattr(SedEvaluator, "_build_atlas", no_atlas)
+    assert main(["dispatch", "--config", str(write_config(tmp_path))]) == 0
+
+
+def test_dispatch_objective_is_the_evaluators_q(tmp_path, monkeypatch):
+    """At three germs of the bundled small study, `windsed dispatch` gives
+    the Q a study evaluator gives, to 1e-12 relative."""
+    monkeypatch.chdir(DATA.parent)  # case paths are relative to the repo
+    config = str(DATA / "study_small.yaml")
+    cfg = ExperimentConfig.load(config)
+    spec = build_forecast_spec(cfg, load_case(cfg.case_path))
+    ev = SedEvaluator(load_case(cfg.case_path), spec, cfg.segments)
+    for k, germ in enumerate(sample_germs(6, 3, spec.dimension)):
+        out = tmp_path / f"germ{k}"
+        assert main(["dispatch", "--config", config, "--out", str(out),
+                     "--germ=" + ",".join(map(repr, germ.tolist()))]) == 0
+        summary = json.loads((out / "dispatch_summary.json").read_text())
+        assert summary["objective"] == pytest.approx(ev(germ), rel=1e-12, abs=0.0)
 
 
 def test_dispatch_all_off_commitment_full_shed(tmp_path, case3):

@@ -1,3 +1,4 @@
+import multiprocessing
 import pickle
 import re
 import warnings
@@ -270,11 +271,13 @@ def test_more_wind_never_costs_more():
 
 
 def test_every_germ_is_feasible(case3, spec3):
+    """Every germ's dispatch is optimal, and the evaluator's Q is its cost."""
     ev = SedEvaluator(case3, spec3)
     germs = sample_germs(77, 64, spec3.dimension)
     for g in germs:
-        sol = ev.solve(g)
+        sol = solve_dispatch(case3, spec3.power(g, ev._site_labels))
         assert sol.status == "optimal"
+        assert ev(g) == pytest.approx(sol.objective, rel=1e-9)
 
 
 def test_q_bounded_below_by_best_case_wind(case3, spec3):
@@ -314,10 +317,9 @@ def test_solver_failure_names_the_germ(case3, spec3, monkeypatch):
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve", fail)
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
     germ = np.full(spec3.dimension, 0.5)
-    for evaluate in (ev.solve, ev):
-        with pytest.raises(DispatchError,
-                           match=r"at germ array\(\[0\.5, 0\.5.*singular basis"):
-            evaluate(germ)
+    with pytest.raises(DispatchError,
+                       match=r"at germ array\(\[0\.5, 0\.5.*singular basis"):
+        ev(germ)
 
 
 def test_germ_dimension_checked(case3, spec3):
@@ -351,13 +353,13 @@ def test_batch_power_rows_equal_single_germs_bit_for_bit(spec3, n):
 
 
 def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monkeypatch):
-    """A 1,100-germ batch maps power in three blocks, after the atlas's own
-    block of its 512 germs, and passes every batch germ once through
-    `__call__` as its one argument, and no atlas germ.  Its values agree
+    """A 1,100-germ batch maps power in three blocks, after the constructor
+    maps the zero germ and the atlas's block of its 512 germs, and passes
+    every batch germ once through `__call__` as its one argument, and no
+    atlas germ.  Its values agree
     with calling the evaluator along the tour germ by germ, which runs the
     simplex on every germ, to 1e-12: a screened Q moves by about an ulp."""
     germs = sample_germs(14, 1100, spec3.dimension)
-    ev = SedEvaluator(case3, spec3)
     honest_call, honest_power = SedEvaluator.__call__, fc.ForecastSpec.power
     calls, blocks = [], []
 
@@ -371,9 +373,10 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
 
     monkeypatch.setattr(SedEvaluator, "__call__", call)
     monkeypatch.setattr(fc.ForecastSpec, "power", power)
+    ev = SedEvaluator(case3, spec3)
     batch = ev.evaluate_batch(germs)
     monkeypatch.undo()
-    assert blocks == [sed.ATLAS_GERMS, 512, 512, 76]
+    assert blocks == [1, sed.ATLAS_GERMS, 512, 512, 76]
     assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
     seen = sorted(tuple(args[0]) for args, _ in calls)
     assert seen == sorted(tuple(g) for g in germs)
@@ -404,7 +407,7 @@ def _violations(ev: SedEvaluator, germ: np.ndarray) -> np.ndarray:
     """Each atlas region's summed bound violation at the germ (zero inside)."""
     p = ev.spec.power(germ, ev._site_labels).ravel()
     out = []
-    for region in ev._regions():
+    for region in ev._atlas:
         slack = region.f + region.m @ (p - region.p0)
         out.append(-np.minimum(slack, 0.0).sum())
     return np.array(out)
@@ -445,7 +448,7 @@ def test_screened_q_matches_the_simplex_on_a_region_boundary(case3, spec3):
     simplex = SedEvaluator(case3, spec3)(edge)
     p = spec3.power(edge[None], ev._site_labels).reshape(1, -1)
     for k in (0, holds[0]):
-        hit, q = ev._regions()[k].screen(p)
+        hit, q = ev._atlas[k].screen(p)
         assert hit[0] and q[0] == pytest.approx(simplex, rel=1e-12)
     assert ev.evaluate_batch(edge[None])[0] == pytest.approx(simplex, rel=1e-12)
 
@@ -453,14 +456,30 @@ def test_screened_q_matches_the_simplex_on_a_region_boundary(case3, spec3):
 def test_atlas_germs_are_not_evaluations(case3, spec3, monkeypatch):
     """The atlas solves its germs on the solver directly, never through
     `__call__`, so a tracer counting evaluations sees the batch's alone."""
-    ev = SedEvaluator(case3, spec3)
-
     def no_call(self, germ):
         raise AssertionError("atlas germ passed through __call__")
 
     monkeypatch.setattr(SedEvaluator, "__call__", no_call)
-    assert len(ev._regions()) > 1
-    assert ev._regions() is ev._regions()  # built once
+    ev = SedEvaluator(case3, spec3)
+    assert len(ev._atlas) > 1
+
+
+def test_workers_inherit_the_atlas(case3, spec3, monkeypatch):
+    """The constructor builds the atlas, so neither a forked pool worker nor
+    an unpickled copy builds one of its own: with `_build_atlas` made to
+    fail once the evaluator exists, both return the in-process values."""
+    germs = sample_germs(18, 200, spec3.dimension)  # three chunks: a pool
+    ev = SedEvaluator(case3, spec3)
+
+    def no_atlas(self):
+        raise AssertionError("atlas built after construction")
+
+    monkeypatch.setattr(SedEvaluator, "_build_atlas", no_atlas)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    serial = est.parallel_map(ev, germs, jobs=1)
+    assert np.array_equal(est.parallel_map(ev, germs, jobs=2), serial)
+    copy = pickle.loads(pickle.dumps(ev))
+    assert np.array_equal(est.parallel_map(copy, germs, jobs=1), serial)
 
 
 def test_solution_csv_export(case3):
@@ -721,8 +740,8 @@ def test_small_lp_refactorizes_when_its_etas_reach_the_lu_size(case3, spec3, mon
     than refactorizing, so the eta file is refactorized once its nonzeros,
     with a per-eta overhead, reach the LU's: long before `REFACTOR_EVERY`
     etas."""
-    ev = SedEvaluator(case3, spec3)
     refactors = _spy_refactorizations(monkeypatch)
+    ev = SedEvaluator(case3, spec3)
     ev.evaluate_batch(sample_germs(4, 300, spec3.dimension))
     by_size = [etas for etas, eta_nnz, lu_nnz in refactors if eta_nnz >= lu_nnz]
     assert len(by_size) >= 5
@@ -741,7 +760,8 @@ def _over_generation_case():
 
 def test_over_generation_fails_naming_the_germ(monkeypatch):
     """The dual re-solve reports a windy germ infeasible, the evaluator names
-    the germ, and it still evaluates feasible germs afterwards."""
+    the germ, and it still evaluates feasible germs afterwards.  A cold
+    dispatch at the germ says why its LP has no feasible point."""
     case = _over_generation_case()
     spec = make_spec3(case)
     ev = SedEvaluator(case, spec)
@@ -750,9 +770,9 @@ def test_over_generation_fails_naming_the_germ(monkeypatch):
     germ = np.array([2.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     with pytest.raises(DispatchError, match=r"at germ array\(\[2\., 0\., .*infeasible"):
         ev(germ)
-    with pytest.raises(DispatchError, match=r"infeasible at germ array\(\[2\., 0\., "):
-        ev.solve(germ)
-    assert seen["dual"][:2] == ["infeasible", "infeasible"]
+    assert seen["dual"][:1] == ["infeasible"]
+    with pytest.raises(DispatchError, match="ended infeasible: .* not a surplus, such as wind"):
+        solve_dispatch(case, spec.power(germ, ev._site_labels))
     assert ev(np.zeros(spec.dimension)) == pytest.approx(q0, rel=1e-12)
 
 
@@ -762,12 +782,12 @@ def test_atlas_failures_do_not_abort_a_batch(monkeypatch):
     germs evaluates, and a windy germ inside a batch is still named."""
     case = _over_generation_case()
     spec = make_spec3(case)
-    ev = SedEvaluator(case, spec)
     seen = _spy_solver(monkeypatch)
+    ev = SedEvaluator(case, spec)
     calm = -np.abs(sample_germs(5, 40, spec.dimension))
     values = ev.evaluate_batch(calm)
     assert seen["dual"].count("infeasible") > 10  # atlas germs that failed
-    assert len(ev._regions()) > 1
+    assert len(ev._atlas) > 1
     fresh = SedEvaluator(case, spec)
     assert np.allclose(values, [fresh(g) for g in calm], rtol=1e-12, atol=0.0)
     calm[17] = [2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
