@@ -314,7 +314,6 @@ def test_solver_failure_names_the_germ(case3, spec3, monkeypatch):
 
     ev = SedEvaluator(case3, spec3)
     ev(np.zeros(spec3.dimension))  # builds the LP and solves the zero germ
-    monkeypatch.setattr(lp_solver.RepeatSolver, "solve", fail)
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
     germ = np.full(spec3.dimension, 0.5)
     with pytest.raises(DispatchError,
@@ -356,9 +355,9 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
     """A 1,100-germ batch maps power in three blocks, after the constructor
     maps the zero germ and the atlas's block of its 512 germs, and passes
     every batch germ once through `__call__` as its one argument, and no
-    atlas germ.  Its values agree
-    with calling the evaluator along the tour germ by germ, which runs the
-    simplex on every germ, to 1e-12: a screened Q moves by about an ulp."""
+    atlas germ.  Its values agree with calling the evaluator along the tour
+    germ by germ, which runs the simplex on every germ, to 1e-12: a
+    screened Q moves by about an ulp."""
     germs = sample_germs(14, 1100, spec3.dimension)
     honest_call, honest_power = SedEvaluator.__call__, fc.ForecastSpec.power
     calls, blocks = [], []
