@@ -25,6 +25,7 @@ No external LP solver is used anywhere; scipy supplies only the sparse LU.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,11 +228,32 @@ class _Factors:
         self.eta_nnz += len(rows) + _ETA_OVERHEAD
         return True
 
+    def fresh(self) -> "_Factors":
+        """The same LU, shared and never changed, with an empty eta file of
+        its own."""
+        twin = copy.copy(self)
+        twin.etas, twin.eta_nnz = [], 0
+        return twin
+
     def stale(self) -> bool:
         """Whether a fresh LU would be cheaper to solve with: the eta file
         has reached `REFACTOR_EVERY` etas, or costs as much per solve as
         the LU itself (on small LPs, long before the count)."""
         return len(self.etas) >= REFACTOR_EVERY or self.eta_nnz >= self.lu_nnz
+
+
+class KeptStart:
+    """A basis that many solves begin from (`RepeatSolver.begin_at`), with
+    what they share because bound moves leave it alone: the basis's LU
+    factorization and its reduced costs.  The first solve that begins here
+    factorizes and prices the basis; the later ones take both as they are.
+    Each solve pivots on its own empty eta file and its own copy of the
+    reduced costs, so nothing here changes once built."""
+
+    def __init__(self, basis: Basis):
+        self.basis = basis
+        self.factors: _Factors | None = None
+        self.reduced_costs: np.ndarray | None = None
 
 
 def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
@@ -267,8 +289,10 @@ class RepeatSolver:
     feasibility certification; `restarts` counts these retries.
     `restart_from` replaces the start basis and makes the next solve begin
     there, so a caller can pin a sweep's starting point; an optimal basis
-    given there is re-solved by the dual simplex too.  `load` takes a basis
-    without solving, for a caller that reads its x and factors.
+    given there is re-solved by the dual simplex too.  `begin_at` makes
+    only the next solve begin from a `KeptStart`, on its kept factorization,
+    and leaves the start basis for retries.  `load` takes a basis without
+    solving, for a caller that reads its x and factors.
     """
 
     def __init__(self, lp: LinearProgram, start: Basis | None = None):
@@ -307,6 +331,23 @@ class RepeatSolver:
         """Begin the next solve, and any retry, from `basis`."""
         self._start_basis = basis
         self._started = False
+
+    def begin_at(self, start: KeptStart):
+        """Begin the next solve from `start`'s basis, on its LU with a fresh,
+        empty eta file and with its reduced costs, after factorizing and
+        pricing it if no solve began there yet.  A solve that fails is still
+        retried from the start basis.  The solve's value has the same bits
+        as one that factorizes the basis afresh (`restart_from`)."""
+        if start.factors is None:
+            self._start(start.basis)
+            start.factors = self.factors
+            start.reduced_costs = self._reduced_costs(self.cost)[0]
+        else:
+            self.basic = start.basis.basic.copy()
+            self.status = start.basis.status.copy()
+        self.factors = start.factors.fresh()
+        self.certified_d = start.reduced_costs.copy()
+        self._started = True
 
     def load(self, basis: Basis):
         """Take `basis` at the LP's current bounds, with no pivot: factorize

@@ -16,8 +16,8 @@ from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
-from .lp_solver import (AT_UPPER, BASIC, FEAS_TOL, Basis, LinearProgram, LpError,
-                        LpSolution, RepeatSolver, make_basis, solve_lp)
+from .lp_solver import (AT_UPPER, BASIC, FEAS_TOL, Basis, KeptStart, LinearProgram,
+                        LpError, LpSolution, RepeatSolver, make_basis, solve_lp)
 
 INF = float("inf")
 POWER_BLOCK = 512  # germs a batch maps to power at once: bounds its memory
@@ -276,10 +276,12 @@ class _Region:
     bounds move with p too), a lower bound's row of M is D's and an upper
     bound's is -D's.  The region comes from the solver's fresh
     factorization of the basis at p0 (`RepeatSolver.load`), so it depends on
-    the basis and p0 alone."""
+    the basis and p0 alone.  It keeps the basis, for the simplex solves of
+    germs outside it that begin there."""
 
     def __init__(self, inst: DispatchInstance, solver: RepeatSolver, basis: Basis,
                  p0: np.ndarray):
+        self.basis = basis
         lp, status, basic = inst.lp, basis.status, basis.basic
         n, T = lp.num_cols, inst.case.periods
         inst.set_renewable(p0)
@@ -309,10 +311,11 @@ class _Region:
         cost_b = solver.cost[basic]
         self.g = sp.csr_matrix(np.sum(cost_b[:, None] * grad, axis=0)[None])
 
-    def screen(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which rows of p (germs x sites*T) lie in the region, and Q at each
-        of those.  A germ lies in it when its negative slacks sum to at most
-        the simplex's FEAS_TOL.  Every product is CSR times dense, which is
+    def screen(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which rows of p (germs x sites*T) lie in the region, Q at each of
+        those, and each row's negative slacks summed (zero inside).  A germ
+        lies in it when that sum is at least -FEAS_TOL, the simplex's
+        feasibility tolerance.  Every product is CSR times dense, which is
         single-threaded C and sums term by term in a fixed order; the rows
         `ones` and `g` sum the slacks and Q that way, where numpy's sum
         would switch to pairwise order for a single germ.  So no BLAS
@@ -322,9 +325,10 @@ class _Region:
         slack = self.m @ u.T  # (rows, germs)
         slack += self.f[:, None]
         np.minimum(slack, 0.0, out=slack)
-        hit = (self.ones @ slack)[0] >= -FEAS_TOL
+        total = (self.ones @ slack)[0]
+        hit = total >= -FEAS_TOL
         q = (self.g @ u[hit].T)[0]
-        return hit, (self.q0 + q) + self.offset
+        return hit, (self.q0 + q) + self.offset, total
 
 
 class SedEvaluator:
@@ -337,14 +341,16 @@ class SedEvaluator:
     germs.  Within a region its basis is optimal and Q is affine in the
     wind power, so a batch takes most of its values from the atlas without
     a simplex solve.  Each other evaluation regenerates the renewable
-    injection from the germ, moves the balance-row bounds, and re-solves
-    from the previous optimal basis, the first from the anchor.
+    injection from the germ, moves the balance-row bounds, and re-solves:
+    in a batch with an atlas, from the basis of the region nearest the
+    germ; else from the previous optimal basis, the first from the anchor.
 
     So the cold solve and the atlas happen once, in the process that
     constructs the evaluator.  Forked workers inherit them.  A pickled
-    evaluator carries the anchor and the atlas but not the LP or the
-    solver, which unpickling rebuilds to start from the anchor.  Safe to
-    use from one worker at a time.
+    evaluator carries the anchor and the atlas but not the LP, the solver
+    or the regions' kept factorizations (`_kept`), which each process
+    builds for itself: unpickling rebuilds the solver to start from the
+    anchor.  Safe to use from one worker at a time.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
@@ -373,7 +379,7 @@ class SedEvaluator:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["inst"], state["_solver"]
+        del state["inst"], state["_solver"], state["_kept"]
         return state
 
     def __setstate__(self, state):
@@ -381,12 +387,15 @@ class SedEvaluator:
         self._build(self._anchor)
 
     def _build(self, start: Basis | None):
-        """The LP at the zero germ, and a solver whose first solve starts
-        from `start` (None: the crash basis)."""
+        """The LP at the zero germ, a solver whose first solve starts from
+        `start` (None: the crash basis), and no kept factorization yet."""
         self.inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
                                    self.segments)
         self._solver = RepeatSolver(self.inst.lp,
                                     self.inst.start_basis() if start is None else start)
+        # each atlas region's basis with its factorization, by region
+        # position, built in this process by the first solve that begins there
+        self._kept: dict[int, KeptStart] = {}
 
     def _power_for(self, germ: np.ndarray) -> np.ndarray:
         """Hourly power per site in the case's renewable-site order."""
@@ -483,52 +492,73 @@ class SedEvaluator:
         return tuple(_Region(self.inst, self._solver, basis, powers[0])
                      for _, basis in ranked)
 
-    def _screen(self, power: np.ndarray) -> np.ndarray:
+    def _screen(self, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Q at each power row (germs x sites x T) that lies in a region of
-        the atlas, from the first such region in atlas order; NaN at the
-        rest."""
+        the atlas, from the first such region in atlas order, NaN at the
+        rest; and the position of the region nearest each of the rest, -1
+        at a screened row.  The nearest region is the one whose negative
+        slacks sum closest to zero, the first in atlas order on a tie."""
         p = power.reshape(len(power), -1)
         q = np.full(len(p), np.nan)
+        nearest = np.full(len(p), -1)
+        closest = np.full(len(p), -np.inf)
         pending = np.arange(len(p))
-        for region in self._atlas:
+        for k, region in enumerate(self._atlas):
             if not len(pending):
                 break
-            hit, value = region.screen(p[pending])
+            hit, value, total = region.screen(p[pending])
             q[pending[hit]] = value
+            nearest[pending[hit]] = -1
+            closer = ~hit & (total > closest[pending])
+            nearest[pending[closer]] = k
+            closest[pending[closer]] = total[closer]
             pending = pending[~hit]
-        return q
+        return q, nearest
+
+    def _start_at(self, k: int):
+        """Begin the next solve from the basis of region k of the atlas, on
+        the factorization this process keeps of it."""
+        if k not in self._kept:
+            self._kept[k] = KeptStart(self._atlas[k].basis)
+        self._solver.begin_at(self._kept[k])
 
     def evaluate_batch(self, germs) -> np.ndarray:
-        """Q for a batch of germs.  The batch starts from the anchor basis
-        and visits its germs along a nearest-neighbour tour, so consecutive
-        scenarios stay close and warm starts need few pivots.  Its values
-        depend on its germs alone, not on what the evaluator solved before,
-        so pool results do not depend on which worker ran which chunk.
-        Results return in input order.  The germs are checked once, and
-        mapped to power one block of the tour at a time.
+        """Q for a batch of germs, in input order.  The germs are checked
+        once, and mapped to power one block at a time.  Each value depends
+        on its germ and the evaluator's anchor and atlas alone, not on what
+        the evaluator solved before, so pool results do not depend on which
+        worker ran which chunk.
 
-        Each block is screened against the atlas before any simplex solve: a
-        germ inside a region takes that region's Q, from the first region
-        in atlas order, so its value depends on the germ and the atlas
-        alone.  A bound move keeps a basis dual feasible, so a basis primal
-        feasible within the simplex's FEAS_TOL is the simplex's own
-        optimum there, and the screened Q agrees with a simplex solve to
-        about an ulp.  The other germs take the tour's simplex, warm-started
-        from the previous one.  Each germ, screened or not, still goes once
-        through `self(germ)`."""
+        With an atlas, each block, in input order, is screened against it
+        before any simplex solve: a germ inside a region takes that
+        region's Q, from the first region in atlas order.  A bound move
+        keeps a basis dual feasible, so a basis primal feasible within the
+        simplex's FEAS_TOL is the simplex's own optimum there, and the
+        screened Q agrees with a simplex solve to about an ulp.  Each other
+        germ is re-solved by the dual simplex from the basis of its nearest
+        region, whatever the batch or its place in it.  Without an atlas,
+        the batch starts from the anchor basis and visits its germs along
+        a nearest-neighbour tour, so consecutive scenarios stay close and
+        warm starts need few pivots.  Each germ, screened or not, still goes
+        once through `self(germ)`."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
         self._check(germs)
         out = np.empty(len(germs))
         if not len(germs):
             return out
-        self._solver.restart_from(self._anchor)
-        order = self._visit_order(germs)
+        if self._atlas:
+            order = np.arange(len(germs))
+        else:
+            self._solver.restart_from(self._anchor)
+            order = self._visit_order(germs)
         for start in range(0, len(order), POWER_BLOCK):
             block = order[start:start + POWER_BLOCK]
             power = self.spec.power(germs[block], self._site_labels)
-            for i, row, q in zip(block, power, self._screen(power)):
+            for i, row, q, k in zip(block, power, *self._screen(power)):
                 # `__call__` stays the one path to Q
                 if np.isnan(q):
+                    if k >= 0:  # a miss of the atlas
+                        self._start_at(k)
                     self._next_power = row
                 else:
                     self._next_q = float(q)

@@ -568,3 +568,25 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+def test_openblas_threads_default_to_one(given, want):
+    """Importing windsed sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    so OpenBLAS starts no helper thread, and an explicit count is kept."""
+    src = Path(__file__).parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os, windsed.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+            "else 1)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    value, threads = proc.stdout.split()
+    assert value == want
+    if given is None:
+        assert threads == "1"  # no OpenBLAS helper thread beside the main one

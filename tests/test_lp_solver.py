@@ -4,7 +4,7 @@ import pytest
 from lp_oracle import random_lp, vertex_enumeration
 from ratio_test_reference import ratio_test_loop
 from windsed import lp_solver
-from windsed.lp_solver import (Basis, LinearProgram, LpError, RepeatSolver,
+from windsed.lp_solver import (Basis, KeptStart, LinearProgram, LpError, RepeatSolver,
                                make_basis, solve_lp)
 
 INF = np.inf
@@ -317,6 +317,70 @@ def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
     sol = rs.solve()
     assert sol.iterations == 0
     assert sol.objective == pytest.approx(want, rel=1e-12)
+
+
+def test_solves_begun_at_a_kept_start_match_fresh_factorizations():
+    """A solve begun from a `KeptStart` ends with the status, pivots and
+    objective bits of one that factorizes the same basis afresh
+    (`restart_from`), after any bound move; its pivots leave the kept LU
+    with no eta and the kept reduced costs as they were priced."""
+    rng = np.random.default_rng(23)
+    pivoted = checked = 0
+    for _ in range(200):
+        c, A, rlo, rhi, lo, up = random_lp(rng)
+        lp = simple_lp(c, A, rlo, rhi, lo, up)
+        rs, fresh = RepeatSolver(lp), RepeatSolver(lp)
+        if rs.solve().status != "optimal":
+            continue
+        start = KeptStart(rs.basis())
+        for _ in range(4):
+            shift = rng.normal(size=len(rlo)) * rng.choice([0.1, 1.0, 3.0])
+            lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
+            rs.begin_at(start)
+            kept = rs.solve()
+            fresh.restart_from(start.basis)
+            want = fresh.solve()
+            assert (kept.status, kept.iterations) == (want.status, want.iterations)
+            if want.status == "optimal":
+                assert kept.objective == want.objective
+            pivoted += kept.iterations
+        assert start.factors.etas == [] and start.factors.eta_nnz == 0
+        fresh.load(start.basis)
+        assert np.array_equal(start.reduced_costs, fresh._reduced_costs(fresh.cost)[0])
+        checked += 1
+    assert checked >= 50 and pivoted >= 30
+
+
+def test_a_failed_solve_begun_at_a_kept_start_retries_from_the_start_basis(monkeypatch):
+    """`begin_at` moves only the next solve's beginning: when that solve
+    fails, its one retry starts from the solver's start basis."""
+    lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                   [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
+    first = make_basis(lp)
+    rs = RepeatSolver(lp, start=first)
+    rs.solve()
+    start = KeptStart(rs.basis())
+    lp.row_lower[0] = 12.0  # the re-solve goes dual
+    want = solve_lp(lp).objective
+    real_update, real_start = lp_solver._Factors.update, lp_solver.RepeatSolver._start
+    calls, starts = [], []
+
+    def failing(self, row, eta):
+        calls.append(row)
+        if len(calls) == 1:
+            raise LpError("forced update failure")
+        return real_update(self, row, eta)
+
+    def spy(sim, basis):
+        starts.append(basis)
+        return real_start(sim, basis)
+
+    monkeypatch.setattr(lp_solver._Factors, "update", failing)
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_start", spy)
+    rs.begin_at(start)
+    sol = rs.solve()
+    assert rs.restarts == 1 and starts == [start.basis, first]
+    assert sol.status == "optimal" and sol.objective == pytest.approx(want, rel=1e-12)
 
 
 def _count_primal_pivots(monkeypatch) -> list:

@@ -355,9 +355,9 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
     """A 1,100-germ batch maps power in three blocks, after the constructor
     maps the zero germ and the atlas's block of its 512 germs, and passes
     every batch germ once through `__call__` as its one argument, and no
-    atlas germ.  Its values agree with calling the evaluator along the tour
-    germ by germ, which runs the simplex on every germ, to 1e-12: a
-    screened Q moves by about an ulp."""
+    atlas germ.  Its values agree with calling the evaluator germ by germ
+    in input order from the anchor, which runs the simplex on every germ,
+    to 1e-12: a screened Q moves by about an ulp."""
     germs = sample_germs(14, 1100, spec3.dimension)
     honest_call, honest_power = SedEvaluator.__call__, fc.ForecastSpec.power
     calls, blocks = [], []
@@ -379,10 +379,9 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
     assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
     seen = sorted(tuple(args[0]) for args, _ in calls)
     assert seen == sorted(tuple(g) for g in germs)
-    order = ev._visit_order(germs)
     ev._solver.restart_from(ev._anchor)
-    simplex = np.array([ev(germs[i]) for i in order])
-    assert np.allclose(batch[order], simplex, rtol=1e-12, atol=0.0)
+    simplex = np.array([ev(g) for g in germs])
+    assert np.allclose(batch, simplex, rtol=1e-12, atol=0.0)
 
 
 def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
@@ -392,7 +391,7 @@ def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
     germs = sample_germs(15, 20, spec3.dimension)
     germs[7] = 3.0  # outside every region of the atlas: a simplex solve
     ev = SedEvaluator(case3, spec3)
-    assert np.isnan(ev._screen(spec3.power(germs, ev._site_labels))).sum() == 1
+    assert np.isnan(ev._screen(spec3.power(germs, ev._site_labels))[0]).sum() == 1
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
     with pytest.raises(DispatchError, match="singular basis"):
         ev.evaluate_batch(germs)
@@ -419,7 +418,7 @@ def test_screened_q_matches_the_simplex(case3, spec3):
     germs = sample_germs(16, 2000, spec3.dimension)
     ev = SedEvaluator(case3, spec3)
     batch = ev.evaluate_batch(germs)
-    screened = ~np.isnan(ev._screen(spec3.power(germs, ev._site_labels)))
+    screened = ~np.isnan(ev._screen(spec3.power(germs, ev._site_labels))[0])
     assert screened.mean() > 0.8
     fresh = SedEvaluator(case3, spec3)
     simplex = np.array([fresh(g) for g in germs])
@@ -447,7 +446,7 @@ def test_screened_q_matches_the_simplex_on_a_region_boundary(case3, spec3):
     simplex = SedEvaluator(case3, spec3)(edge)
     p = spec3.power(edge[None], ev._site_labels).reshape(1, -1)
     for k in (0, holds[0]):
-        hit, q = ev._atlas[k].screen(p)
+        hit, q, _ = ev._atlas[k].screen(p)
         assert hit[0] and q[0] == pytest.approx(simplex, rel=1e-12)
     assert ev.evaluate_batch(edge[None])[0] == pytest.approx(simplex, rel=1e-12)
 
@@ -677,6 +676,67 @@ def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
     assert order[0] == 120
     assert ev._visit_order(germs[:1]).tolist() == [0]
     assert ev.evaluate_batch(np.empty((0, spec3.dimension))).shape == (0,)
+
+
+def _misses(ev: SedEvaluator, germs: np.ndarray) -> np.ndarray:
+    """Which germs no region of the atlas holds."""
+    return ev._screen(ev.spec.power(germs, ev._site_labels))[1] >= 0
+
+
+def test_a_batch_value_is_the_germs_own(case3, spec3):
+    """With an atlas, each Q depends on its germ and the atlas alone: a
+    germ's value in a batch equals its value in a batch of its own, bit for
+    bit, for screened germs and for misses, in a shuffled batch too, and in
+    a pickled copy (as a spawned worker gets), which keeps no factorization
+    of the original's and builds its own."""
+    ev = SedEvaluator(case3, spec3)
+    germs = sample_germs(19, 300, spec3.dimension)
+    miss = _misses(ev, germs)
+    assert 10 <= miss.sum() < len(germs) - 10
+    batch = ev.evaluate_batch(germs)
+    alone = SedEvaluator(case3, spec3)
+    assert np.array_equal([alone.evaluate_batch(g[None])[0] for g in germs], batch)
+    shuffle = np.random.default_rng(19).permutation(len(germs))
+    assert np.array_equal(ev.evaluate_batch(germs[shuffle]), batch[shuffle])
+    assert ev._kept and "_kept" not in ev.__getstate__()
+    copy = pickle.loads(pickle.dumps(ev))
+    assert copy._kept == {}
+    assert np.array_equal(copy.evaluate_batch(germs[shuffle]), batch[shuffle])
+
+
+def test_a_miss_from_a_kept_factorization_is_a_fresh_solve(case3, spec3):
+    """A miss re-solved from its nearest region's kept factorization equals
+    the same miss in a fresh evaluator, which factorizes that region's
+    basis on first use, and a solve that factorizes it afresh, bit for bit;
+    and the kept LU and reduced costs stay as they were built, though the
+    solves begun from them pivot."""
+    ev = SedEvaluator(case3, spec3)
+    germs = sample_germs(21, 400, spec3.dimension)
+    misses = germs[_misses(ev, germs)]
+    first = ev.evaluate_batch(misses)
+    kept = {k: (start.factors.lu.solve(np.arange(1.0, ev.inst.lp.num_rows + 1)),
+                start.reduced_costs.copy())
+            for k, start in ev._kept.items()}
+    pivots = []
+    for g in misses[::-1]:
+        ev.evaluate_batch(g[None])
+        pivots.append(ev._solver.iterations)
+    assert sum(pivots) > 0
+    again = ev.evaluate_batch(misses[::-1])[::-1]
+    assert np.array_equal(again, first)
+    fresh = SedEvaluator(case3, spec3)
+    assert np.array_equal([fresh.evaluate_batch(g[None])[0] for g in misses[:20]],
+                          first[:20])
+    nearest = fresh._screen(spec3.power(misses[:20], fresh._site_labels))[1]
+    for g, k, q in zip(misses[:20], nearest, first[:20]):
+        fresh._solver.restart_from(fresh._atlas[k].basis)
+        assert fresh(g) == q
+    for k, (lu_solve, d) in kept.items():
+        start = ev._kept[k]
+        assert start.factors.etas == [] and start.factors.eta_nnz == 0
+        assert np.array_equal(
+            start.factors.lu.solve(np.arange(1.0, ev.inst.lp.num_rows + 1)), lu_solve)
+        assert np.array_equal(start.reduced_costs, d)
 
 
 def _spy_solver(monkeypatch):
