@@ -79,11 +79,11 @@ def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
 
     The germs are cut into min(16, max(1, n // 64)) contiguous chunks, a
     number fixed by the germ count alone.  The chunks run in this process
-    when jobs <= 1 or there is only one, else on one pool of `jobs`
-    workers.  Models exposing an `evaluate_batch` method (warm-startable
-    dispatch evaluators) get whole chunks at once; since a batch's values
-    depend on its germs alone, the result does not depend on `jobs` or on
-    the pool's start method.  A model that raises or returns a non-finite
+    when jobs <= 1 or there is only one, else on one pool of
+    min(jobs, chunks) workers.  Models exposing an `evaluate_batch` method
+    (warm-startable dispatch evaluators) get whole chunks at once; since a
+    batch's values depend on its germs alone, the result does not depend on
+    `jobs` or on the pool's start method.  A model that raises or returns a non-finite
     value stops the map with a ModelEvaluationError naming the germ.
     """
     germs = np.atleast_2d(np.asarray(germs, dtype=float))
@@ -91,7 +91,7 @@ def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
     if jobs <= 1 or len(chunks) == 1:
         parts = [_apply(model, chunk) for chunk in chunks]
     else:
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
+        with multiprocessing.Pool(min(jobs, len(chunks)), initializer=_init_worker,
                                   initargs=(model,)) as pool:
             parts = pool.map(_eval_chunk, chunks)
     return np.concatenate(parts)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .forecast import ForecastSpec
 from .grid_model import GridCase, linearize_cost
@@ -343,7 +342,8 @@ class SedEvaluator:
     a simplex solve.  Each other evaluation regenerates the renewable
     injection from the germ, moves the balance-row bounds, and re-solves:
     in a batch with an atlas, from the basis of the region nearest the
-    germ; else from the previous optimal basis, the first from the anchor.
+    germ; else from the previous optimal basis, a batch taking its germs
+    in ascending total wind power and the first from the anchor.
 
     So the cold solve and the atlas happen once, in the process that
     constructs the evaluator.  Forked workers inherit them.  A pickled
@@ -429,57 +429,22 @@ class SedEvaluator:
             raise DispatchError(f"dispatch LP failed at germ {germ!r}: {exc}") from exc
         return value + self.inst.objective_offset
 
-    def _germ_scale(self) -> np.ndarray:
-        """Weight per germ coordinate ~ how strongly it moves total wind."""
-        scale = np.zeros(self.dim)
-        columns = self.spec.germ_columns()
-        for site in self.spec.sites:
-            lam = site.kl_basis().eigenvalues[:site.truncation]
-            np.add.at(scale, columns[site.label], np.sqrt(lam))
-        return scale
-
-    def _visit_order(self, germs: np.ndarray) -> np.ndarray:
-        """Greedy nearest-neighbour tour through the germs, in coordinates
-        scaled by how strongly each moves total wind, from the germ nearest
-        the zero germ.  Each step goes to the nearest unvisited germ among
-        the current one's 8 nearest, widening the search when all of those
-        are visited."""
-        z = germs * self._germ_scale()
-        n = len(z)
-        tree = cKDTree(z)
-        near8 = tree.query(z, k=min(8, n))[1]
-        free = np.ones(n, dtype=bool)
-        order = np.empty(n, dtype=np.int64)
-        cur = int(np.argmin(np.einsum("ij,ij->i", z, z)))
-        for step in range(n):
-            order[step] = cur
-            free[cur] = False
-            if step + 1 == n:
-                break
-            near = near8[cur][free[near8[cur]]]
-            k = near8.shape[1]
-            while not len(near):
-                k *= 4
-                near = tree.query(z[cur], k=min(k, n))[1]
-                near = near[free[near]]
-            cur = int(near[0])
-        return order
-
     def _build_atlas(self) -> tuple[_Region, ...]:
         """The regions of the optimal bases the solver reaches on ATLAS_GERMS
-        standard-normal germs from a fixed Philox key, toured from the
-        anchor: one region per distinct basis, the most reached first (ties
-        in the order reached), each taken about the power row of the tour's
-        first germ.  A germ whose LP fails adds no region, and the solver
-        starts again from the anchor.  The germs go to the solver directly,
-        not through `__call__`, so they are not evaluations."""
+        standard-normal germs from a fixed Philox key, chained from the
+        anchor in ascending total wind power: one region per distinct basis,
+        the most reached first (ties in the order reached), each taken about
+        the power row of the germ with the smallest squared norm.  A germ
+        whose LP fails adds no region, and the solver starts again from the
+        anchor.  The germs go to the solver directly, not through
+        `__call__`, so they are not evaluations."""
         rng = np.random.Generator(np.random.Philox(key=0xA71A5))
         germs = rng.standard_normal((ATLAS_GERMS, self.dim))
-        germs = germs[self._visit_order(germs)]
         powers = self.spec.power(germs, self._site_labels)
+        p0 = powers[np.argmin(np.einsum("ij,ij->i", germs, germs))]
         reached: dict[bytes, list] = {}
         self._solver.restart_from(self._anchor)
-        for power in powers:
+        for power in powers[np.argsort(powers.sum(axis=(1, 2)), kind="stable")]:
             self.inst.set_renewable(power)
             try:
                 self._solver.solve_value()
@@ -489,8 +454,7 @@ class SedEvaluator:
             basis = self._solver.basis()
             reached.setdefault(basis.status.tobytes(), [0, basis])[0] += 1
         ranked = sorted(reached.values(), key=lambda hits_basis: -hits_basis[0])
-        return tuple(_Region(self.inst, self._solver, basis, powers[0])
-                     for _, basis in ranked)
+        return tuple(_Region(self.inst, self._solver, basis, p0) for _, basis in ranked)
 
     def _screen(self, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Q at each power row (germs x sites x T) that lies in a region of
@@ -525,9 +489,9 @@ class SedEvaluator:
     def evaluate_batch(self, germs) -> np.ndarray:
         """Q for a batch of germs, in input order.  The germs are checked
         once, and mapped to power one block at a time.  Each value depends
-        on its germ and the evaluator's anchor and atlas alone, not on what
-        the evaluator solved before, so pool results do not depend on which
-        worker ran which chunk.
+        on the batch's germs and the evaluator's anchor and atlas alone, not
+        on what the evaluator solved before, so pool results do not depend
+        on which worker ran which chunk.
 
         With an atlas, each block, in input order, is screened against it
         before any simplex solve: a germ inside a region takes that
@@ -537,10 +501,12 @@ class SedEvaluator:
         screened Q agrees with a simplex solve to about an ulp.  Each other
         germ is re-solved by the dual simplex from the basis of its nearest
         region, whatever the batch or its place in it.  Without an atlas,
-        the batch starts from the anchor basis and visits its germs along
-        a nearest-neighbour tour, so consecutive scenarios stay close and
-        warm starts need few pivots.  Each germ, screened or not, still goes
-        once through `self(germ)`."""
+        the batch starts from the anchor basis and re-solves its germs in
+        ascending total wind power (a stable sort; the totals are mapped a
+        block at a time too), each from the previous germ's optimal basis.
+        Total power is what moves the balance rows' sum, so consecutive
+        scenarios stay close and warm starts need few pivots.  Each germ,
+        screened or not, still goes once through `self(germ)`."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
         self._check(germs)
         out = np.empty(len(germs))
@@ -550,7 +516,10 @@ class SedEvaluator:
             order = np.arange(len(germs))
         else:
             self._solver.restart_from(self._anchor)
-            order = self._visit_order(germs)
+            total = np.concatenate([
+                self.spec.power(germs[i:i + POWER_BLOCK], self._site_labels).sum(axis=(1, 2))
+                for i in range(0, len(germs), POWER_BLOCK)])
+            order = np.argsort(total, kind="stable")
         for start in range(0, len(order), POWER_BLOCK):
             block = order[start:start + POWER_BLOCK]
             power = self.spec.power(germs[block], self._site_labels)

@@ -502,14 +502,9 @@ def test_study_runs_verifies_and_reproduces(tmp_path):
     assert header == "method,resolution,realization,value,error"
 
 
-def test_study_report_does_not_depend_on_jobs_or_start_method(tmp_path,
-                                                              monkeypatch):
-    """The study's germs go through one map whose chunks the germ count
-    alone fixes, so the report is byte-identical in one process, on a
-    forked pool and on a spawned one.  This sweep's report differs in three
-    rows between --jobs 1 and 2 when the chunks depend on the worker count."""
-    path = write_config(tmp_path, seed=3, pce={"levels": [1, 2, 3, 4]},
-                        mc={"schedule": [10, 100], "realizations": 2})
+def reports_by_jobs_and_start_method(path, tmp_path, monkeypatch):
+    """The study's report.csv bytes at --jobs 1, on a forked pool of 2 and on
+    a spawned pool of 2."""
     reports = []
     for jobs, method in ((1, None), (2, "fork"), (2, "spawn")):
         if method:
@@ -519,8 +514,41 @@ def test_study_report_does_not_depend_on_jobs_or_start_method(tmp_path,
         assert main(["study", "--config", str(path), "--out", str(out),
                      "--jobs", str(jobs)]) == 0
         reports.append((out / "report.csv").read_bytes())
-    assert reports[1] == reports[0]
-    assert reports[2] == reports[0]
+    return reports
+
+
+def test_study_report_does_not_depend_on_jobs_or_start_method(tmp_path,
+                                                              monkeypatch):
+    """The study's germs go through one map whose chunks the germ count
+    alone fixes, so the report is byte-identical in one process, on a
+    forked pool and on a spawned one.  This sweep's report differs in three
+    rows between --jobs 1 and 2 when the chunks depend on the worker count."""
+    path = write_config(tmp_path, seed=3, pce={"levels": [1, 2, 3, 4]},
+                        mc={"schedule": [10, 100], "realizations": 2})
+    single, forked, spawned = reports_by_jobs_and_start_method(path, tmp_path, monkeypatch)
+    assert forked == single
+    assert spawned == single
+
+
+@pytest.mark.slow
+def test_118_bus_report_does_not_depend_on_jobs_or_start_method(tmp_path, monkeypatch):
+    """The 118-bus LP has no atlas, so each chunk chains its re-solves from
+    the anchor; a chunk's chain depends on its germs alone, so the report is
+    byte-identical in one process, on a forked pool and on a spawned one
+    (141 germs in 2 chunks)."""
+    sites = {
+        "site_15414": {"mean_wind": 8.0, "matern_l": 11.40, "matern_nu": 0.56},
+        "site_16238": {"mean_wind": 8.0, "matern_l": 11.15, "matern_nu": 0.57},
+        "site_3560": {"mean_wind": 8.5, "matern_l": 9.79, "matern_nu": 0.78},
+    }
+    dependence = [[["site_15414", k], ["site_16238", k]] for k in (1, 2)]
+    path = write_config(tmp_path, case=str(DATA / "case118.txt"), seed=3,
+                        forecast={"sigma_p": 0.35, "truncation": 3, "sites": sites,
+                                  "dependence": dependence},
+                        pce={"levels": [1, 2]}, mc={"schedule": [10, 32], "realizations": 1})
+    single, forked, spawned = reports_by_jobs_and_start_method(path, tmp_path, monkeypatch)
+    assert forked == single
+    assert spawned == single
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -555,14 +583,14 @@ def test_config_round_trip_and_digest(tmp_path):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    """Importing the CLI loads none of scipy.interpolate, scipy.optimize and
-    scipy.sparse.csgraph, which would cost every process (and every pool
-    worker) start-up time and memory; the Matern fit imports
-    scipy.optimize when it runs."""
+    """Importing the CLI loads none of scipy.interpolate, scipy.optimize,
+    scipy.sparse.csgraph and scipy.spatial, which would cost every process
+    (and every pool worker) start-up time and memory; the Matern fit
+    imports scipy.optimize when it runs."""
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse.csgraph"]
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse.csgraph", "scipy.spatial"]
     code = ("import sys, windsed.cli; "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -204,6 +204,35 @@ def test_parallel_map_matches_serial():
     assert np.array_equal(serial, twice)
 
 
+@pytest.mark.parametrize("n, jobs, workers", [(128, 8, 2), (256, 2, 2)])
+def test_pool_starts_no_more_workers_than_chunks(n, jobs, workers, monkeypatch):
+    """The pool holds min(jobs, chunks) workers: 128 germs make 2 chunks,
+    so 8 jobs ask for 2 processes.  The stand-in pool records the count and
+    runs the chunks in this process, so no process starts."""
+    asked = []
+
+    class StandInPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(est._WorkerState, "model", None)
+    monkeypatch.setattr(est.multiprocessing, "Pool", StandInPool)
+    germs = np.random.default_rng(0).standard_normal((n, 4))
+    values = est.parallel_map(quadratic_4d, germs, jobs=jobs)
+    assert asked == [workers]
+    assert np.array_equal(values, est.parallel_map(quadratic_4d, germs, jobs=1))
+
+
 def test_model_evaluation_error_survives_pickling():
     err = est.ModelEvaluationError(np.array([0.5, -1.0]), RuntimeError("boom"))
     back = pickle.loads(pickle.dumps(err))

@@ -666,15 +666,33 @@ def test_unpickled_evaluator_starts_from_the_anchor(case3, spec3, monkeypatch):
                           ev.evaluate_batch(germs))
 
 
-def test_visit_order_is_a_tour_from_the_zero_germ(case3, spec3):
+def test_a_batch_without_an_atlas_chains_in_ascending_total_power(case3, spec3,
+                                                                  monkeypatch):
+    """Without an atlas a batch re-solves its germs from the anchor in
+    ascending total wind power, a duplicate germ as often as it appears, and
+    returns the values in input order.  A shuffled batch makes the same
+    chain, as its distinct germs have distinct totals, so it returns the
+    same values bit for bit."""
+    monkeypatch.setattr(sed, "REGION_ROWS", 0)
     ev = SedEvaluator(case3, spec3)
+    assert ev._atlas == ()
     germs = sample_germs(11, 200, spec3.dimension)
-    germs[50] = germs[7]  # duplicates are visited too
-    germs[120] = 0.01
-    order = ev._visit_order(germs)
-    assert sorted(order.tolist()) == list(range(len(germs)))
-    assert order[0] == 120
-    assert ev._visit_order(germs[:1]).tolist() == [0]
+    germs[50] = germs[7]
+    seen = []
+    set_renewable = DispatchInstance.set_renewable
+
+    def record(inst, renewable):
+        seen.append(np.array(renewable))
+        set_renewable(inst, renewable)
+
+    monkeypatch.setattr(DispatchInstance, "set_renewable", record)
+    values = ev.evaluate_batch(germs)
+    chain = np.stack(seen)
+    assert np.all(np.diff(chain.sum(axis=(1, 2))) >= 0.0)
+    power = spec3.power(germs, ev._site_labels)
+    assert sorted(row.tobytes() for row in chain) == sorted(row.tobytes() for row in power)
+    shuffle = np.random.default_rng(11).permutation(len(germs))
+    assert np.array_equal(ev.evaluate_batch(germs[shuffle]), values[shuffle])
     assert ev.evaluate_batch(np.empty((0, spec3.dimension))).shape == (0,)
 
 
