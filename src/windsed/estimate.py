@@ -83,8 +83,9 @@ def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
     min(jobs, chunks) workers.  Models exposing an `evaluate_batch` method
     (warm-startable dispatch evaluators) get whole chunks at once; since a
     batch's values depend on its germs alone, the result does not depend on
-    `jobs` or on the pool's start method.  A model that raises or returns a non-finite
-    value stops the map with a ModelEvaluationError naming the germ.
+    `jobs` or on the pool's start method.  A model that raises or returns a
+    non-finite value stops the map with a ModelEvaluationError naming the
+    germ.
     """
     germs = np.atleast_2d(np.asarray(germs, dtype=float))
     chunks = np.array_split(germs, min(16, max(1, len(germs) // 64)))
