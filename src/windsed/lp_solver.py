@@ -245,15 +245,20 @@ class _Factors:
 class KeptStart:
     """A basis that many solves begin from (`RepeatSolver.begin_at`), with
     what they share because bound moves leave it alone: the basis's LU
-    factorization and its reduced costs.  The first solve that begins here
-    factorizes and prices the basis; the later ones take both as they are.
-    Each solve pivots on its own empty eta file and its own copy of the
-    reduced costs, so nothing here changes once built."""
+    factorization and its reduced costs.  The first solve in a process that
+    begins here factorizes and prices the basis; the later ones take both
+    as they are.  Each solve pivots on its own empty eta file and its own
+    copy of the reduced costs, so nothing here changes once built.  A
+    pickled start carries its basis alone, so the unpickling process
+    factorizes it afresh."""
 
     def __init__(self, basis: Basis):
         self.basis = basis
         self.factors: _Factors | None = None
         self.reduced_costs: np.ndarray | None = None
+
+    def __reduce__(self):
+        return KeptStart, (self.basis,)
 
 
 def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
@@ -284,15 +289,13 @@ class RepeatSolver:
     The first solve starts from `start` when given (a crash basis built for
     the LP's structure, such as the dispatch LP's DC power flow, which puts
     the cold solve's phase 1 close to feasibility), else from the slack
-    basis.  A solve that fails numerically is
-    retried once from that same start basis, through the same phases and
-    feasibility certification; `restarts` counts these retries.
-    `restart_from` replaces the start basis and makes the next solve begin
-    there, so a caller can pin a sweep's starting point; an optimal basis
-    given there is re-solved by the dual simplex too.  `begin_at` makes
-    only the next solve begin from a `KeptStart`, on its kept factorization,
-    and leaves the start basis for retries.  `load` takes a basis without
-    solving, for a caller that reads its x and factors.
+    basis.  A solve that fails numerically is retried once from that same
+    start basis, through the same phases and feasibility certification;
+    `restarts` counts these retries.  `begin_at` makes the next solve begin
+    from a `KeptStart` instead, on its kept factorization, so a caller can
+    pin a sweep's starting point; an optimal basis given there is re-solved
+    by the dual simplex too.  `load` takes a basis without solving, for a
+    caller that reads its x and factors.
     """
 
     def __init__(self, lp: LinearProgram, start: Basis | None = None):
@@ -327,17 +330,12 @@ class RepeatSolver:
         """The current basis (after a solve: the optimal one)."""
         return Basis(self.basic.copy(), self.status.copy())
 
-    def restart_from(self, basis: Basis):
-        """Begin the next solve, and any retry, from `basis`."""
-        self._start_basis = basis
-        self._started = False
-
     def begin_at(self, start: KeptStart):
         """Begin the next solve from `start`'s basis, on its LU with a fresh,
         empty eta file and with its reduced costs, after factorizing and
         pricing it if no solve began there yet.  A solve that fails is still
         retried from the start basis.  The solve's value has the same bits
-        as one that factorizes the basis afresh (`restart_from`)."""
+        as that of a solver constructed to start from the basis."""
         if start.factors is None:
             self._start(start.basis)
             start.factors = self.factors

@@ -275,12 +275,13 @@ class _Region:
     bounds move with p too), a lower bound's row of M is D's and an upper
     bound's is -D's.  The region comes from the solver's fresh
     factorization of the basis at p0 (`RepeatSolver.load`), so it depends on
-    the basis and p0 alone.  It keeps the basis, for the simplex solves of
-    germs outside it that begin there."""
+    the basis and p0 alone.  It keeps the basis as a `KeptStart`, for the
+    simplex solves of germs outside it that begin there; the first such
+    solve in a process factorizes it."""
 
     def __init__(self, inst: DispatchInstance, solver: RepeatSolver, basis: Basis,
                  p0: np.ndarray):
-        self.basis = basis
+        self.start = KeptStart(basis)
         lp, status, basic = inst.lp, basis.status, basis.basic
         n, T = lp.num_cols, inst.case.periods
         inst.set_renewable(p0)
@@ -348,9 +349,9 @@ class SedEvaluator:
     So the cold solve and the atlas happen once, in the process that
     constructs the evaluator.  Forked workers inherit them.  A pickled
     evaluator carries the anchor and the atlas but not the LP, the solver
-    or the regions' kept factorizations (`_kept`), which each process
-    builds for itself: unpickling rebuilds the solver to start from the
-    anchor.  Safe to use from one worker at a time.
+    or the factorizations of the anchor and region bases (`KeptStart`),
+    which each process builds for itself: unpickling rebuilds the solver
+    and begins it at the anchor.  Safe to use from one worker at a time.
     """
 
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
@@ -366,36 +367,33 @@ class SedEvaluator:
         self.dim = spec.dimension
         self._next_power = None  # power row for the next call, mapped by a batch
         self._next_q = None  # Q for the next call, screened by a batch
-        self._build(None)
+        self._build()
         try:
             self._solver.solve_value()
         except LpError as exc:
             raise DispatchError(f"dispatch LP failed at the zero germ: {exc}") from exc
-        self._anchor = self._solver.basis()  # optimal basis at the zero germ
+        self._anchor = KeptStart(self._solver.basis())  # optimal basis at the zero germ
         # above REGION_ROWS germs rarely share a basis (on the 118-bus case
         # each ends in its own), so such an LP has no atlas
         self._atlas = self._build_atlas() if self.inst.lp.num_rows <= REGION_ROWS else ()
-        self._solver.restart_from(self._anchor)
+        self._solver.begin_at(self._anchor)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["inst"], state["_solver"], state["_kept"]
+        del state["inst"], state["_solver"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._build(self._anchor)
+        self._build()
+        self._solver.begin_at(self._anchor)
 
-    def _build(self, start: Basis | None):
-        """The LP at the zero germ, a solver whose first solve starts from
-        `start` (None: the crash basis), and no kept factorization yet."""
+    def _build(self):
+        """The LP at the zero germ, and a solver whose first solve, and
+        every retry, starts from the crash basis."""
         self.inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
                                    self.segments)
-        self._solver = RepeatSolver(self.inst.lp,
-                                    self.inst.start_basis() if start is None else start)
-        # each atlas region's basis with its factorization, by region
-        # position, built in this process by the first solve that begins there
-        self._kept: dict[int, KeptStart] = {}
+        self._solver = RepeatSolver(self.inst.lp, self.inst.start_basis())
 
     def _power_for(self, germ: np.ndarray) -> np.ndarray:
         """Hourly power per site in the case's renewable-site order."""
@@ -443,13 +441,13 @@ class SedEvaluator:
         powers = self.spec.power(germs, self._site_labels)
         p0 = powers[np.argmin(np.einsum("ij,ij->i", germs, germs))]
         reached: dict[bytes, list] = {}
-        self._solver.restart_from(self._anchor)
+        self._solver.begin_at(self._anchor)
         for power in powers[np.argsort(powers.sum(axis=(1, 2)), kind="stable")]:
             self.inst.set_renewable(power)
             try:
                 self._solver.solve_value()
             except LpError:
-                self._solver.restart_from(self._anchor)
+                self._solver.begin_at(self._anchor)
                 continue
             basis = self._solver.basis()
             reached.setdefault(basis.status.tobytes(), [0, basis])[0] += 1
@@ -478,13 +476,6 @@ class SedEvaluator:
             closest[pending[closer]] = total[closer]
             pending = pending[~hit]
         return q, nearest
-
-    def _start_at(self, k: int):
-        """Begin the next solve from the basis of region k of the atlas, on
-        the factorization this process keeps of it."""
-        if k not in self._kept:
-            self._kept[k] = KeptStart(self._atlas[k].basis)
-        self._solver.begin_at(self._kept[k])
 
     def evaluate_batch(self, germs) -> np.ndarray:
         """Q for a batch of germs, in input order.  The germs are checked
@@ -515,7 +506,7 @@ class SedEvaluator:
         if self._atlas:
             order = np.arange(len(germs))
         else:
-            self._solver.restart_from(self._anchor)
+            self._solver.begin_at(self._anchor)
             total = np.concatenate([
                 self.spec.power(germs[i:i + POWER_BLOCK], self._site_labels).sum(axis=(1, 2))
                 for i in range(0, len(germs), POWER_BLOCK)])
@@ -527,7 +518,7 @@ class SedEvaluator:
                 # `__call__` stays the one path to Q
                 if np.isnan(q):
                     if k >= 0:  # a miss of the atlas
-                        self._start_at(k)
+                        self._solver.begin_at(self._atlas[k].start)
                     self._next_power = row
                 else:
                     self._next_q = float(q)

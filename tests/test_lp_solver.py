@@ -303,7 +303,9 @@ def test_drifted_optimum_is_re_certified_on_a_fresh_factorization(monkeypatch, d
     assert sol.max_bound_violation <= 1e-9
 
 
-def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
+def test_repeat_solver_begun_at_an_optimal_basis_needs_no_pivots():
+    """A solve begun at a kept optimal basis, after the bounds moved away
+    and back, takes no pivot, as does a new solver that starts there."""
     lp = simple_lp([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
                    [2.0, -1.0], [INF, 1.0], [0, 0, 0], [5, 5, 5])
     rs = RepeatSolver(lp)
@@ -313,23 +315,24 @@ def test_repeat_solver_restart_from_optimal_basis_needs_no_pivots():
     moved = rs.solve_value()
     assert moved == pytest.approx(solve_lp(lp).objective, rel=1e-12)
     lp.row_lower[0] = 2.0
-    rs.restart_from(optimal)
+    rs.begin_at(KeptStart(optimal))
     sol = rs.solve()
     assert sol.iterations == 0
     assert sol.objective == pytest.approx(want, rel=1e-12)
+    assert RepeatSolver(lp, optimal).solve().iterations == 0
 
 
 def test_solves_begun_at_a_kept_start_match_fresh_factorizations():
     """A solve begun from a `KeptStart` ends with the status, pivots and
-    objective bits of one that factorizes the same basis afresh
-    (`restart_from`), after any bound move; its pivots leave the kept LU
-    with no eta and the kept reduced costs as they were priced."""
+    objective bits of a new solver that starts from the same basis, after
+    any bound move; its pivots leave the kept LU with no eta and the kept
+    reduced costs as they were priced."""
     rng = np.random.default_rng(23)
     pivoted = checked = 0
     for _ in range(200):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         lp = simple_lp(c, A, rlo, rhi, lo, up)
-        rs, fresh = RepeatSolver(lp), RepeatSolver(lp)
+        rs = RepeatSolver(lp)
         if rs.solve().status != "optimal":
             continue
         start = KeptStart(rs.basis())
@@ -338,13 +341,13 @@ def test_solves_begun_at_a_kept_start_match_fresh_factorizations():
             lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
             rs.begin_at(start)
             kept = rs.solve()
-            fresh.restart_from(start.basis)
-            want = fresh.solve()
+            want = RepeatSolver(lp, start.basis).solve()
             assert (kept.status, kept.iterations) == (want.status, want.iterations)
             if want.status == "optimal":
                 assert kept.objective == want.objective
             pivoted += kept.iterations
         assert start.factors.etas == [] and start.factors.eta_nnz == 0
+        fresh = RepeatSolver(lp)
         fresh.load(start.basis)
         assert np.array_equal(start.reduced_costs, fresh._reduced_costs(fresh.cost)[0])
         checked += 1
@@ -429,14 +432,14 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
         rs = RepeatSolver(lp)
         if rs.solve().status != "optimal":
             continue
-        first = rs.basis()
+        first = KeptStart(rs.basis())
         n_fixed += np.count_nonzero(lo == up)
         n_free += np.count_nonzero(free)
         for sweep in range(6):
             shift = rng.normal(size=len(rlo)) * rng.choice([0.1, 1.0, 3.0])
             lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
             if sweep == 3:
-                rs.restart_from(first)  # as each evaluate_batch does
+                rs.begin_at(first)  # as each evaluate_batch does
             del primal[:]
             warm = rs.solve()
             assert sum(primal) == 0

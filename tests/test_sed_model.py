@@ -13,7 +13,7 @@ from windsed import estimate as est
 from windsed import forecast as fc
 from windsed.grid_model import linearize_cost, parse_case
 from windsed import lp_solver
-from windsed.lp_solver import LinearProgram, LpSolution, solve_lp
+from windsed.lp_solver import LinearProgram, LpSolution, RepeatSolver, solve_lp
 from windsed import sed_model as sed
 from windsed.sed_model import (DispatchError, DispatchInstance, SedEvaluator,
                                _extract, _lead_buses, build_instance,
@@ -379,7 +379,7 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
     assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
     seen = sorted(tuple(args[0]) for args, _ in calls)
     assert seen == sorted(tuple(g) for g in germs)
-    ev._solver.restart_from(ev._anchor)
+    ev._solver.begin_at(ev._anchor)
     simplex = np.array([ev(g) for g in germs])
     assert np.allclose(batch, simplex, rtol=1e-12, atol=0.0)
 
@@ -650,20 +650,43 @@ def test_parallel_map_values_do_not_depend_on_jobs(case3, spec3):
     assert np.array_equal(est.parallel_map(ev, germs, jobs=2), serial)
 
 
+def _spy_starts(monkeypatch) -> list:
+    """Spy on the bases the solver factorizes to begin a solve from: the
+    returned list collects each one's statuses as bytes."""
+    real = lp_solver.RepeatSolver._start
+    starts = []
+
+    def spy(sim, basis):
+        starts.append(basis.status.tobytes())
+        return real(sim, basis)
+
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_start", spy)
+    return starts
+
+
+def _crash(ev: SedEvaluator) -> bytes:
+    """The statuses of the crash basis of the evaluator's LP, at the zero
+    germ, where the evaluator builds its solver."""
+    inst = build_instance(ev.case, ev._power_for(np.zeros(ev.dim)), ev.segments)
+    return inst.start_basis().status.tobytes()
+
+
 def test_unpickled_evaluator_starts_from_the_anchor(case3, spec3, monkeypatch):
     """The constructor solves the zero germ; a pickled copy rebuilds its LP
-    and starts from that anchor, so a worker pays no cold solve of its own
-    and returns what the original does."""
+    and begins at that anchor, so a worker pays no cold solve of its own
+    and returns what the original does.  The copy still builds the crash
+    basis, for retries only: no solve in it starts there."""
     ev = SedEvaluator(case3, spec3)
     blob = pickle.dumps(ev)
-
-    def no_crash_start(self):
-        raise AssertionError("cold solve from the crash basis")
-
-    monkeypatch.setattr(DispatchInstance, "start_basis", no_crash_start)
     germs = sample_germs(12, 40, spec3.dimension)
-    assert np.array_equal(pickle.loads(blob).evaluate_batch(germs),
-                          ev.evaluate_batch(germs))
+    starts = _spy_starts(monkeypatch)
+    copy = pickle.loads(blob)
+    values = copy.evaluate_batch(germs)
+    monkeypatch.undo()
+    assert starts[0] == ev._anchor.basis.status.tobytes()
+    assert _crash(copy) not in starts
+    assert copy._solver.restarts == 0
+    assert np.array_equal(values, ev.evaluate_batch(germs))
 
 
 def test_a_batch_without_an_atlas_chains_in_ascending_total_power(case3, spec3,
@@ -706,7 +729,7 @@ def test_a_batch_value_is_the_germs_own(case3, spec3):
     germ's value in a batch equals its value in a batch of its own, bit for
     bit, for screened germs and for misses, in a shuffled batch too, and in
     a pickled copy (as a spawned worker gets), which keeps no factorization
-    of the original's and builds its own."""
+    of the original's region starts and builds its own."""
     ev = SedEvaluator(case3, spec3)
     germs = sample_germs(19, 300, spec3.dimension)
     miss = _misses(ev, germs)
@@ -716,25 +739,26 @@ def test_a_batch_value_is_the_germs_own(case3, spec3):
     assert np.array_equal([alone.evaluate_batch(g[None])[0] for g in germs], batch)
     shuffle = np.random.default_rng(19).permutation(len(germs))
     assert np.array_equal(ev.evaluate_batch(germs[shuffle]), batch[shuffle])
-    assert ev._kept and "_kept" not in ev.__getstate__()
+    assert any(region.start.factors is not None for region in ev._atlas)
     copy = pickle.loads(pickle.dumps(ev))
-    assert copy._kept == {}
+    assert all(region.start.factors is None for region in copy._atlas)
     assert np.array_equal(copy.evaluate_batch(germs[shuffle]), batch[shuffle])
 
 
 def test_a_miss_from_a_kept_factorization_is_a_fresh_solve(case3, spec3):
     """A miss re-solved from its nearest region's kept factorization equals
     the same miss in a fresh evaluator, which factorizes that region's
-    basis on first use, and a solve that factorizes it afresh, bit for bit;
+    basis on first use, and a new solver that starts from it, bit for bit;
     and the kept LU and reduced costs stay as they were built, though the
     solves begun from them pivot."""
     ev = SedEvaluator(case3, spec3)
     germs = sample_germs(21, 400, spec3.dimension)
     misses = germs[_misses(ev, germs)]
     first = ev.evaluate_batch(misses)
-    kept = {k: (start.factors.lu.solve(np.arange(1.0, ev.inst.lp.num_rows + 1)),
-                start.reduced_costs.copy())
-            for k, start in ev._kept.items()}
+    kept = {k: (region.start.factors.lu.solve(np.arange(1.0, ev.inst.lp.num_rows + 1)),
+                region.start.reduced_costs.copy())
+            for k, region in enumerate(ev._atlas) if region.start.factors is not None}
+    assert kept
     pivots = []
     for g in misses[::-1]:
         ev.evaluate_batch(g[None])
@@ -747,14 +771,67 @@ def test_a_miss_from_a_kept_factorization_is_a_fresh_solve(case3, spec3):
                           first[:20])
     nearest = fresh._screen(spec3.power(misses[:20], fresh._site_labels))[1]
     for g, k, q in zip(misses[:20], nearest, first[:20]):
-        fresh._solver.restart_from(fresh._atlas[k].basis)
-        assert fresh(g) == q
+        fresh.inst.set_renewable(spec3.power(g, fresh._site_labels))
+        assert RepeatSolver(fresh.inst.lp, fresh._atlas[k].start.basis).solve_value() \
+            + fresh.inst.objective_offset == q
     for k, (lu_solve, d) in kept.items():
-        start = ev._kept[k]
+        start = ev._atlas[k].start
         assert start.factors.etas == [] and start.factors.eta_nnz == 0
         assert np.array_equal(
             start.factors.lu.solve(np.arange(1.0, ev.inst.lp.num_rows + 1)), lu_solve)
         assert np.array_equal(start.reduced_costs, d)
+
+
+def test_a_constructed_evaluator_has_factorized_no_region_start(case3, spec3):
+    """The constructor factorizes the anchor, where the atlas build and
+    every batch without an atlas begin, but no region's basis: the first
+    miss that begins at a region factorizes it."""
+    # A prototype that factorized every region start in the constructor
+    # raised the perfbench conv3-j2 peak RSS from 73.5 to 101.2 MB, about
+    # 0.4 MB per region.
+    ev = SedEvaluator(case3, spec3)
+    assert len(ev._atlas) > 1 and ev._anchor.factors is not None
+    assert all(region.start.factors is None for region in ev._atlas)
+
+
+def test_a_failed_miss_retries_from_the_crash_basis_in_every_process(case3, spec3,
+                                                                     monkeypatch):
+    """A pickled evaluator carries its anchor and region starts without
+    their factors.  When a miss's solve fails (a forced eta update
+    failure), its one retry starts from the crash basis, in the original
+    and in an unpickled copy alike, and both give the same Q, which an
+    unforced solve gives to 1e-12."""
+    ev = SedEvaluator(case3, spec3)
+    germs = sample_germs(21, 400, spec3.dimension)
+    for germ in germs[_misses(ev, germs)]:
+        want = ev.evaluate_batch(germ[None])[0]
+        if ev._solver.iterations:
+            break
+    assert ev._solver.iterations and ev._anchor.factors is not None
+    assert any(region.start.factors is not None for region in ev._atlas)
+    state = pickle.loads(pickle.dumps(ev.__getstate__()))
+    assert state["_anchor"].factors is None and state["_anchor"].reduced_costs is None
+    assert all(region.start.factors is None for region in state["_atlas"])
+    copy = pickle.loads(pickle.dumps(ev))
+    crash = _crash(ev)
+    real_update = lp_solver._Factors.update
+    values = []
+    for model in (ev, copy):
+        calls = []
+
+        def failing(factors, row, eta):
+            calls.append(row)
+            if len(calls) == 1:
+                raise lp_solver.LpError("forced update failure")
+            return real_update(factors, row, eta)
+
+        starts = _spy_starts(monkeypatch)
+        monkeypatch.setattr(lp_solver._Factors, "update", failing)
+        values.append(model.evaluate_batch(germ[None])[0])
+        monkeypatch.undo()
+        assert model._solver.restarts == 1 and starts[-1] == crash
+    assert values[0] == values[1]
+    assert values[0] == pytest.approx(want, rel=1e-12)
 
 
 def _spy_solver(monkeypatch):
