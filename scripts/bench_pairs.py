@@ -2,14 +2,14 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seed 2301 \\
-        --out BENCH_23.json [--workload NAME ...] [--trace-seed 1]
+        --out BENCH_23.json [--trace-seed 1]
 
 Run it from the repository root.  Each commit is exported with `git
 archive` into a directory of its own, so the benchmark builds the program
 from the committed files as in a fresh checkout, and the repository gets
 no worktree to clean up.  The benchmark is `BENCHMARK.json`'s command
-(`perfbench/run.py`) and workloads, read from the change's export; the
-script only runs it.
+(`perfbench/run.py`) and every one of its workloads, read from the
+change's export; the script only runs it.
 
 Pair k (1..N) runs every workload at seed SEED+k-1 on both sides, the
 parent first in odd pairs and the change first in even ones.
@@ -19,11 +19,12 @@ is its `result`; the records go to --out after every run, in the format of
 the committed BENCH_*.json files.
 
 Then, per workload and end-to-end metric, it prints each side's median over
-pairs 1..N, the parent's quartiles, the pairs the change won (ties count for
-neither), and two verdicts:
+pairs 1..N in which both sides ran correctly, the parent's quartiles, the
+pairs the change won out of all N (ties count for neither, and a pair whose
+change run failed or was incorrect counts as lost), and two verdicts:
 - `claim`: at least ten pairs, the change won at least nine tenths of them,
-  and its median is better than the parent's by more than the parent's
-  interquartile range;
+  its median is better than the parent's by more than the parent's
+  interquartile range, and no larger share of its operations failed;
 - `bound`: `ok` when the change's median is no worse than the parent's by
   more than the metric's bound (a fraction of the parent's median), else
   `WORSE`; but `unresolved`, not `ok`, when the parent's interquartile
@@ -127,10 +128,15 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarize(runs: list[dict], benchmark: dict) -> list[dict]:
-    """One row per workload and end-to-end metric of `benchmark`, over the
-    untraced pairs in which both sides ran correctly."""
+    """One row per workload and end-to-end metric of `benchmark`: medians
+    and quartiles over the untraced pairs in which both sides ran
+    correctly, wins and the claim over every untraced pair run."""
     rows = []
+    failed = failures(runs)
     for workload in [w["name"] for w in benchmark["workloads"]]:
+        scheduled = len({run["pair"] for run in runs
+                         if run["workload"] == workload and run["trace"] == 0})
+        fails_more = _share(failed, workload, "change") > _share(failed, workload, "parent")
         for metric in benchmark["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             by_pair: dict[int, dict[str, float]] = {}
@@ -158,10 +164,10 @@ def summarize(runs: list[dict], benchmark: dict) -> list[dict]:
                 bound = "ok"
             rows.append({
                 "workload": workload, "metric": name, "unit": metric["unit"],
-                "pairs": len(both), "parent_median": med_old, "parent_q1": q1,
-                "parent_q3": q3, "change_median": med_new, "wins": wins,
-                "claim": len(both) >= CLAIM_PAIRS and wins >= CLAIM_SHARE * len(both)
-                and gain > q3 - q1,
+                "pairs": len(both), "scheduled": scheduled, "parent_median": med_old,
+                "parent_q1": q1, "parent_q3": q3, "change_median": med_new, "wins": wins,
+                "claim": scheduled >= CLAIM_PAIRS and wins >= CLAIM_SHARE * scheduled
+                and gain > q3 - q1 and not fails_more,
                 "bound": bound})
     return rows
 
@@ -180,14 +186,23 @@ def failures(runs: list[dict]) -> dict[tuple[str, str], tuple[int, int]]:
     return out
 
 
+def _share(failed: dict, workload: str, side: str) -> float:
+    count, attempted = failed.get((workload, side), (0, 0))
+    return count / attempted if attempted else 0.0
+
+
 def report(runs: list[dict], benchmark: dict) -> str:
     lines = [f"{'workload':<12} {'metric':<12} {'pairs':>5} {'parent':>10} "
              f"{'[q1, q3]':>22} {'change':>10} {'delta':>8} {'won':>6} claim bound"]
-    for row in summarize(runs, benchmark):
+    rows = summarize(runs, benchmark)
+    for workload in [w["name"] for w in benchmark["workloads"]]:
+        if not any(row["workload"] == workload for row in rows):
+            lines.append(f"{workload}: no pair in which both sides ran correctly")
+    for row in rows:
         old, new = row["parent_median"], row["change_median"]
         delta = f"{(new - old) / old:+.1%}" if old else "n/a"
         spread = f"[{row['parent_q1']:.4g}, {row['parent_q3']:.4g}]"
-        won = f"{row['wins']}/{row['pairs']}"
+        won = f"{row['wins']}/{row['scheduled']}"
         claim = "yes" if row["claim"] else "no"
         lines.append(
             f"{row['workload']:<12} {row['metric']:<12} {row['pairs']:>5} {old:>10.4g} "
@@ -214,7 +229,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of pair 1")
     ap.add_argument("--trace-seed", type=int, help="add a --trace 1 pair 0 at this seed")
-    ap.add_argument("--workload", action="append", help="default: every workload")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", default="", help="what the change does, for the record")
     args = ap.parse_args(argv)
@@ -226,7 +240,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(repo, commits[side], work / side)
         benchmark = json.loads((work / "change" / "BENCHMARK.json").read_text(encoding="utf-8"))
-        workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+        workloads = [w["name"] for w in benchmark["workloads"]]
         command, seconds = benchmark["command"], benchmark["run_seconds"]
         record = {"what": args.what,
                   "command": " ".join(command) + " --workload <workload> --seed <seed> "

@@ -75,7 +75,11 @@ def test_pairs_alternate_and_the_verdicts_follow_the_rules():
 
 def test_failed_runs_count_and_drop_out_of_the_pairs():
     """A run that exits non-zero or prints no result takes its pair out of
-    the medians, and counts as failed operations."""
+    the medians, and counts as failed operations.  A pair whose change run
+    failed or reads incorrect counts as lost: a change that wins the other
+    10 of 12 pairs wins 10/12, short of the claim rule's nine tenths.  A
+    change faster in all 10 pairs that fails a larger share of its
+    operations than the parent claims nothing either."""
     def runner(side, workload, seed, trace):
         if side == "change" and seed == 2302:
             return 1, None
@@ -84,8 +88,40 @@ def test_failed_runs_count_and_drop_out_of_the_pairs():
     runs = bp.run_pairs(runner, {"parent": "a", "change": "b"}, ["fast"], 3, 2301, None)
     rows = bp.summarize(runs, BENCHMARK)
     assert {row["pairs"] for row in rows} == {2}
+    assert {row["scheduled"] for row in rows} == {3}
     assert bp.failures(runs) == {("fast", "parent"): (3, 30), ("fast", "change"): (1, 21)}
-    assert "fast change: 1 of 21 operations failed" in bp.report(runs, BENCHMARK)
+    printed = bp.report(runs, BENCHMARK)
+    assert "fast change: 1 of 21 operations failed" in printed
+    assert "slow: no pair in which both sides ran correctly" in printed
+
+    def flaky(side, workload, seed, trace):
+        if side == "parent":
+            return 0, _result(1.0 + 0.01 * (seed % 3), 50.0)
+        if seed == 2302:
+            return 1, None
+        if seed == 2305:
+            return 0, dict(_result(0.5, 50.0), correct=False)
+        return 0, _result(0.5, 50.0)
+
+    runs = bp.run_pairs(flaky, {"parent": "a", "change": "b"}, ["fast"], 12, 2301, None)
+    study = {row["metric"]: row for row in bp.summarize(runs, BENCHMARK)}["study_s"]
+    assert (study["pairs"], study["scheduled"], study["wins"]) == (10, 12, 10)
+    assert not study["claim"]
+    assert "10/12" in bp.report(runs, BENCHMARK)
+
+    def failing(side, workload, seed, trace):
+        if side == "parent":
+            return 0, _result(1.0 + 0.01 * (seed % 3), 50.0)
+        return 0, _result(0.5, 50.0, failed=1)
+
+    runs = bp.run_pairs(failing, {"parent": "a", "change": "b"}, ["fast"], 10, 2301, None)
+    study = {row["metric"]: row for row in bp.summarize(runs, BENCHMARK)}["study_s"]
+    assert (study["pairs"], study["wins"]) == (10, 10)
+    assert not study["claim"]
+    ok = bp.run_pairs(lambda side, *rest: failing("parent", *rest) if side == "parent"
+                      else (0, _result(0.5, 50.0)),
+                      {"parent": "a", "change": "b"}, ["fast"], 10, 2301, None)
+    assert {row["metric"]: row for row in bp.summarize(ok, BENCHMARK)}["study_s"]["claim"]
 
 
 STUB_RUN = """import json, sys
