@@ -162,10 +162,13 @@ def _check_keys(value, where: str = ""):
 
 
 def _integer(value, name: str) -> int:
-    try:
+    """value as an int when it is an integer or an integral float, else a
+    ConfigError naming `name`; YAML's `yes` reads as a bool, not an int."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"`{name}` must be an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"`{name}` must be an integer, got {value!r}")
 
 
 def _integers(values, name: str) -> tuple:
@@ -175,15 +178,16 @@ def _integers(values, name: str) -> tuple:
 
 
 def _positive(block: dict, key: str, where: str, default=None) -> float:
-    """block[key] (or the default) as a positive float, else a ConfigError
-    naming where.key."""
+    """block[key] (or the default) as a positive finite float, else a
+    ConfigError naming where.key."""
     value = block.get(key, default)
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = float("nan")
-    if not number > 0:
-        raise ConfigError(f"`{where}.{key}` must be a positive number, got {value!r}")
+    if not 0 < number < float("inf"):
+        raise ConfigError(f"`{where}.{key}` must be a positive finite number, "
+                          f"got {value!r}")
     return number
 
 
@@ -207,9 +211,9 @@ def _mean_profile(entry: dict, where: str) -> np.ndarray:
             else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = np.empty(0)
-    if arr.shape != (wind_kl.HOURS,) or not np.all(arr > 0):
-        raise ConfigError(f"`{where}.mean_wind` must be a positive number or "
-                          f"24 of them, got {value!r}")
+    if arr.shape != (wind_kl.HOURS,) or not np.all((arr > 0) & np.isfinite(arr)):
+        raise ConfigError(f"`{where}.mean_wind` must be a positive finite number "
+                          f"or 24 of them, got {value!r}")
     return arr
 
 
@@ -242,9 +246,10 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
         sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                         min(truncation, wind_kl.HOURS), curve))
     try:
-        groups = tuple(tuple((str(site), int(mode)) for site, mode in group)
+        groups = tuple(tuple((str(site), _integer(mode, "forecast.dependence"))
+                             for site, mode in group)
                        for group in block.get("dependence", ()))
-        return forecast.ForecastSpec(tuple(sites), sigma_p, groups)
+        return forecast.ForecastSpec(tuple(sites), groups)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"`forecast.dependence`: {exc}") from None
 
@@ -310,8 +315,10 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
     ks_rows = ["site,mode,ks_distance"]
     fit_rows = ["site,length_scale,smoothness"]
     for label in sorted(paths):
-        records, _scatter = datagen.read_wind_csv(paths[label])
-        samples = wind_kl.hourly_average(records, label)
+        samples = wind_kl.hourly_average(datagen.read_wind_csv(paths[label]), label)
+        if any(samples.dropped.values()):
+            print(f"kl: site {label}: dropped {sum(samples.dropped.values())} "
+                  f"day(s) {samples.dropped}")
         cov = wind_kl.empirical_covariance(samples)
         basis = wind_kl.kl_decompose(cov, samples.samples.mean(axis=0))
         bases[label] = basis
@@ -322,10 +329,10 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
         for n in range(1, wind_kl.HOURS + 1):
             varfrac_rows.append(
                 f"{label},{n},{wind_kl.variance_fraction(basis, n)!r}")
-        xi, _skipped = wind_kl.project_samples(basis, samples)
+        xi, skipped = wind_kl.project_samples(basis, samples)
         xi_by_site[label] = xi
         for mode in range(min(15, wind_kl.HOURS)):
-            if basis.eigenvalues[mode] > 1e-12:
+            if mode not in skipped:
                 ks_rows.append(
                     f"{label},{mode + 1},{wind_kl.compare_to_normal(xi[:, mode])!r}")
         try:

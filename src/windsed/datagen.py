@@ -60,12 +60,10 @@ def write_wind_csv(path, rows):
 
 
 def read_wind_csv(path):
-    """Parse a wind CSV into ((timestamp, speed) records, (speed, power)
-    scatter arrays).  A bad header or row raises WindDataError naming the
-    file and line."""
+    """Parse a wind CSV into (timestamp, speed) records; a `power_mw`
+    column is checked but not kept.  A bad header or row raises
+    WindDataError naming the file and line."""
     records = []
-    speeds = []
-    powers = []
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -78,14 +76,12 @@ def read_wind_csv(path):
                     continue
                 try:
                     speed = float(parts[1])
-                    power = float(parts[2]) if has_power else None
+                    if has_power:
+                        float(parts[2])
                 except (ValueError, IndexError):
                     raise WindDataError(
                         f"{path}: line {lineno}: bad row {line.strip()!r}") from None
                 records.append((parts[0], speed))
-                if has_power:
-                    speeds.append(speed)
-                    powers.append(power)
     except UnicodeDecodeError as exc:
         raise WindDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return records, (np.array(speeds), np.array(powers))
+    return records

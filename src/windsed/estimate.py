@@ -137,7 +137,6 @@ class ConvergenceReport:
     mc_errors: tuple    # (n_samples, realization, error) vs next size's grand mean
     pce_fit: PowerLawFit | None
     mc_fit: PowerLawFit | None
-    seed: int
 
     def __post_init__(self):
         if any(e < 0 for *_, e in self.pce_errors):
@@ -254,7 +253,7 @@ def convergence_study(model, dimension: int, levels, mc_schedule,
     mc_fit = fit_power_law(list(per_size), [float(np.mean(v)) for v in per_size.values()])
     return ConvergenceReport(tuple(pce_records), tuple(pce_errors),
                              tuple(mc_records), tuple(mc_errors),
-                             pce_fit, mc_fit, seed)
+                             pce_fit, mc_fit)
 
 
 def cross_validate(surrogate: PCESurrogate, model, n_test: int, seed: int,

@@ -202,12 +202,9 @@ class SiteModel:
 @dataclass(frozen=True)
 class ForecastSpec:
     sites: tuple  # SiteModel, in declaration order
-    sigma_p: float
     dependence_groups: tuple = ()  # each: tuple of (site_label, mode) pairs
 
     def __post_init__(self):
-        if self.sigma_p <= 0:
-            raise ValueError("sigma_p must be positive")
         labels = [s.label for s in self.sites]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate site label")

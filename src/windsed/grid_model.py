@@ -2,6 +2,7 @@
 and the sectioned case-file parser (docs/case_format.md)."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,6 +81,10 @@ class RenewableSite:
     bus: int
     site_label: str
     nameplate: float  # MW
+
+    def __post_init__(self):
+        if not 0.0 < self.nameplate < math.inf:
+            raise ValueError(f"nameplate must be positive and finite, got {self.nameplate}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,13 @@ def linearize_cost(gen: ThermalGenerator, segments: int = 3) -> PiecewiseLinearC
 _SECTIONS = ("CASE", "BUS", "BRANCH", "GEN", "RENEWABLE", "COMMITMENT")
 
 
+def _integer(value: float, what: str, lineno: int) -> int:
+    """`value` as an int, else a CaseFormatError at `lineno` naming `what`."""
+    if not value.is_integer():
+        raise CaseFormatError(f"{what} must be an integer, got {value!r}", lineno)
+    return int(value)
+
+
 def parse_case(text: str) -> GridCase:
     """Parse the documented case format into a validated GridCase."""
     periods = None
@@ -240,6 +252,10 @@ def parse_case(text: str) -> GridCase:
                 parts = [float(tok) for tok in line.split()]
             except ValueError:
                 raise CaseFormatError(f"non-numeric token in {section}", lineno) from None
+            # a flow limit may be -inf or inf (an unlimited line); no other number
+            bounded = parts[:3] if section == "BRANCH" else parts
+            if not all(map(math.isfinite, bounded)) or any(map(math.isnan, parts)):
+                raise CaseFormatError(f"non-finite number in {section}", lineno)
         {
             "BUS": bus_rows, "BRANCH": branch_rows, "GEN": gen_rows,
             "RENEWABLE": ren_rows, "COMMITMENT": commit_rows, "CASE": [],
@@ -254,7 +270,7 @@ def parse_case(text: str) -> GridCase:
             raise CaseFormatError(
                 f"BUS row needs id plus {periods} load values, got {len(row)}", lineno)
         try:
-            buses.append(Bus(int(row[0]), tuple(row[1:])))
+            buses.append(Bus(_integer(row[0], "bus id", lineno), tuple(row[1:])))
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
     bus_ids = [b.id for b in buses]
@@ -267,11 +283,11 @@ def parse_case(text: str) -> GridCase:
     for lineno, row in branch_rows:
         if len(row) != 5:
             raise CaseFormatError("BRANCH row needs: from to x_pu fmin fmax", lineno)
-        f, t, x, fmin, fmax = row
-        if int(f) not in idset or int(t) not in idset:
-            raise CaseFormatError(f"branch references unknown bus {int(f) if int(f) not in idset else int(t)}", lineno)
+        f, t = (_integer(v, "branch bus id", lineno) for v in row[:2])
+        if f not in idset or t not in idset:
+            raise CaseFormatError(f"branch references unknown bus {f if f not in idset else t}", lineno)
         try:
-            lines.append(Line(int(f), int(t), x, fmin, fmax))
+            lines.append(Line(f, t, *row[2:]))
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
 
@@ -280,7 +296,10 @@ def parse_case(text: str) -> GridCase:
         if len(row) != 1 + periods:
             raise CaseFormatError(
                 f"COMMITMENT row needs gen index plus {periods} binaries", lineno)
-        commitments[int(row[0])] = tuple(int(v) for v in row[1:])
+        if any(v not in (0.0, 1.0) for v in row[1:]):
+            raise CaseFormatError("commitment entries must be 0/1", lineno)
+        commitments[_integer(row[0], "generator index", lineno)] = \
+            tuple(int(v) for v in row[1:])
 
     gens = []
     for k, (lineno, row) in enumerate(gen_rows):
@@ -288,7 +307,7 @@ def parse_case(text: str) -> GridCase:
             raise CaseFormatError(
                 "GEN row needs: bus pmin pmax a b c ramp_up ramp_down startup shutdown",
                 lineno)
-        bus = int(row[0])
+        bus = _integer(row[0], "generator bus id", lineno)
         if bus not in idset:
             raise CaseFormatError(f"generator references unknown bus {bus}", lineno)
         commit = commitments.get(k, tuple([1] * periods))
@@ -304,10 +323,17 @@ def parse_case(text: str) -> GridCase:
     for lineno, row in ren_rows:
         if len(row) != 3:
             raise CaseFormatError("RENEWABLE row needs: bus label nameplate_mw", lineno)
-        bus = int(row[0])
+        try:
+            bus, nameplate = float(row[0]), float(row[2])
+        except ValueError:
+            raise CaseFormatError("non-numeric token in RENEWABLE", lineno) from None
+        bus = _integer(bus, "renewable site bus id", lineno)
         if bus not in idset:
             raise CaseFormatError(f"renewable site references unknown bus {bus}", lineno)
-        sites.append(RenewableSite(bus, row[1], float(row[2])))
+        try:
+            sites.append(RenewableSite(bus, row[1], nameplate))
+        except ValueError as exc:
+            raise CaseFormatError(str(exc), lineno) from None
     labels = [s.site_label for s in sites]
     if len(set(labels)) != len(labels):
         raise CaseFormatError("duplicate renewable site label")

@@ -138,9 +138,6 @@ class Basis:
     basic: np.ndarray   # (m,) column indices
     status: np.ndarray  # (n+m,) AT_LOWER/AT_UPPER/BASIC/FREE_NB
 
-    def copy(self) -> "Basis":
-        return Basis(self.basic.copy(), self.status.copy())
-
 
 def make_basis(lp: LinearProgram, basic=None) -> Basis:
     """Basis with column basic[i] in slot i; by default every row's logical
@@ -295,7 +292,7 @@ class RepeatSolver:
     from a `KeptStart` instead, on its kept factorization, so a caller can
     pin a sweep's starting point; an optimal basis given there is re-solved
     by the dual simplex too.  `load` takes a basis without solving, for a
-    caller that reads its x and factors.
+    caller that reads its x and factors; the next solve begins there.
     """
 
     def __init__(self, lp: LinearProgram, start: Basis | None = None):
@@ -323,7 +320,6 @@ class RepeatSolver:
         # refactorization drops them
         self.certified_d: np.ndarray | None = None
         self._start_basis = start if start is not None else make_basis(lp)
-        self._started = False
         self.restarts = 0
 
     def basis(self) -> Basis:
@@ -345,15 +341,13 @@ class RepeatSolver:
             self.status = start.basis.status.copy()
         self.factors = start.factors.fresh()
         self.certified_d = start.reduced_costs.copy()
-        self._started = True
 
     def load(self, basis: Basis):
         """Take `basis` at the LP's current bounds, with no pivot: factorize
         it afresh and set x (and `lower`, `upper`, `factors`).  The next
-        solve still begins from the start basis."""
+        solve begins at it, on these factors."""
         self._reset()
         self._start(basis)
-        self._started = False
 
     def solve(self) -> LpSolution:
         """Solve against the LP's current bound arrays (mutate lp.row_lower
@@ -473,7 +467,6 @@ class RepeatSolver:
         best_t = INF
         best_pos = -2
         best_bound = 0.0
-        best_piv = 0.0
         # entering variable hitting its own opposite bound
         span = self.upper[q] - self.lower[q]
         if np.isfinite(span):
@@ -511,8 +504,7 @@ class RepeatSolver:
                 best_t = cand_t[k]
                 best_pos = int(idx[k])
                 best_bound = cand_bound[k]
-                best_piv = delta[idx[k]]
-        return best_t, best_pos, best_bound, best_piv
+        return best_t, best_pos, best_bound
 
     def _pivot(self, q: int, sigma: float, delta: np.ndarray, t: float,
                pos: int, leave_bound: float):
@@ -552,9 +544,9 @@ class RepeatSolver:
     # -- the driver ----------------------------------------------------------
 
     def _optimize(self) -> str:
-        """Solve at the LP's current bounds: from the current basis once
-        started (its nonbasic variables snap to the moved bounds), else from
-        the start basis.
+        """Solve at the LP's current bounds: from the current basis when
+        there is one (its nonbasic variables snap to the moved bounds), else
+        from the start basis.
 
         A basis that a bound move left primal infeasible but dual feasible
         (every re-solve of a sweep) goes through the dual simplex, checked
@@ -566,11 +558,10 @@ class RepeatSolver:
         factorization, up to three times, if the incremental x drifted.  A
         solve that fails numerically is retried once from the start basis."""
         self._reset()
-        if self._started:
-            self._recompute_x()
-        else:
+        if self.basic is None:
             self._start(self._start_basis)
-            self._started = True
+        else:
+            self._recompute_x()
         for retry in (False, True):
             try:
                 for check in range(4):  # a solve, then up to three re-certifications
@@ -620,7 +611,7 @@ class RepeatSolver:
                 return "optimal"
             sigma = 1.0 if (self.status[q] in (AT_LOWER, FREE_NB) and d[q] < 0) else -1.0
             delta = self.factors.ftran(self._column(q))
-            t, pos, leave_bound, _piv = self._ratio_test(q, sigma, delta, phase1)
+            t, pos, leave_bound = self._ratio_test(q, sigma, delta, phase1)
             if pos == -2:
                 if phase1:
                     # cannot happen: infeasibility is bounded below by zero

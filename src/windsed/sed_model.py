@@ -218,7 +218,6 @@ def build_instance(case: GridCase, renewable, segments: int = 3) -> DispatchInst
 
 @dataclass
 class DispatchSolution:
-    status: str
     objective: float          # Q: production cost + shed penalty, $
     generation: np.ndarray    # (G, T) MW
     flows: np.ndarray         # (E, T) MW
@@ -244,7 +243,7 @@ def _extract(inst: DispatchInstance, sol: LpSolution) -> DispatchSolution:
     # a running total in segment order: np.sum's pairwise order would move
     # the schedule's last digit
     fill = sum(x[inst.seg[:, :, s]] for s in range(inst.segments))
-    return DispatchSolution(sol.status, sol.objective + inst.objective_offset,
+    return DispatchSolution(sol.objective + inst.objective_offset,
                             inst.p_floor + fill, x[inst.flow], x[inst.angle],
                             x[inst.shed], sol.iterations)
 

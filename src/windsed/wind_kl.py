@@ -27,7 +27,6 @@ class WindDataError(Exception):
 class WindSampleSet:
     site_label: str
     samples: np.ndarray          # (n_days, 24) of log wind speed
-    day_labels: tuple = ()       # ISO dates, parallel to rows when known
     dropped: dict = field(default_factory=dict)  # reason -> count
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
     for ts, speed in records:
         day = str(ts)[:10]
         by_day.setdefault(day, []).append((str(ts), float(speed)))
-    rows, labels = [], []
+    rows = []
     dropped = {"missing": 0, "nonpositive": 0}
     for day in sorted(by_day):
         recs = by_day[day]
@@ -98,12 +97,11 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
             dropped["nonpositive"] += 1
             continue
         rows.append(np.log(speeds.reshape(HOURS, 6).mean(axis=1)))
-        labels.append(day)
     if not rows:
         raise WindDataError(
             f"no complete days (dropped: {dropped})" if any(dropped.values())
             else "no records")
-    return WindSampleSet(site_label, np.array(rows), tuple(labels), dropped)
+    return WindSampleSet(site_label, np.array(rows), dropped)
 
 
 def empirical_covariance(samples: WindSampleSet | np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ def ratio_test_loop(sim, q, sigma, delta, phase1):
     best_t = INF
     best_pos = -2
     best_bound = 0.0
-    best_piv = 0.0
     span = sim.upper[q] - sim.lower[q]
     if np.isfinite(span):
         best_t = span
@@ -57,5 +56,4 @@ def ratio_test_loop(sim, q, sigma, delta, phase1):
             best_t = cand_t[k]
             best_pos = int(idx[k])
             best_bound = cand_bound[k]
-            best_piv = delta[idx[k]]
-    return best_t, best_pos, best_bound, best_piv
+    return best_t, best_pos, best_bound

@@ -17,7 +17,7 @@ def make_spec3(case, truncation: int = 3, sigma_p: float = 0.35):
         sw = fc.sigma_w_from_sigma_p(sigma_p, mean_wind, curves[label])
         sites.append(fc.SiteModel(label, mean_wind, kernels[label], sw,
                                   truncation, curves[label]))
-    return fc.ForecastSpec(tuple(sites), sigma_p)
+    return fc.ForecastSpec(tuple(sites))
 
 
 def make_spec118(case):
@@ -35,7 +35,7 @@ def make_spec118(case):
                                   sw, 6, curves[label]))
     groups = ((("site_15414", 1), ("site_16238", 1)),
               (("site_15414", 2), ("site_16238", 2)))
-    return fc.ForecastSpec(tuple(sites), 0.35, groups)
+    return fc.ForecastSpec(tuple(sites), groups)
 
 
 def sample_germs(seed: int, n: int, dim: int) -> np.ndarray:

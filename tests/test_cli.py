@@ -163,6 +163,48 @@ def test_kl_constant_wind_reports_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_kl_reports_dropped_days(tmp_path, capsys):
+    """A site whose CSV misses an interval of one day and has a zero speed
+    on another gets one line with its tally; a complete site gets none."""
+    out = tmp_path / "out"
+    out.mkdir()
+    from windsed.datagen import (default_power_curve, synthetic_wind_table,
+                                 write_wind_csv)
+    from windsed.forecast import MaternKernel, SiteModel
+    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56, 1.0), 0.3, 24,
+                     default_power_curve())
+    rows = synthetic_wind_table(site, 40, seed=5)
+    write_wind_csv(out / "b.csv", rows)
+    gappy = rows[:150] + rows[151:]  # the second day misses 00:40
+    ts, _, power = gappy[400]
+    gappy[400] = (ts, 0.0, power)  # the third day holds a zero speed
+    write_wind_csv(out / "a.csv", gappy)
+    path = write_config(tmp_path, wind={
+        "data": {"site_a": str(out / "a.csv"), "site_b": str(out / "b.csv")}})
+    assert main(["kl", "--config", str(path)]) == 0
+    sites = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("kl: site")]
+    assert sites == ["kl: site site_a: dropped 2 day(s) "
+                     "{'missing': 1, 'nonpositive': 1}"]
+
+
+def test_dispatch_takes_unlimited_lines(tmp_path):
+    """Flow limits of -inf and inf mean an unlimited line: the uncongested
+    3-bus case solves to the same Q with every line unlimited."""
+    text = (DATA / "case3.txt").read_text().replace("-250.0 250.0", "-inf inf")
+    assert text.count("-inf inf") == 3
+    case_path = tmp_path / "unlimited.txt"
+    case_path.write_text(text)
+    limited, unlimited = tmp_path / "limited", tmp_path / "unlimited"
+    assert main(["dispatch", "--config", str(write_config(tmp_path)),
+                 "--out", str(limited)]) == 0
+    assert main(["dispatch", "--config", str(write_config(tmp_path, case=str(case_path))),
+                 "--out", str(unlimited)]) == 0
+    q = [json.loads((out / "dispatch_summary.json").read_text())["objective"]
+         for out in (limited, unlimited)]
+    assert q[1] == pytest.approx(q[0], rel=1e-12)
+
+
 def merit_order_dispatch(case, loads_by_period):
     """Independent greedy oracle: with no congestion and loose ramps the LP
     reduces to filling cost segments in slope order each hour."""
@@ -362,6 +404,40 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["dispatch", "--germ", "2,0,0,2,0,0"],
      _case_edit(b"site_a 40.0\n3 site_b 30.0", b"site_a 90.0\n3 site_b 90.0"), 4,
      "germ array([2., 0., 0., 2., 0., 0.])"),
+    (["dispatch"], _case_edit(b"COMMITMENT\n0 1", b"COMMITMENT\n0 0.5"), 3,
+     "edited_case.txt: line 25: commitment entries must be 0/1"),
+    (["dispatch"], _case_edit(b"\n2 10.0", b"\n2.7 10.0"), 3,
+     "edited_case.txt: line 9: bus id must be an integer, got 2.7"),
+    (["dispatch"], _case_edit(b"2 3 0.12", b"2 3.5 0.12"), 3,
+     "edited_case.txt: line 15: branch bus id must be an integer, got 3.5"),
+    (["dispatch"], _case_edit(b"1 10.0 120.0", b"1 10.0 inf"), 3,
+     "edited_case.txt: line 18: non-finite number in GEN"),
+    (["dispatch"], _case_edit(b"1 2 0.1 ", b"1 2 nan "), 3,
+     "edited_case.txt: line 13: non-finite number in BRANCH"),
+    (["dispatch"], _case_edit(b"1 2 0.1 -250.0", b"1 2 0.1 nan"), 3,
+     "edited_case.txt: line 13: non-finite number in BRANCH"),
+    (["dispatch"], _case_edit(b"3 90.0", b"3 nan"), 3,
+     "edited_case.txt: line 10: non-finite number in BUS"),
+    (["dispatch"], _case_edit(b"site_a 40.0", b"site_a nan"), 3,
+     "edited_case.txt: line 22: nameplate must be positive and finite, got nan"),
+    (["dispatch"], _case_edit(b"site_b 30.0", b"site_b -30.0"), 3,
+     "edited_case.txt: line 23: nameplate must be positive and finite, got -30.0"),
+    (["dispatch"], _case_edit(b"1 site_a", b"one site_a"), 3,
+     "edited_case.txt: line 22: non-numeric token in RENEWABLE"),
+    (["study"], _edit("segments", 2.7), 2, "`segments` must be an integer, got 2.7"),
+    (["study"], _raw_line("segments", b"segments: yes\n"), 2,
+     "`segments` must be an integer, got True"),
+    (["study"], _edit("forecast.truncation", 2.5), 2,
+     "`forecast.truncation` must be an integer, got 2.5"),
+    (["study"], _edit("mc.schedule", [10, 30.5]), 2, "`mc.schedule` must be an integer"),
+    (["study"], _edit("forecast.dependence", [[["site_a", 1.5], ["site_b", 1]]]), 2,
+     "`forecast.dependence` must be an integer, got 1.5"),
+    (["study"], _edit("forecast.sigma_p", float("inf")), 2,
+     "`forecast.sigma_p` must be a positive finite number, got inf"),
+    (["study"], _edit(f"{SITE_A}.matern_l", float("inf")), 2, f"`{SITE_A}.matern_l`"),
+    (["study"], _edit(f"{SITE_A}.mean_wind", float("inf")), 2, f"`{SITE_A}.mean_wind`"),
+    (["kl"], _synthetic("sites.site_a.mean_wind", float("inf")), 2,
+     f"`{SYN_A}.mean_wind`"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -381,7 +457,14 @@ SYN_A = "wind.synthetic.sites.site_a"
         "wind-data-label-not-a-string", "wind-data-path-not-a-string",
         "forecast-site-label-not-a-string", "config-not-utf8", "case-not-utf8",
         "case-periods-zero", "case-shed-penalty-negative", "case-shed-penalty-inf",
-        "case-base-mva-nan", "case-base-mva-negative", "dispatch-over-generation"])
+        "case-base-mva-nan", "case-base-mva-negative", "dispatch-over-generation",
+        "case-commitment-fractional", "case-bus-id-fractional",
+        "case-branch-bus-fractional", "case-pmax-inf", "case-reactance-nan",
+        "case-flow-limit-nan", "case-load-nan", "case-nameplate-nan",
+        "case-nameplate-negative", "case-renewable-bus-not-numeric",
+        "segments-fractional", "segments-yes", "truncation-fractional",
+        "mc-schedule-fractional", "dependence-mode-fractional", "sigma_p-inf",
+        "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

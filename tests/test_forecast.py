@@ -154,7 +154,7 @@ def three_site_spec():
         sites.append(fc.SiteModel(label, np.full(24, 8.0),
                                   fc.MaternKernel(ell, nu, 1.0), 0.12, 6, curve))
     groups = ((("a", 1), ("b", 1)), (("a", 2), ("b", 2)))
-    return fc.ForecastSpec(tuple(sites), 0.35, groups)
+    return fc.ForecastSpec(tuple(sites), groups)
 
 
 def test_germ_dimension_with_shared_modes():
@@ -173,10 +173,10 @@ def test_germ_layout_shares_exact_coordinates():
 
 def test_dependence_groups_must_be_disjoint_and_in_range():
     with pytest.raises(ValueError, match="disjoint"):
-        fc.ForecastSpec(three_site_spec().sites, 0.35,
+        fc.ForecastSpec(three_site_spec().sites,
                         ((("a", 1), ("b", 1)), (("a", 1), ("c", 1))))
     with pytest.raises(ValueError, match="truncation"):
-        fc.ForecastSpec(three_site_spec().sites, 0.35, ((("a", 7), ("b", 7)),))
+        fc.ForecastSpec(three_site_spec().sites, ((("a", 7), ("b", 7)),))
 
 
 def test_zero_germ_gives_mean_forecast_power():

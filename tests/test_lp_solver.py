@@ -354,6 +354,44 @@ def test_solves_begun_at_a_kept_start_match_fresh_factorizations():
     assert checked >= 50 and pivoted >= 30
 
 
+def test_a_solve_after_load_begins_at_the_loaded_basis(monkeypatch):
+    """The solve after `load(basis)` begins at that basis, on the factors
+    `load` made, and factorizes no start basis: it ends with the status,
+    pivots and objective bits of a new solver that starts from the basis."""
+    real_start = lp_solver.RepeatSolver._start
+    started = []
+
+    def start(sim, basis):
+        started.append(basis)
+        return real_start(sim, basis)
+
+    monkeypatch.setattr(lp_solver.RepeatSolver, "_start", start)
+    rng = np.random.default_rng(25)
+    pivoted = checked = 0
+    for _ in range(200):
+        c, A, rlo, rhi, lo, up = random_lp(rng)
+        lp = simple_lp(c, A, rlo, rhi, lo, up)
+        first = solve_lp(lp)
+        if first.status != "optimal":
+            continue
+        basis = first.basis
+        for _ in range(4):
+            shift = rng.normal(size=len(rlo)) * rng.choice([0.1, 1.0, 3.0])
+            lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
+            sim = RepeatSolver(lp)
+            sim.load(basis)
+            del started[:]
+            got = sim.solve()
+            assert started == []
+            want = RepeatSolver(lp, basis).solve()
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            if want.status == "optimal":
+                assert got.objective == want.objective
+            pivoted += got.iterations
+        checked += 1
+    assert checked >= 50 and pivoted >= 30
+
+
 def test_a_failed_solve_begun_at_a_kept_start_retries_from_the_start_basis(monkeypatch):
     """`begin_at` moves only the next solve's beginning: when that solve
     fails, its one retry starts from the solver's start basis."""
@@ -416,7 +454,7 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
     reused = []
 
     def optimize(sim):
-        if sim._started and sim.certified_d is not None:
+        if sim.basic is not None and sim.certified_d is not None:
             assert np.array_equal(sim.certified_d, sim._reduced_costs(sim.cost)[0])
             reused.append(sim.iterations)
         return real_optimize(sim)

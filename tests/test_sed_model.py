@@ -46,7 +46,6 @@ def test_single_generator_serves_load_exactly():
     sol = solve_dispatch(case, np.zeros((0, 3)), segments=10)
     pwl = linearize_cost(case.generators[0], 10)
     want = sum(pwl(d) for d in (50.0, 60.0, 55.0))
-    assert sol.status == "optimal"
     assert sol.objective == pytest.approx(want, rel=1e-10)
     assert np.allclose(sol.generation[0], [50.0, 60.0, 55.0])
     assert sol.total_shed() == 0.0
@@ -127,7 +126,7 @@ def test_renewable_shape_and_site_checked(case3, spec3):
     with pytest.raises(DispatchError, match="shape"):
         build_instance(case3, np.zeros((1, 24)))
     with pytest.raises(DispatchError, match="do not match forecast sites"):
-        SedEvaluator(case3, fc.ForecastSpec(spec3.sites[:1], spec3.sigma_p))
+        SedEvaluator(case3, fc.ForecastSpec(spec3.sites[:1]))
 
 
 FLAT_T1 = """
@@ -276,7 +275,6 @@ def test_every_germ_is_feasible(case3, spec3):
     germs = sample_germs(77, 64, spec3.dimension)
     for g in germs:
         sol = solve_dispatch(case3, spec3.power(g, ev._site_labels))
-        assert sol.status == "optimal"
         assert ev(g) == pytest.approx(sol.objective, rel=1e-9)
 
 
@@ -601,7 +599,6 @@ def test_118_zero_germ_matches_highs(case118, spec118):
                           [s.site_label for s in case118.renewable_sites])
     sol = solve_dispatch(case118, power)  # no warm basis: the crash start
     inst = build_instance(case118, power)
-    assert sol.status == "optimal"
     assert sol.objective - inst.objective_offset == pytest.approx(
         _highs_objective(inst.lp), rel=1e-9)
     assert sol.iterations < 100
@@ -623,7 +620,6 @@ def test_cold_solve_makes_no_bound_flips(name, request, monkeypatch):
     monkeypatch.setattr(lp_solver.RepeatSolver, "_pivot", pivot)
     power = spec.power(np.zeros(spec.dimension), [s.site_label for s in case.renewable_sites])
     sol = solve_dispatch(case, power)
-    assert sol.status == "optimal"
     assert len(flips) == sol.iterations > 0
     assert not any(flips)
 

@@ -376,8 +376,7 @@ def test_kl_basis_text_round_trip(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["kl", "--config", str(path)]) == 0
-    records, _ = read_wind_csv(tmp_path / "wind_site_a.csv")
-    samples = wk.hourly_average(records, "site_a")
+    samples = wk.hourly_average(read_wind_csv(tmp_path / "wind_site_a.csv"), "site_a")
     want = wk.kl_decompose(wk.empirical_covariance(samples), samples.samples.mean(axis=0))
     again = kl_basis_from_text((tmp_path / "klbasis_site_a.txt").read_text())
     for got, expected in ((again.mean, want.mean), (again.eigenvalues, want.eigenvalues),
