@@ -61,8 +61,9 @@ def write_wind_csv(path, rows):
 
 def read_wind_csv(path):
     """Parse a wind CSV into (timestamp, speed) records; a `power_mw`
-    column is checked but not kept.  A bad header or row raises
-    WindDataError naming the file and line."""
+    column is checked but not kept.  Blank lines are skipped; a bad header
+    or row, a truncated one included, raises WindDataError naming the file
+    and line."""
     records = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -72,9 +73,11 @@ def read_wind_csv(path):
             has_power = len(header) > 2 and header[2] == "power_mw"
             for lineno, line in enumerate(fh, start=2):
                 parts = line.strip().split(",")
-                if len(parts) < 2 or not parts[0]:
+                if parts == [""]:
                     continue
                 try:
+                    if not parts[0]:
+                        raise ValueError("empty timestamp")
                     speed = float(parts[1])
                     if has_power:
                         float(parts[2])

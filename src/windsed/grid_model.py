@@ -38,8 +38,9 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValueError("line endpoints must differ")
-        if self.reactance <= 0:
-            raise ValueError("reactance must be positive")
+        if not (self.reactance > 0 and math.isfinite(1.0 / self.reactance)):
+            raise ValueError(
+                f"reactance must be positive with a finite reciprocal, got {self.reactance}")
         if self.flow_min > self.flow_max:
             raise ValueError("flow_min exceeds flow_max")
 
@@ -298,8 +299,10 @@ def parse_case(text: str) -> GridCase:
                 f"COMMITMENT row needs gen index plus {periods} binaries", lineno)
         if any(v not in (0.0, 1.0) for v in row[1:]):
             raise CaseFormatError("commitment entries must be 0/1", lineno)
-        commitments[_integer(row[0], "generator index", lineno)] = \
-            tuple(int(v) for v in row[1:])
+        gidx = _integer(row[0], "generator index", lineno)
+        if not 0 <= gidx < len(gen_rows):
+            raise CaseFormatError(f"COMMITMENT references unknown generator {gidx}", lineno)
+        commitments[gidx] = tuple(int(v) for v in row[1:])
 
     gens = []
     for k, (lineno, row) in enumerate(gen_rows):
@@ -315,9 +318,6 @@ def parse_case(text: str) -> GridCase:
             gens.append(ThermalGenerator(bus, *row[1:], commitment=commit))
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
-    for gidx in commitments:
-        if gidx < 0 or gidx >= len(gens):
-            raise CaseFormatError(f"COMMITMENT references unknown generator {gidx}")
 
     sites = []
     for lineno, row in ren_rows:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -182,14 +182,17 @@ def _delta(level: int):
     return nodes, w
 
 
-def _compositions(total: int, parts: int):
-    """Nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
+def _raised(total: int, first: int, dimension: int):
+    """Level vectors over axes first.. whose parts l_i - 1 sum to total, as
+    (axis, part) pairs for the raised axes alone, in the dense vectors'
+    lexicographic order: the first raised axis runs from the last one down."""
+    if total == 0:
+        yield ()
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for axis in range(dimension - 1, first - 1, -1):
+        for part in range(1, total + 1):
+            for rest in _raised(total - part, axis + 1, dimension):
+                yield ((axis, part),) + rest
 
 
 def build_sparse_grid(dimension: int, level: int) -> SparseGrid:
@@ -197,32 +200,29 @@ def build_sparse_grid(dimension: int, level: int) -> SparseGrid:
 
     Uses the telescoping (difference-rule) form: tensor products of
     Delta_l = R_l - R_{l-1} over all 1-D level vectors with
-    sum(l_i - 1) <= level.  Delayed ladder positions have Delta = 0 and
-    contribute nothing, which is what produces the 33/513 node counts in
-    16 dimensions at levels 1 and 2.
+    sum(l_i - 1) <= level.  Only the axes a level vector raises above 1 are
+    tensored; every other axis holds the one-node rule at 0 with weight 1.
+    Delayed ladder positions have Delta = 0 and contribute nothing, which is
+    what produces the 33/513 node counts in 16 dimensions at levels 1 and 2.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if not 1 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_LEVEL} (tabulated rules)")
-    deltas = [_delta(l) for l in range(1, level + 2)]
-    nonzero = [l for l in range(1, level + 2)
-               if l == 1 or np.any(np.abs(deltas[l - 1][1]) > 0)]
+    deltas = [_delta(l) for l in range(1, level + 2)]  # deltas[part]: l = part + 1
     acc: dict[tuple, float] = {}
     for surplus in range(0, level + 1):
-        for comp in _compositions(surplus, dimension):
-            levels = [c + 1 for c in comp]
-            if any(l not in nonzero for l in levels):
+        for raised in _raised(surplus, 0, dimension):
+            rules = [deltas[part] for _, part in raised]
+            if not all(w.any() for _, w in rules):
                 continue
-            axes = [deltas[l - 1] for l in levels]
-            # tensor the (typically tiny) difference rules
-            grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-            wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=1)
-            wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
-            for pt, w in zip(pts, wts):
-                key = tuple(round(float(v), 14) for v in pt)
-                acc[key] = acc.get(key, 0.0) + float(w)
+            for point in product(*(zip(x, w) for x, w in rules)):
+                key, weight = [0.0] * dimension, 1.0
+                for (axis, _), (x, w) in zip(raised, point):
+                    key[axis] = round(float(x), 14)
+                    weight *= float(w)
+                key = tuple(key)
+                acc[key] = acc.get(key, 0.0) + weight
     keys = sorted(acc.keys())
     nodes = np.array(keys, dtype=float).reshape(len(keys), dimension)
     weights = np.array([acc[k] for k in keys])

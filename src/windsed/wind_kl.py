@@ -78,8 +78,9 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
     """Collapse 10-minute (timestamp, speed) records into daily 24-vectors of
     log hourly-mean speed.
 
-    Days with missing intervals or nonpositive speeds are dropped and counted
-    in the result's `dropped` mapping rather than raising.
+    Days without 144 distinct timestamps (a missing or repeated interval) or
+    with nonpositive speeds are dropped and counted in the result's
+    `dropped` mapping rather than raising.
     """
     by_day = {}
     for ts, speed in records:
@@ -89,7 +90,7 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
     dropped = {"missing": 0, "nonpositive": 0}
     for day in sorted(by_day):
         recs = by_day[day]
-        if len(recs) != INTERVALS_PER_DAY:
+        if len(recs) != INTERVALS_PER_DAY or len({ts for ts, _ in recs}) != INTERVALS_PER_DAY:
             dropped["missing"] += 1
             continue
         speeds = np.array([s for _, s in sorted(recs)])

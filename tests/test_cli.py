@@ -92,6 +92,8 @@ def test_non_mapping_block_is_config_error(tmp_path):
      "2004-01-01T00:10:00,fast,40.0\n", 3),
     ("timestamp,speed_mps,power_mw\n2004-01-01T00:00:00,7.5,n/a\n", 2),
     ("timestamp,speed_mps,power_mw\n2004-01-01T00:00:00,7.5\n", 2),
+    ("timestamp,speed_mps\n2004-01-01T00:00:00,7.5\n\n2004-01-01T00:10:00\n", 4),
+    ("timestamp,speed_mps\n,7.5\n", 2),
 ])
 def test_kl_malformed_wind_csv_is_data_error(tmp_path, capsys, text, line):
     csv = tmp_path / "site_a.csv"
@@ -424,6 +426,11 @@ SYN_A = "wind.synthetic.sites.site_a"
      "edited_case.txt: line 23: nameplate must be positive and finite, got -30.0"),
     (["dispatch"], _case_edit(b"1 site_a", b"one site_a"), 3,
      "edited_case.txt: line 22: non-numeric token in RENEWABLE"),
+    (["dispatch"], _case_edit(b"1 2 0.1 ", b"1 2 1e-320 "), 3,
+     "edited_case.txt: line 13: reactance must be positive with a finite "
+     "reciprocal, got 1e-320"),
+    (["dispatch"], _case_edit(b"COMMITMENT\n0 1", b"COMMITMENT\n5 1"), 3,
+     "edited_case.txt: line 25: COMMITMENT references unknown generator 5"),
     (["study"], _edit("segments", 2.7), 2, "`segments` must be an integer, got 2.7"),
     (["study"], _raw_line("segments", b"segments: yes\n"), 2,
      "`segments` must be an integer, got True"),
@@ -462,6 +469,7 @@ SYN_A = "wind.synthetic.sites.site_a"
         "case-branch-bus-fractional", "case-pmax-inf", "case-reactance-nan",
         "case-flow-limit-nan", "case-load-nan", "case-nameplate-nan",
         "case-nameplate-negative", "case-renewable-bus-not-numeric",
+        "case-reactance-reciprocal-overflows", "case-commitment-unknown-generator",
         "segments-fractional", "segments-yes", "truncation-fractional",
         "mc-schedule-fractional", "dependence-mode-fractional", "sigma_p-inf",
         "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf"])
@@ -583,6 +591,24 @@ def test_study_runs_verifies_and_reproduces(tmp_path):
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
     header = (out1 / "report.csv").read_text().splitlines()[0]
     assert header == "method,resolution,realization,value,error"
+
+
+def test_study_runs_above_32_germ_dimensions(tmp_path):
+    """Seventeen modes at each of two sites make a 34-dimensional germ; the
+    sparse grid has no dimension cap, so the study exits 0 without a
+    traceback and writes both reports."""
+    forecast = yaml.safe_load(write_config(tmp_path).read_text())["forecast"]
+    path = write_config(tmp_path, forecast=dict(forecast, truncation=17))
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys; from windsed.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "study", "--config", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "out" / "report.csv").is_file()
+    assert (tmp_path / "out" / "report_long.csv").is_file()
 
 
 def reports_by_jobs_and_start_method(path, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from windsed.estimate import ModelEvaluationError, parallel_map
 from windsed.pce import (MAX_LEVEL, MultiIndexSet, PCESurrogate,
                          build_sparse_grid, eval_basis, hermite, project,
                          rule_1d)
+from sparse_grid_reference import build_sparse_grid_dense
 
 
 def fit(model, grid, idx):
@@ -98,6 +99,25 @@ def test_eval_basis_over_many_points_matches_one_at_a_time():
 def test_grid_counts_16d():
     assert len(build_sparse_grid(16, 1)) == 33
     assert len(build_sparse_grid(16, 2)) == 513
+
+
+@pytest.mark.parametrize("n,level", [(n, level) for n in range(1, 9)
+                                     for level in range(1, 6)]
+                         + [(7, 1), (7, 2), (16, 1), (16, 2), (16, 3)])
+def test_grid_matches_dense_reference_bit_for_bit(n, level):
+    """The walk over raised axes visits level vectors in the dense walk's
+    order, so nodes and weights agree to the last bit."""
+    grid, want = build_sparse_grid(n, level), build_sparse_grid_dense(n, level)
+    assert grid.nodes.shape == want.nodes.shape
+    assert grid.nodes.tobytes() == want.nodes.tobytes()
+    assert grid.weights.tobytes() == want.weights.tobytes()
+
+
+def test_grid_builds_beyond_32_dimensions():
+    """`np.meshgrid` capped the dense builder at 32 axes."""
+    grid = build_sparse_grid(48, 3)
+    assert len(grid) == 143169
+    assert abs(math.fsum(grid.weights) - 1.0) < 1e-8
 
 
 def test_weights_sum_to_one():

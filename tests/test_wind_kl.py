@@ -43,6 +43,17 @@ def test_incomplete_day_dropped_and_counted():
     assert ws.dropped["missing"] == 1
 
 
+def test_day_with_repeated_timestamp_dropped_and_counted():
+    """144 records with 00:40 written twice and 00:50 missing is no
+    complete day."""
+    full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
+    twice = ten_minute_day("2004-01-02", lambda h, m: 5.0)
+    twice[5] = (twice[4][0], 9.0)
+    ws = wk.hourly_average(full + twice)
+    assert len(ws) == 1
+    assert ws.dropped["missing"] == 1
+
+
 def test_nonpositive_speed_rejects_day_with_reason():
     bad = ten_minute_day("2004-01-03", lambda h, m: 0.0 if h == 12 else 5.0)
     good = ten_minute_day("2004-01-04", lambda h, m: 5.0)
