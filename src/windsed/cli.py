@@ -425,28 +425,6 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
 
 # -- study ----------------------------------------------------------------------
 
-def _verify_report(report: estimate.ConvergenceReport) -> list:
-    problems = []
-    c0 = {r.level: r.c0 for r in report.pce_records}
-    levels = sorted(c0)
-    for lvl, _n, err in report.pce_errors:
-        nxt = levels[levels.index(lvl) + 1]
-        want = abs(c0[lvl] - c0[nxt]) / abs(c0[nxt])
-        if not np.isfinite(err) or abs(err - want) > 1e-12 * (1 + want):
-            problems.append(f"PCE error at level {lvl} inconsistent with c0 records")
-    means = {}
-    for rec in report.mc_records:
-        means.setdefault(rec.n_samples, {})[rec.realization] = rec.mean
-    sizes = sorted(means)
-    for n, j, err in report.mc_errors:
-        nxt = sizes[sizes.index(n) + 1]
-        grand = float(np.mean(list(means[nxt].values())))
-        want = abs(means[n][j] - grand) / abs(grand)
-        if abs(err - want) > 1e-12 * (1 + want):
-            problems.append(f"MC error at ({n},{j}) inconsistent with means")
-    return problems
-
-
 def cmd_study(cfg: ExperimentConfig, outdir: Path, verify: bool) -> int:
     case = load_case(cfg.case_path)
     spec = build_forecast_spec(cfg, case)
@@ -457,14 +435,15 @@ def cmd_study(cfg: ExperimentConfig, outdir: Path, verify: bool) -> int:
         seed=cfg.seed, jobs=cfg.jobs)
     (outdir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (outdir / "report_long.csv").write_text(report.long_table(), encoding="utf-8")
-    for lvl, _n, err in report.pce_errors:
-        print(f"study: E_PC at level {lvl}: {err:.3e}")
+    for r in report.rows:
+        if r.method == "pce" and r.error is not None:
+            print(f"study: E_PC at level {r.resolution}: {r.error:.3e}")
     if report.mc_fit:
         print(f"study: fitted MC rate b = {report.mc_fit.rate:.3f}")
     if report.pce_fit:
         print(f"study: fitted PCE rate b = {report.pce_fit.rate:.3f}")
     if verify:
-        problems = _verify_report(report)
+        problems = report.problems()
         if problems:
             for p in problems:
                 print(f"study: VERIFY FAILED: {p}", file=sys.stderr)

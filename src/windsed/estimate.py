@@ -1,13 +1,17 @@
 """Expected-cost estimators and the Monte Carlo vs sparse-quadrature PCE
 convergence experiment.
 
-Error conventions follow the self-referencing form used throughout: each
-resolution's estimate is compared against the next finer one,
-E_PC,i = |c0_i - c0_{i+1}| / c0_{i+1} for quadrature levels and
-E_MC,i^j = |mean_i^j - grand_mean_{i+1}| / grand_mean_{i+1} for sample
-counts, with the grand mean taken over realizations.  Power-law rates come
-from ordinary least squares in log-log space on the per-resolution mean
-errors.
+The experiment's report is its rows, one `Estimate` per `report.csv` row,
+and one error rule serves both methods: a row's error is its value v
+against the mean m_{i+1}, over realizations, of the next finer resolution's
+values, E_i = |v - m_{i+1}| / |m_{i+1}|.  A quadrature level has one
+realization, its c0, so E_PC,i = |c0_i - c0_{i+1}| / |c0_{i+1}|; each MC
+realization at sample count i is measured against count i+1's grand mean.
+Two levels may share a grid: in one dimension levels 1 and 2 both use the
+3-point rule (delayed growth), so level 1's error is exactly 0.  Power-law
+rates come from ordinary least squares in log-log space on each
+resolution's mean error against its evaluation count; zero errors are left
+out of the fit.
 """
 from __future__ import annotations
 
@@ -109,17 +113,17 @@ def mc_estimate(model, dimension: int, n_samples: int, seed: int,
 
 
 @dataclass(frozen=True)
-class PceRecord:
-    level: int
-    n_nodes: int
-    c0: float
-
-
-@dataclass(frozen=True)
-class McRecord:
-    n_samples: int
+class Estimate:
+    """One `report.csv` row: a method's estimate of E[Q] at one resolution
+    (quadrature level or MC sample count) and realization, the model
+    evaluations behind it, and its relative error against the mean of the
+    next resolution's values (None at the method's finest resolution)."""
+    method: str
+    resolution: int
     realization: int
-    mean: float
+    n_evals: int
+    value: float
+    error: float | None
 
 
 @dataclass(frozen=True)
@@ -129,38 +133,17 @@ class PowerLawFit:
     rate: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
-    pce_records: tuple
-    pce_errors: tuple   # (level, n_nodes, error) vs next level
-    mc_records: tuple
-    mc_errors: tuple    # (n_samples, realization, error) vs next size's grand mean
+    rows: tuple   # Estimates, PCE then MC, by resolution then realization
     pce_fit: PowerLawFit | None
     mc_fit: PowerLawFit | None
 
-    def __post_init__(self):
-        if any(e < 0 for *_, e in self.pce_errors):
-            raise ValueError("negative PCE error")
-        if any(e < 0 for *_, e in self.mc_errors):
-            raise ValueError("negative MC error")
-        nodes = [r.n_nodes for r in self.pce_records]
-        sizes = sorted({r.n_samples for r in self.mc_records})
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ValueError("PCE node counts must be strictly increasing")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("MC sample counts must be strictly increasing")
-
     def to_csv(self) -> str:
         out = ["method,resolution,realization,value,error"]
-        pce_err = {lvl: e for lvl, _, e in self.pce_errors}
-        for rec in self.pce_records:
-            err = pce_err.get(rec.level, "")
-            out.append(f"pce,{rec.level},0,{rec.c0!r},{err if err == '' else repr(err)}")
-        mc_err = {(n, j): e for n, j, e in self.mc_errors}
-        for rec in self.mc_records:
-            err = mc_err.get((rec.n_samples, rec.realization), "")
-            out.append(f"mc,{rec.n_samples},{rec.realization},{rec.mean!r},"
-                       f"{err if err == '' else repr(err)}")
+        for r in self.rows:
+            err = "" if r.error is None else repr(r.error)
+            out.append(f"{r.method},{r.resolution},{r.realization},{r.value!r},{err}")
         for name, fit in (("pce", self.pce_fit), ("mc", self.mc_fit)):
             if fit is not None:
                 out.append(f"fit_{name},,,{fit.amplitude!r},{fit.rate!r}")
@@ -169,12 +152,35 @@ class ConvergenceReport:
     def long_table(self) -> str:
         """Plot-friendly long format: one row per error point (n_evals, error)."""
         out = ["method,n_evals,error"]
-        node_of = {r.level: r.n_nodes for r in self.pce_records}
-        for lvl, _, e in self.pce_errors:
-            out.append(f"pce,{node_of[lvl]},{e!r}")
-        for n, _, e in self.mc_errors:
-            out.append(f"mc,{n},{e!r}")
+        for r in self.rows:
+            if r.error is not None:
+                out.append(f"{r.method},{r.n_evals},{r.error!r}")
         return "\n".join(out) + "\n"
+
+    def problems(self) -> list:
+        """One line per row whose error disagrees with the values it is
+        taken from, re-derived here with arithmetic of its own (`math.fsum`,
+        not the study's `np.mean`) so that it checks the study's code rather
+        than repeating it; empty when every error holds."""
+        values = {}
+        for r in self.rows:
+            values.setdefault(r.method, {}).setdefault(r.resolution, []).append(r.value)
+        found = []
+        for r in self.rows:
+            finer = sorted(res for res in values[r.method] if res > r.resolution)
+            if not finer:
+                ok = r.error is None
+            else:
+                nxt = values[r.method][finer[0]]
+                ref = math.fsum(nxt) / len(nxt)
+                want = abs(r.value - ref) / abs(ref)
+                ok = r.error is not None and math.isfinite(r.error) \
+                    and abs(r.error - want) <= 1e-12 * (1 + want)
+            if not ok:
+                found.append(f"{r.method.upper()} error at resolution {r.resolution}, "
+                             f"realization {r.realization} inconsistent with the values "
+                             f"it is taken from")
+        return found
 
 
 def fit_power_law(counts, errors) -> PowerLawFit | None:
@@ -213,47 +219,45 @@ def convergence_study(model, dimension: int, levels, mc_schedule,
     germs = np.concatenate([np.array(list(row_of)), *draws])
     values = parallel_map(model, germs, jobs)
 
-    pce_records = []
+    pce = []
     for lvl, grid in zip(levels, grids):
         rows = [row_of[tuple(node)] for node in grid.nodes]
-        pce_records.append(PceRecord(lvl, len(grid), grid.integrate(values[rows])))
-
-    pce_errors = []
-    for cur, nxt in zip(pce_records, pce_records[1:]):
-        if nxt.c0 == 0:
-            raise ZeroDivisionError(
-                "relative PCE error undefined: next-level estimate is zero")
-        pce_errors.append((cur.level, cur.n_nodes,
-                           abs(cur.c0 - nxt.c0) / abs(nxt.c0)))
-
-    mc_records = []
-    means = {}
+        pce.append((lvl, len(grid), [grid.integrate(values[rows])]))
+    mc = []
     start = len(row_of)
-    for i, n in enumerate(mc_schedule):
-        for j in range(realizations):
-            mean = float(values[start:start + n].mean())
+    for n in mc_schedule:
+        means = []
+        for _ in range(realizations):
+            means.append(float(values[start:start + n].mean()))
             start += n
-            means[(i, j)] = mean
-            mc_records.append(McRecord(n, j, mean))
+        mc.append((n, n, means))
+    estimates = _estimates("pce", pce) + _estimates("mc", mc)
+    return ConvergenceReport(estimates, _fit(estimates, "pce"), _fit(estimates, "mc"))
 
-    mc_errors = []
-    for i, n in enumerate(mc_schedule[:-1]):
-        grand = float(np.mean([means[(i + 1, j)] for j in range(realizations)]))
-        if grand == 0:
-            raise ZeroDivisionError(
-                "relative MC error undefined: next-size grand mean is zero")
-        for j in range(realizations):
-            mc_errors.append((n, j, abs(means[(i, j)] - grand) / abs(grand)))
 
-    pce_fit = fit_power_law([n for _, n, _ in pce_errors],
-                            [e for _, _, e in pce_errors])
-    per_size = {}
-    for n, _, e in mc_errors:
-        per_size.setdefault(n, []).append(e)
-    mc_fit = fit_power_law(list(per_size), [float(np.mean(v)) for v in per_size.values()])
-    return ConvergenceReport(tuple(pce_records), tuple(pce_errors),
-                             tuple(mc_records), tuple(mc_errors),
-                             pce_fit, mc_fit)
+def _estimates(method: str, resolutions) -> tuple:
+    """An Estimate per value of each (resolution, n_evals, values), finest
+    last, with its error against the mean of the next resolution's values."""
+    out = []
+    for (res, n_evals, vals), nxt in zip(resolutions, resolutions[1:] + [None]):
+        ref = None if nxt is None else float(np.mean(nxt[2]))
+        if ref == 0:
+            raise ZeroDivisionError(f"relative {method.upper()} error undefined: "
+                                    f"next resolution's mean estimate is zero")
+        for j, value in enumerate(vals):
+            error = None if ref is None else abs(value - ref) / abs(ref)
+            out.append(Estimate(method, res, j, n_evals, value, error))
+    return tuple(out)
+
+
+def _fit(rows, method: str) -> PowerLawFit | None:
+    """Power law through each resolution's mean error against its
+    evaluation count."""
+    errors = {}
+    for r in rows:
+        if r.method == method and r.error is not None:
+            errors.setdefault((r.resolution, r.n_evals), []).append(r.error)
+    return fit_power_law([n for _, n in errors], [float(np.mean(e)) for e in errors.values()])
 
 
 def cross_validate(surrogate: PCESurrogate, model, n_test: int, seed: int,

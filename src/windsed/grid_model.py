@@ -302,6 +302,8 @@ def parse_case(text: str) -> GridCase:
         gidx = _integer(row[0], "generator index", lineno)
         if not 0 <= gidx < len(gen_rows):
             raise CaseFormatError(f"COMMITMENT references unknown generator {gidx}", lineno)
+        if gidx in commitments:
+            raise CaseFormatError(f"second COMMITMENT row for generator {gidx}", lineno)
         commitments[gidx] = tuple(int(v) for v in row[1:])
 
     gens = []

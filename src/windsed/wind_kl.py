@@ -9,6 +9,7 @@ symmetric eigendecomposition of the 24x24 covariance matrix.
 """
 from __future__ import annotations
 
+import datetime
 import math
 from dataclasses import dataclass, field
 
@@ -74,23 +75,37 @@ class KLBasis:
 
 # -- data preparation ---------------------------------------------------------
 
+def _mark(ts: str) -> int | None:
+    """The ten-minute mark of its day (0..143) an ISO-8601 timestamp sits
+    on; None when it sits between marks or does not parse."""
+    try:
+        t = datetime.datetime.fromisoformat(ts)
+    except ValueError:
+        return None
+    if t.minute % 10 or t.second or t.microsecond:
+        return None
+    return t.hour * 6 + t.minute // 10
+
+
 def hourly_average(records, site_label: str = "") -> WindSampleSet:
     """Collapse 10-minute (timestamp, speed) records into daily 24-vectors of
     log hourly-mean speed.
 
-    Days without 144 distinct timestamps (a missing or repeated interval) or
-    with nonpositive speeds are dropped and counted in the result's
-    `dropped` mapping rather than raising.
+    A day counts only when its 144 records sit on its 144 ten-minute marks;
+    a day with a missing, repeated or off-mark interval, or with a
+    nonpositive speed, is dropped and counted in the result's `dropped`
+    mapping rather than raising.
     """
     by_day = {}
     for ts, speed in records:
         day = str(ts)[:10]
-        by_day.setdefault(day, []).append((str(ts), float(speed)))
+        by_day.setdefault(day, []).append((_mark(str(ts)), float(speed)))
     rows = []
     dropped = {"missing": 0, "nonpositive": 0}
     for day in sorted(by_day):
         recs = by_day[day]
-        if len(recs) != INTERVALS_PER_DAY or len({ts for ts, _ in recs}) != INTERVALS_PER_DAY:
+        if len(recs) != INTERVALS_PER_DAY or \
+                {m for m, _ in recs} != set(range(INTERVALS_PER_DAY)):
             dropped["missing"] += 1
             continue
         speeds = np.array([s for _, s in sorted(recs)])

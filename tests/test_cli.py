@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import yaml
 
 from lp_oracle import lp_from_text
 from specs import sample_germs
+from windsed import estimate
 from windsed.cli import ExperimentConfig, build_forecast_spec, main
 from windsed.grid_model import linearize_cost, load_case
 from windsed.sed_model import SedEvaluator, build_instance
@@ -431,6 +433,8 @@ SYN_A = "wind.synthetic.sites.site_a"
      "reciprocal, got 1e-320"),
     (["dispatch"], _case_edit(b"COMMITMENT\n0 1", b"COMMITMENT\n5 1"), 3,
      "edited_case.txt: line 25: COMMITMENT references unknown generator 5"),
+    (["dispatch"], _case_edit(b"COMMITMENT\n0 1", b"COMMITMENT\n0" + b" 0" * 24 + b"\n0 1"),
+     3, "edited_case.txt: line 26: second COMMITMENT row for generator 0"),
     (["study"], _edit("segments", 2.7), 2, "`segments` must be an integer, got 2.7"),
     (["study"], _raw_line("segments", b"segments: yes\n"), 2,
      "`segments` must be an integer, got True"),
@@ -470,6 +474,7 @@ SYN_A = "wind.synthetic.sites.site_a"
         "case-flow-limit-nan", "case-load-nan", "case-nameplate-nan",
         "case-nameplate-negative", "case-renewable-bus-not-numeric",
         "case-reactance-reciprocal-overflows", "case-commitment-unknown-generator",
+        "case-commitment-repeated",
         "segments-fractional", "segments-yes", "truncation-fractional",
         "mc-schedule-fractional", "dependence-mode-fractional", "sigma_p-inf",
         "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf"])
@@ -591,6 +596,42 @@ def test_study_runs_verifies_and_reproduces(tmp_path):
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
     header = (out1 / "report.csv").read_text().splitlines()[0]
     assert header == "method,resolution,realization,value,error"
+
+
+def test_study_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
+    """A report with an MC error that is not a number fails `--verify`:
+    exit 4, with the row named on stderr."""
+    study = estimate.convergence_study
+
+    def nan_mc_error(*args, **kwargs):
+        rep = study(*args, **kwargs)
+        rows = list(rep.rows)
+        k = next(i for i, r in enumerate(rows) if r.method == "mc" and r.error is not None)
+        rows[k] = dataclasses.replace(rows[k], error=float("nan"))
+        return dataclasses.replace(rep, rows=tuple(rows))
+
+    monkeypatch.setattr(estimate, "convergence_study", nan_mc_error)
+    assert main(["study", "--config", str(write_config(tmp_path)), "--verify"]) == 4
+    err = capsys.readouterr().err
+    assert "study: VERIFY FAILED: MC error at resolution 10, realization 0 " in err
+
+
+def test_one_dimensional_study_reports_a_zero_error(tmp_path, capsys):
+    """One site with one KL mode: under delayed growth 1-D levels 1 and 2
+    share the 3-point rule, so they give the same c0 and level 1's error
+    is exactly 0.0."""
+    case = (DATA / "case3.txt").read_text()
+    assert "3 site_b 30.0\n" in case
+    (tmp_path / "case1.txt").write_text(case.replace("3 site_b 30.0\n", ""))
+    forecast = {"sigma_p": 0.35, "truncation": 1, "sites": {
+        "site_a": {"mean_wind": 8.0, "matern_l": 11.40, "matern_nu": 0.56}}}
+    path = write_config(tmp_path, case=str(tmp_path / "case1.txt"), forecast=forecast,
+                        pce={"levels": [1, 2]})
+    assert main(["study", "--config", str(path), "--verify"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "report.csv").read_text().splitlines()]
+    assert [row[4] for row in rows if row[:2] == ["pce", "1"]] == ["0.0"]
 
 
 def test_study_runs_above_32_germ_dimensions(tmp_path):

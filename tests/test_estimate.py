@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import threading
@@ -26,6 +27,15 @@ def pce_mean(model, dimension, level):
 
 def fit(model, grid, idx):
     return project(grid, idx, est.parallel_map(model, grid.nodes))
+
+
+def errors(rep, method):
+    return [r.error for r in rep.rows if r.method == method and r.error is not None]
+
+
+def values(rep, method, resolution):
+    return [r.value for r in rep.rows
+            if r.method == method and r.resolution == resolution]
 
 
 def fails_at_200(g):
@@ -78,8 +88,8 @@ def test_constant_model_all_errors_zero():
     rep = est.convergence_study(lambda g: 42.0, 2, levels=[1, 2],
                                 mc_schedule=[10, 100], realizations=3, seed=0)
     # c0 per level is 42 * sum(weights); sums agree with 1 only to ~1e-15
-    assert all(e < 1e-13 for _, _, e in rep.pce_errors)
-    assert all(e == 0.0 for _, _, e in rep.mc_errors)
+    assert all(e < 1e-13 for e in errors(rep, "pce"))
+    assert all(e == 0.0 for e in errors(rep, "mc"))
     assert rep.mc_fit is None  # no positive MC errors to fit
 
 
@@ -89,8 +99,8 @@ def test_quadratic_mc_rate_near_half():
                                 realizations=10, seed=42)
     assert 0.35 <= rep.mc_fit.rate <= 0.65
     # quadrature integrates the quadratic exactly at every level
-    assert all(e < 1e-10 for _, _, e in rep.pce_errors)
-    assert {r.level: r.c0 for r in rep.pce_records}[3] == pytest.approx(QUAD_MEAN)
+    assert all(e < 1e-10 for e in errors(rep, "pce"))
+    assert values(rep, "pce", 3) == [pytest.approx(QUAD_MEAN)]
 
 
 def test_study_is_bitwise_deterministic():
@@ -136,11 +146,30 @@ def test_mc_grand_mean_converges_to_c0():
     rep = est.convergence_study(model, 2, levels=[2, 3, 4],
                                 mc_schedule=[100, 1000, 10000],
                                 realizations=10, seed=21)
-    c0_best = {r.level: r.c0 for r in rep.pce_records}[4]
-    biggest = [r.mean for r in rep.mc_records if r.n_samples == 10000]
+    [c0_best] = values(rep, "pce", 4)
+    biggest = values(rep, "mc", 10000)
     grand = float(np.mean(biggest))
     spread = float(np.std(biggest, ddof=1) / math.sqrt(len(biggest)))
     assert abs(grand - c0_best) < 4 * max(spread, 1e-12)
+
+
+def test_problems_names_each_row_whose_error_is_off():
+    """`problems()` re-derives every row's error from the rows' values: it
+    names a PCE error shifted by 1e-9 relative and a NaN MC error, and no
+    other row."""
+    model = lambda g: math.exp(1.5 * g[0]) + g[1] ** 2
+    rep = est.convergence_study(model, 2, levels=[1, 2, 3], mc_schedule=[10, 100],
+                                realizations=2, seed=4)
+    assert rep.problems() == []
+    rows = list(rep.rows)
+    k = next(i for i, r in enumerate(rows) if r.method == "pce" and r.error > 1e-2)
+    m = next(i for i, r in enumerate(rows) if r.method == "mc" and r.error is not None)
+    rows[k] = dataclasses.replace(rows[k], error=rows[k].error * (1 + 1e-9))
+    rows[m] = dataclasses.replace(rows[m], error=float("nan"))
+    found = dataclasses.replace(rep, rows=tuple(rows)).problems()
+    assert len(found) == 2
+    assert f"PCE error at resolution {rows[k].resolution}, realization 0 " in found[0]
+    assert f"MC error at resolution 10, realization {rows[m].realization} " in found[1]
 
 
 def test_nested_nodes_evaluated_once():

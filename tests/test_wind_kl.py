@@ -54,6 +54,17 @@ def test_day_with_repeated_timestamp_dropped_and_counted():
     assert ws.dropped["missing"] == 1
 
 
+def test_day_with_off_mark_timestamp_dropped_and_counted():
+    """144 distinct records with 00:55 in place of 00:50 is no complete
+    day: each record must sit on one of its day's ten-minute marks."""
+    full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
+    off = ten_minute_day("2004-01-02", lambda h, m: 5.0)
+    off[5] = ("2004-01-02T00:55:00", 9.0)
+    ws = wk.hourly_average(full + off)
+    assert len(ws) == 1
+    assert ws.dropped["missing"] == 1
+
+
 def test_nonpositive_speed_rejects_day_with_reason():
     bad = ten_minute_day("2004-01-03", lambda h, m: 0.0 if h == 12 else 5.0)
     good = ten_minute_day("2004-01-04", lambda h, m: 5.0)
