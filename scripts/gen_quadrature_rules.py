@@ -31,7 +31,8 @@ Weights solve the symmetric moment system for even degrees 0..14 and are
 all positive.
 
 Run:  python scripts/gen_quadrature_rules.py
-Prints the table that lives in src/windsed/pce.py (_RULE_* constants).
+Prints the tables that live in src/windsed/pce.py as the constants _R1,
+_R3, _R7 and _R15, one block per rule.
 """
 import mpmath as mp
 

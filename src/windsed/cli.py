@@ -47,6 +47,7 @@ forecast:                   # required by `dispatch` and `study`
   truncation: 6             # KL modes per site
   sites:                    # labels must match the case's RENEWABLE block
     site_a: {mean_wind: 8.0, matern_l: 11.4, matern_nu: 0.56}
+    site_b: {mean_wind: 8.5, matern_l: 9.79, matern_nu: 0.78}
   dependence:               # groups of [site, mode] sharing one germ
     - [[site_a, 1], [site_b, 1]]
 
@@ -103,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date that does not exist
             raise ConfigError(f"config is not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a mapping")
@@ -269,15 +270,17 @@ def write_manifest(outdir: Path, cfg: ExperimentConfig, command: str):
 
 # -- kl -----------------------------------------------------------------------
 
-def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """site -> CSV path, generating synthetic files first when configured;
-    the synthetic block is checked whole before any file is written."""
-    paths = dict(cfg.wind_data)
+def _wind_records(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """site -> (timestamp, speed) records, and site -> the rows of each
+    synthetic site's CSV, for `cmd_kl` to write on success.  A synthetic
+    site replaces a `wind.data` file of its label; its records are its rows,
+    the floats its CSV reads back (`float(repr(s)) == s`)."""
+    tables = {}
     synth = cfg.wind_synthetic
     if synth:
         days = _integer(synth.get("days", 93), "wind.synthetic.days")
-        if days < 1:
-            raise ConfigError(f"`wind.synthetic.days` must be at least 1, got {days}")
+        if days < 2:  # a covariance needs two days
+            raise ConfigError(f"`wind.synthetic.days` must be at least 2, got {days}")
         start = str(synth.get("start", "2004-01-01"))
         try:
             datetime.date.fromisoformat(start)
@@ -299,31 +302,33 @@ def _wind_sources(cfg: ExperimentConfig, outdir: Path) -> dict:
             sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                             wind_kl.HOURS, curve))
         for k, site in enumerate(sites):
-            rows = datagen.synthetic_wind_table(site, days, cfg.seed + k, start=start)
-            paths[site.label] = str(outdir / f"wind_{site.label}.csv")
-            datagen.write_wind_csv(paths[site.label], rows)
-    if not paths:
+            tables[site.label] = datagen.synthetic_wind_table(site, days, cfg.seed + k,
+                                                              start=start)
+    records = {label: datagen.read_wind_csv(path)
+               for label, path in sorted(cfg.wind_data.items()) if label not in tables}
+    records.update((label, [row[:2] for row in rows]) for label, rows in tables.items())
+    if not records:
         raise ConfigError("kl needs wind.data paths or a wind.synthetic block")
-    return paths
+    return records, tables
 
 
 def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
-    paths = _wind_sources(cfg, outdir)
-    bases = {}
+    """Bases and diagnostics per site, written only once every site is read,
+    checked and decomposed, so a failure leaves `outdir` as it was."""
+    records, tables = _wind_records(cfg)
+    texts = {}  # file name -> contents
     xi_by_site = {}
     varfrac_rows = ["site,n_modes,percent"]
     ks_rows = ["site,mode,ks_distance"]
     fit_rows = ["site,length_scale,smoothness"]
-    for label in sorted(paths):
-        samples = wind_kl.hourly_average(datagen.read_wind_csv(paths[label]), label)
+    for label in sorted(records):
+        samples = wind_kl.hourly_average(records[label], label)
         if any(samples.dropped.values()):
             print(f"kl: site {label}: dropped {sum(samples.dropped.values())} "
                   f"day(s) {samples.dropped}")
         cov = wind_kl.empirical_covariance(samples)
         basis = wind_kl.kl_decompose(cov, samples.samples.mean(axis=0))
-        bases[label] = basis
-        (outdir / f"klbasis_{label}.txt").write_text(basis.to_text(),
-                                                     encoding="utf-8")
+        texts[f"klbasis_{label}.txt"] = basis.to_text()
         if basis.eigenvalues.sum() == 0:
             print(f"kl: site {label}: degenerate field (all eigenvalues zero)")
         for n in range(1, wind_kl.HOURS + 1):
@@ -349,11 +354,14 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
                 d = wind_kl.distance_correlation(xi_by_site[a][:n, mode],
                                                  xi_by_site[b][:n, mode])
                 dcor_rows.append(f"{a},{b},{mode + 1},{d!r}")
-    (outdir / "variance_fraction.csv").write_text("\n".join(varfrac_rows) + "\n")
-    (outdir / "ks_normal.csv").write_text("\n".join(ks_rows) + "\n")
-    (outdir / "dcor_modes.csv").write_text("\n".join(dcor_rows) + "\n")
-    (outdir / "matern_fit.csv").write_text("\n".join(fit_rows) + "\n")
-    print(f"kl: wrote bases and diagnostics for {len(paths)} site(s) to {outdir}")
+    for name, rows in (("variance_fraction", varfrac_rows), ("ks_normal", ks_rows),
+                       ("dcor_modes", dcor_rows), ("matern_fit", fit_rows)):
+        texts[f"{name}.csv"] = "\n".join(rows) + "\n"
+    for label, rows in tables.items():
+        datagen.write_wind_csv(outdir / f"wind_{label}.csv", rows)
+    for name, text in texts.items():
+        (outdir / name).write_text(text, encoding="utf-8")
+    print(f"kl: wrote bases and diagnostics for {len(records)} site(s) to {outdir}")
     return 0
 
 
@@ -402,7 +410,7 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
         germ = _parse_germ(germ_arg, spec.dimension)
     else:
         germ = np.zeros(spec.dimension)
-    power = spec.power(germ, [s.site_label for s in case.renewable_sites])
+    power = spec.power(germ)
     try:
         sol = solve_dispatch(case, power, cfg.segments)
     except (DispatchError, LpError) as exc:

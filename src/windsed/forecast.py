@@ -205,8 +205,8 @@ class ForecastSpec:
     dependence_groups: tuple = ()  # each: tuple of (site_label, mode) pairs
 
     def __post_init__(self):
-        labels = [s.label for s in self.sites]
-        if len(set(labels)) != len(labels):
+        truncation = {s.label: s.truncation for s in self.sites}
+        if len(truncation) != len(self.sites):
             raise ValueError("duplicate site label")
         seen = set()
         for group in self.dependence_groups:
@@ -215,15 +215,10 @@ class ForecastSpec:
                     raise ValueError("dependence groups must be disjoint")
                 seen.add(pair)
                 label, mode = pair
-                site = self.site(label)
-                if not 1 <= mode <= site.truncation:
+                if label not in truncation:
+                    raise KeyError(f"unknown site {label}")
+                if not 1 <= mode <= truncation[label]:
                     raise ValueError(f"mode {mode} outside truncation of {label}")
-
-    def site(self, label: str) -> SiteModel:
-        for s in self.sites:
-            if s.label == label:
-                return s
-        raise KeyError(f"unknown site {label}")
 
     def germ_layout(self):
         """Germ coordinate index for every (site, mode); shared-group members
@@ -264,17 +259,17 @@ class ForecastSpec:
             object.__setattr__(self, "_columns_cache", cached)
         return cached
 
-    def power(self, germs, labels=None) -> np.ndarray:
+    def power(self, germs) -> np.ndarray:
         """Hourly power per site, shape (..., n_sites, 24), for germs of
         shape (..., dimension): each site's truncated KL expansion of its
         germ coordinates (`wind_kl.reconstruct`) is a log-wind field, which
         is exponentiated and pushed through the site's power curve.  Sites
-        come in `labels` order, by default in declaration order."""
+        come in declaration order, which for a spec that drives a dispatch
+        is the case's RENEWABLE order (`sed_model.SedEvaluator` checks it)."""
         germs = np.asarray(germs, dtype=float)
         columns = self.germ_columns()
-        sites = self.sites if labels is None else [self.site(l) for l in labels]
-        out = np.empty(germs.shape[:-1] + (len(sites), HOURS))
-        for j, site in enumerate(sites):
+        out = np.empty(germs.shape[:-1] + (len(self.sites), HOURS))
+        for j, site in enumerate(self.sites):
             w_log = reconstruct(site.kl_basis(), germs[..., columns[site.label]],
                                 site.truncation)
             out[..., j, :] = site.curve(np.exp(w_log))

@@ -68,6 +68,9 @@ class ThermalGenerator:
             raise ValueError("generator limits must satisfy 0 <= p_min <= p_max")
         if self.cost_quad < 0:
             raise ValueError("quadratic cost coefficient must be nonnegative")
+        # a convex cost is largest at an end of [p_min, p_max]
+        if not all(math.isfinite(self.quadratic_cost(p)) for p in (self.p_min, self.p_max)):
+            raise ValueError("cost must be finite from p_min to p_max")
         if min(self.ramp_up, self.ramp_down, self.startup, self.shutdown) < 0:
             raise ValueError("ramp and startup rates must be nonnegative")
         if any(x not in (0, 1) for x in self.commitment):

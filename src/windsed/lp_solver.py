@@ -159,11 +159,7 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     objective: float
     x: np.ndarray
-    row_duals: np.ndarray
-    reduced_costs: np.ndarray
     iterations: int
-    basis: Basis | None = None
-    max_bound_violation: float = 0.0
 
 
 # what one eta costs a triangular solve beyond its nonzeros, in nonzeros:
@@ -264,6 +260,11 @@ def solve_lp(lp: LinearProgram, warm_basis: Basis | None = None) -> LpSolution:
     A warm-start basis (typically from a previous scenario that differs only
     in bound data) is validated and used as the starting point; a singular
     warm basis raises LpError rather than being silently repaired.
+
+    The `LpSolution` holds the final `status`, the `objective` c.x (NaN when
+    infeasible), the structural columns' `x` and the pivot count
+    `iterations`; no duals are priced for it.  For the final basis, solve
+    through a `RepeatSolver` and read `basis()`.
     """
     return RepeatSolver(lp, warm_basis).solve()
 
@@ -335,7 +336,7 @@ class RepeatSolver:
         if start.factors is None:
             self._start(start.basis)
             start.factors = self.factors
-            start.reduced_costs = self._reduced_costs(self.cost)[0]
+            start.reduced_costs = self._reduced_costs(self.cost)
         else:
             self.basic = start.basis.basic.copy()
             self.status = start.basis.status.copy()
@@ -352,10 +353,12 @@ class RepeatSolver:
     def solve(self) -> LpSolution:
         """Solve against the LP's current bound arrays (mutate lp.row_lower
         etc. between calls)."""
-        return self._solution(self._optimize())
+        status = self._optimize()
+        return LpSolution(status, float("nan") if status == "infeasible" else self.objective(),
+                          self.x[: self.n].copy(), self.iterations)
 
     def solve_value(self) -> float:
-        """Optimal objective only; skips dual extraction and basis export."""
+        """Optimal objective only; any other final status raises LpError."""
         status = self._optimize()
         if status != "optimal":
             raise LpError(f"repeat solve ended {status}")
@@ -422,10 +425,8 @@ class RepeatSolver:
             below, above = self._violations()
         return float(np.sum(np.maximum(below, 0.0)) + np.sum(np.maximum(above, 0.0)))
 
-    def _reduced_costs(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.factors.btran(cost[self.basic])
-        d = cost - self.fmat_t @ y
-        return d, y
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        return cost - self.fmat_t @ self.factors.btran(cost[self.basic])
 
     def _dual_infeasibility(self, d: np.ndarray) -> np.ndarray:
         """Per column, how far d says moving it off its bound would lower
@@ -571,7 +572,7 @@ class RepeatSolver:
                     if self._infeasibility() > FEAS_TOL:
                         d = self.certified_d
                         if d is None:
-                            d, _ = self._reduced_costs(self.cost)
+                            d = self._reduced_costs(self.cost)
                         if self._choose_entering(d) < 0:
                             status = self.run_dual(d)
                     if status == "optimal":
@@ -602,7 +603,7 @@ class RepeatSolver:
             if phase1 and self._infeasibility() <= FEAS_TOL:
                 return "feasible"
             if d is None:
-                d, _ = self._reduced_costs(self._phase1_cost() if phase1 else self.cost)
+                d = self._reduced_costs(self._phase1_cost() if phase1 else self.cost)
             q = self._choose_entering(d)
             if q < 0:
                 if phase1:
@@ -681,7 +682,7 @@ class RepeatSolver:
                 # no blocking column, or the pivot row and column disagree
                 # on the pivot: decide again on a fresh factorization
                 self._refactorize()
-                d, _ = self._reduced_costs(self.cost)
+                d = self._reduced_costs(self.cost)
                 continue
             if q < 0:
                 return "infeasible"
@@ -698,18 +699,4 @@ class RepeatSolver:
                 d[self.basic] = 0.0
                 d[leaving] = side * step
             else:  # refactorized: start d afresh too
-                d, _ = self._reduced_costs(self.cost)
-
-    def _solution(self, status: str) -> LpSolution:
-        d, y = self._reduced_costs(self.cost)
-        viol = float(np.max(np.maximum(*self._violations()), initial=0.0))
-        return LpSolution(
-            status=status,
-            objective=float("nan") if status == "infeasible" else self.objective(),
-            x=self.x[: self.n].copy(),
-            row_duals=y.copy(),
-            reduced_costs=d[: self.n].copy(),
-            iterations=self.iterations,
-            basis=self.basis(),
-            max_bound_violation=viol,
-        )
+                d = self._reduced_costs(self.cost)

@@ -333,6 +333,10 @@ class _Region:
 class SedEvaluator:
     """A study's cost evaluator Q(germ) with warm-started basis reuse.
 
+    The spec lists the case's renewable sites in the case's RENEWABLE
+    order, so `spec.power` rows are the case's sites; another order or set
+    of sites raises DispatchError naming both.
+
     The constructor builds the instance (`inst`) at the zero germ, solves
     its LP from the crash basis and keeps the optimal basis as the anchor.
     On a small LP (at most REGION_ROWS rows) it then builds the atlas: the
@@ -356,12 +360,11 @@ class SedEvaluator:
     def __init__(self, case: GridCase, spec: ForecastSpec, segments: int = 3):
         case_labels = [s.site_label for s in case.renewable_sites]
         spec_labels = [s.label for s in spec.sites]
-        if set(case_labels) != set(spec_labels):
+        if case_labels != spec_labels:
             raise DispatchError(
                 f"case sites {case_labels} do not match forecast sites {spec_labels}")
         self.case = case
         self.spec = spec
-        self._site_labels = case_labels
         self.segments = segments
         self.dim = spec.dimension
         self._next_power = None  # power row for the next call, mapped by a batch
@@ -390,13 +393,9 @@ class SedEvaluator:
     def _build(self):
         """The LP at the zero germ, and a solver whose first solve, and
         every retry, starts from the crash basis."""
-        self.inst = build_instance(self.case, self._power_for(np.zeros(self.dim)),
+        self.inst = build_instance(self.case, self.spec.power(np.zeros(self.dim)),
                                    self.segments)
         self._solver = RepeatSolver(self.inst.lp, self.inst.start_basis())
-
-    def _power_for(self, germ: np.ndarray) -> np.ndarray:
-        """Hourly power per site in the case's renewable-site order."""
-        return self.spec.power(germ, self._site_labels)
 
     def _check(self, germs: np.ndarray):
         """DispatchError naming the first germ (row of `germs`) that has the
@@ -418,7 +417,7 @@ class SedEvaluator:
         germ = np.asarray(germ, dtype=float)
         if power is None:
             self._check(germ[None])
-            power = self._power_for(germ)
+            power = self.spec.power(germ)
         self.inst.set_renewable(power)
         try:
             value = self._solver.solve_value()
@@ -437,7 +436,7 @@ class SedEvaluator:
         `__call__`, so they are not evaluations."""
         rng = np.random.Generator(np.random.Philox(key=0xA71A5))
         germs = rng.standard_normal((ATLAS_GERMS, self.dim))
-        powers = self.spec.power(germs, self._site_labels)
+        powers = self.spec.power(germs)
         p0 = powers[np.argmin(np.einsum("ij,ij->i", germs, germs))]
         reached: dict[bytes, list] = {}
         self._solver.begin_at(self._anchor)
@@ -507,12 +506,12 @@ class SedEvaluator:
         else:
             self._solver.begin_at(self._anchor)
             total = np.concatenate([
-                self.spec.power(germs[i:i + POWER_BLOCK], self._site_labels).sum(axis=(1, 2))
+                self.spec.power(germs[i:i + POWER_BLOCK]).sum(axis=(1, 2))
                 for i in range(0, len(germs), POWER_BLOCK)])
             order = np.argsort(total, kind="stable")
         for start in range(0, len(order), POWER_BLOCK):
             block = order[start:start + POWER_BLOCK]
-            power = self.spec.power(germs[block], self._site_labels)
+            power = self.spec.power(germs[block])
             for i, row, q, k in zip(block, power, *self._screen(power)):
                 # `__call__` stays the one path to Q
                 if np.isnan(q):

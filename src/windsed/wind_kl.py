@@ -94,7 +94,9 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
     A day counts only when its 144 records sit on its 144 ten-minute marks;
     a day with a missing, repeated or off-mark interval, or with a
     nonpositive speed, is dropped and counted in the result's `dropped`
-    mapping rather than raising.
+    mapping rather than raising.  A kept day whose hourly means are not
+    finite (a `nan` or `inf` speed, or speeds whose sum overflows) raises
+    WindDataError naming the site and day.
     """
     by_day = {}
     for ts, speed in records:
@@ -112,7 +114,11 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
         if np.any(speeds <= 0):
             dropped["nonpositive"] += 1
             continue
-        rows.append(np.log(speeds.reshape(HOURS, 6).mean(axis=1)))
+        row = np.log(speeds.reshape(HOURS, 6).mean(axis=1))
+        if not np.all(np.isfinite(row)):
+            raise WindDataError(f"site {site_label}: day {day}: an hourly mean speed "
+                                "is not finite")
+        rows.append(row)
     if not rows:
         raise WindDataError(
             f"no complete days (dropped: {dropped})" if any(dropped.values())

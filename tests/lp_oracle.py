@@ -1,5 +1,6 @@
-"""Brute-force vertex enumeration oracle for small bounded LPs, and a
-reader of the LP text dump (`LinearProgram.to_text`, `--dump-lp`).
+"""Brute-force vertex enumeration oracle for small bounded LPs, dense
+dual values and bound violations of a solution, and a reader of the LP text
+dump (`LinearProgram.to_text`, `--dump-lp`).
 
 The oracle is independent of the simplex implementation: it enumerates
 every choice of n active hyperplanes drawn from {row at lower, row at
@@ -109,6 +110,26 @@ def random_lp(rng, max_vars: int = 8, max_rows: int = 8,
                 rlo[i] = rhi[i] = round(a, 2)
         if count_combinations(A, rlo, rhi, lo, up) <= max_combos:
             return c, A, rlo, rhi, lo, up
+
+
+def basis_duals(lp: LinearProgram, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Row duals y and structural reduced costs d of a basis, by dense
+    solves: with every row's logical s in A x - s = 0, B' y = c_B over the
+    basic columns of [A, -I], and d = c - A' y."""
+    A = lp.matrix().toarray()
+    full = np.hstack([A, -np.eye(lp.num_rows)])
+    cost = np.concatenate([lp.objective, np.zeros(lp.num_rows)])
+    y = np.linalg.solve(full[:, basis.basic].T, cost[basis.basic])
+    return y, lp.objective - A.T @ y
+
+
+def bound_violation(lp: LinearProgram, x: np.ndarray) -> float:
+    """The largest amount by which x breaks a column bound or a row's
+    activity A x breaks a row bound; zero when x is feasible."""
+    ax = lp.matrix() @ x
+    return float(np.max(np.concatenate([
+        lp.col_lower - x, x - lp.col_upper, lp.row_lower - ax, ax - lp.row_upper]),
+        initial=0.0))
 
 
 def lp_from_text(text: str) -> LinearProgram:

@@ -21,13 +21,15 @@ def make_spec3(case, truncation: int = 3, sigma_p: float = 0.35):
 
 
 def make_spec118(case):
-    """Paper-style three-site spec: Wyoming pair shares its first two modes."""
+    """Paper-style three-site spec: Wyoming pair shares its first two modes.
+    Its sites come in the case's RENEWABLE order, as a spec for a dispatch
+    must list them."""
     curves = {s.site_label: default_power_curve(s.nameplate)
               for s in case.renewable_sites}
     params = {"site_15414": (11.40, 0.56), "site_16238": (11.15, 0.57),
               "site_3560": (9.79, 0.78)}
     sites = []
-    for label in ("site_15414", "site_16238", "site_3560"):
+    for label in ("site_3560", "site_16238", "site_15414"):
         mean_wind = np.full(24, 8.0)
         sw = fc.sigma_w_from_sigma_p(0.35, mean_wind, curves[label])
         l, nu = params[label]

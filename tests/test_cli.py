@@ -58,8 +58,21 @@ def synthetic_wind_block(days=40):
     }
 
 
-def test_print_schema():
+def test_print_schema(tmp_path, capsys, monkeypatch):
+    """The printed schema is a config the loader takes: its scalars are the
+    loader's defaults, as its header says, and its forecast block builds a
+    spec for its case, so the schema and the loader cannot drift apart."""
     assert main(["--print-schema"]) == 0
+    path = tmp_path / "schema.yaml"
+    path.write_text(capsys.readouterr().out)
+    cfg = ExperimentConfig.load(str(path))
+    defaults = ExperimentConfig(cfg.case_path)
+    for name in ("segments", "seed", "out", "jobs", "pce_levels", "mc_schedule",
+                 "mc_realizations"):
+        assert getattr(cfg, name) == getattr(defaults, name), name
+    monkeypatch.chdir(DATA.parent)  # the schema's case path is relative to the repo
+    spec = build_forecast_spec(cfg, load_case(cfg.case_path))
+    assert [s.label for s in spec.sites] == ["site_a", "site_b"]
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -134,6 +147,22 @@ def test_kl_synthetic_pipeline(tmp_path):
     assert (out / "matern_fit.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42 and manifest["command"] == "kl"
+
+
+def test_kl_synthetic_sites_match_their_written_csvs(tmp_path):
+    """`kl` decomposes a synthetic site from its rows in memory; reading the
+    CSVs it writes back through `wind.data` gives every output file the
+    same bytes."""
+    path = write_config(tmp_path, wind=synthetic_wind_block())
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["kl", "--config", str(path)]) == 0
+    csvs = {label: str(out / f"wind_{label}.csv") for label in ("site_a", "site_b")}
+    path = write_config(tmp_path, wind={"data": csvs}, out=str(again))
+    assert main(["kl", "--config", str(path)]) == 0
+    names = sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+    assert len(names) == 6
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_kl_cloned_sites_have_unit_dcor(tmp_path):
@@ -256,10 +285,9 @@ def test_dispatch_dump_lp_parseable(tmp_path, case3):
     got = lp_from_text((tmp_path / "out" / "dispatch.lp").read_text())
     cfg = ExperimentConfig.load(str(path))
     spec = build_forecast_spec(cfg, case3)
-    labels = [s.site_label for s in case3.renewable_sites]
 
     def lp_at(g):
-        return build_instance(case3, spec.power(g, labels), cfg.segments).lp
+        return build_instance(case3, spec.power(g), cfg.segments).lp
 
     want = lp_at(np.array([float(v) for v in germ.split(",")]))
     assert not np.array_equal(want.row_lower, lp_at(np.zeros(6)).row_lower)
@@ -332,6 +360,30 @@ def _raw_line(key, line: bytes):
     return edit
 
 
+def _one_day(speed_at_ten_past: str) -> str:
+    """A wind CSV of one complete day at 8 m/s, but for its 00:10 speed."""
+    speeds = ["8.0"] * 144
+    speeds[1] = speed_at_ten_past
+    return "timestamp,speed_mps\n" + "".join(
+        f"2004-01-01T{k // 6:02d}:{k % 6 * 10:02d}:00,{v}\n" for k, v in enumerate(speeds))
+
+
+def _wind_csv(text: str, synthetic: bool = False):
+    """Config edit pointing `wind.data.site_b` at a wind CSV holding `text`,
+    written next to the output directory; with `synthetic`, beside a
+    synthetic `site_a`, whose files must not be written when `site_b`
+    fails."""
+    def edit(raw):
+        path = Path(raw["out"]).parent / "site_b.csv"
+        path.write_text(text)
+        raw["wind"] = {"data": {"site_b": str(path)}}
+        if synthetic:
+            block = synthetic_wind_block()["synthetic"]
+            del block["sites"]["site_b"]
+            raw["wind"]["synthetic"] = block
+    return edit
+
+
 SITE_A = "forecast.sites.site_a"
 SYN_A = "wind.synthetic.sites.site_a"
 
@@ -370,6 +422,7 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["kl"], _synthetic("sites.site_a.mean_wind", -2), 2, f"`{SYN_A}.mean_wind`"),
     (["kl"], _synthetic("days", "abc"), 2, "`wind.synthetic.days`"),
     (["kl"], _synthetic("days", 0), 2, "`wind.synthetic.days`"),
+    (["kl"], _synthetic("days", 1), 2, "`wind.synthetic.days` must be at least 2, got 1"),
     (["kl"], _synthetic("start", "nope"), 2, "`wind.synthetic.start`"),
     (["kl"], _synthetic("sites.site_a", 3), 2, f"`{SYN_A}` must be a mapping"),
     (["kl"], _edit("wind", [1]), 2, "`wind` must be a mapping"),
@@ -449,6 +502,18 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["study"], _edit(f"{SITE_A}.mean_wind", float("inf")), 2, f"`{SITE_A}.mean_wind`"),
     (["kl"], _synthetic("sites.site_a.mean_wind", float("inf")), 2,
      f"`{SYN_A}.mean_wind`"),
+    (["kl"], _wind_csv(_one_day("nan")), 3,
+     "site site_b: day 2004-01-01: an hourly mean speed is not finite"),
+    (["kl"], _wind_csv(_one_day("inf")), 3,
+     "site site_b: day 2004-01-01: an hourly mean speed is not finite"),
+    (["kl"], _synthetic("sites.site_a.mean_wind", 1e308), 3,
+     "site site_a: day 2004-01-01: an hourly mean speed is not finite"),
+    (["dispatch"], _case_edit(b"26.0 0.09", b"26.0 1e308"), 3,
+     "edited_case.txt: line 19: cost must be finite from p_min to p_max"),
+    (["dispatch"], _raw_line("seed", b"seed: 2004-02-30\n"), 2,
+     "config is not valid YAML: day is out of range for month"),
+    (["kl"], _wind_csv("timestamp,speed_mps\n2004-01-01T00:00:00,7.5\n", synthetic=True),
+     3, "no complete days"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -459,7 +524,7 @@ SYN_A = "wind.synthetic.sites.site_a"
         "jobs-zero", "seed-negative", "seed-too-large", "case-is-directory",
         "synthetic-matern_l-missing", "synthetic-matern_l-negative",
         "synthetic-sigma_w-not-numeric", "synthetic-mean_wind-negative",
-        "synthetic-days-not-integer", "synthetic-days-zero",
+        "synthetic-days-not-integer", "synthetic-days-zero", "synthetic-days-one",
         "synthetic-start-not-a-date", "synthetic-site-not-mapping",
         "wind-not-mapping", "mean_wind-not-numeric", "mean_wind-negative",
         "forecast-site-not-mapping", "forecast-not-mapping",
@@ -477,7 +542,10 @@ SYN_A = "wind.synthetic.sites.site_a"
         "case-commitment-repeated",
         "segments-fractional", "segments-yes", "truncation-fractional",
         "mc-schedule-fractional", "dependence-mode-fractional", "sigma_p-inf",
-        "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf"])
+        "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf",
+        "wind-speed-nan", "wind-speed-inf", "synthetic-mean_wind-overflows",
+        "case-cost-overflows", "config-date-does-not-exist",
+        "kl-site-fails-beside-a-synthetic-site"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

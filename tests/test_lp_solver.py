@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lp_oracle import random_lp, vertex_enumeration
+from lp_oracle import basis_duals, bound_violation, random_lp, vertex_enumeration
 from ratio_test_reference import ratio_test_loop
 from windsed import lp_solver
-from windsed.lp_solver import (Basis, KeptStart, LinearProgram, LpError, RepeatSolver,
+from windsed.lp_solver import (KeptStart, LinearProgram, LpError, RepeatSolver,
                                make_basis, solve_lp)
 
 INF = np.inf
@@ -68,16 +68,17 @@ def test_validation_rejects_bad_input():
         LinearProgram(1, 1, [1.0], [0], [5], [1.0], [0.0], [0.0], [0.0], [1.0])
 
 
-def loop_dual_objective(sol, lp, drop_tol=1e-9):
-    """Dual bound from the solution's row duals and reduced costs; equals
-    the primal objective at an exact optimum.  Multipliers below drop_tol
-    count as zero, so roundoff-level duals do not pair with infinite
-    bounds."""
+def loop_dual_objective(basis, lp, drop_tol=1e-9):
+    """Dual bound from the row duals and reduced costs of the final basis,
+    by dense solves (`lp_oracle.basis_duals`); equals the primal objective
+    at an exact optimum.  Multipliers below drop_tol count as zero, so
+    roundoff-level duals do not pair with infinite bounds."""
     total = 0.0
-    for y, lo, up in zip(sol.row_duals, lp.row_lower, lp.row_upper):
+    row_duals, reduced_costs = basis_duals(lp, basis)
+    for y, lo, up in zip(row_duals, lp.row_lower, lp.row_upper):
         if abs(y) > drop_tol:
             total += y * (lo if y > 0 else up)
-    for d, lo, up in zip(sol.reduced_costs, lp.col_lower, lp.col_upper):
+    for d, lo, up in zip(reduced_costs, lp.col_lower, lp.col_upper):
         if abs(d) > drop_tol:
             total += d * (lo if d > 0 else up)
     return total
@@ -89,13 +90,14 @@ def test_random_lps_match_oracle_and_duality():
     for _ in range(120):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         lp = simple_lp(c, A, rlo, rhi, lo, up)
-        sol = solve_lp(lp)
+        rs = RepeatSolver(lp)
+        sol = rs.solve()
         status, val = vertex_enumeration(c, A, rlo, rhi, lo, up)
         if status == "optimal":
             n_opt += 1
             assert sol.status == "optimal"
             assert abs(sol.objective - val) <= 1e-8 * (1 + abs(val))
-            dual = loop_dual_objective(sol, lp)
+            dual = loop_dual_objective(rs.basis(), lp)
             assert abs(sol.objective - dual) <= 1e-7 * (1 + abs(sol.objective))
         else:
             n_inf += 1
@@ -108,11 +110,11 @@ def test_deterministic_bases():
     for _ in range(20):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         lp = simple_lp(c, A, rlo, rhi, lo, up)
-        s1 = solve_lp(lp)
-        s2 = solve_lp(lp)
-        assert s1.status == s2.status
-        assert np.array_equal(s1.basis.basic, s2.basis.basic)
-        assert np.array_equal(s1.basis.status, s2.basis.status)
+        r1, r2 = RepeatSolver(lp), RepeatSolver(lp)
+        assert r1.solve().status == r2.solve().status
+        b1, b2 = r1.basis(), r2.basis()
+        assert np.array_equal(b1.basic, b2.basic)
+        assert np.array_equal(b1.status, b2.status)
 
 
 def test_warm_start_after_bound_change():
@@ -121,13 +123,13 @@ def test_warm_start_after_bound_change():
     for _ in range(30):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         lp = simple_lp(c, A, rlo, rhi, lo, up)
-        base = solve_lp(lp)
-        if base.status != "optimal":
+        rs = RepeatSolver(lp)
+        if rs.solve().status != "optimal":
             continue
         hits += 1
         lp.row_lower = lp.row_lower - 0.05
         lp.row_upper = lp.row_upper + 0.05
-        warm = solve_lp(lp, warm_basis=base.basis)
+        warm = solve_lp(lp, warm_basis=rs.basis())
         cold = solve_lp(lp)
         assert warm.status == cold.status
         if warm.status == "optimal":
@@ -138,8 +140,9 @@ def test_warm_start_after_bound_change():
 
 def test_warm_start_rejects_malformed_basis():
     lp = simple_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0], [0, 0], [5, 5])
-    sol = solve_lp(lp)
-    bad = Basis(sol.basis.basic.copy(), sol.basis.status.copy())
+    rs = RepeatSolver(lp)
+    rs.solve()
+    bad = rs.basis()
     bad.status[:] = 0  # no basic columns at all
     with pytest.raises(ValueError):
         solve_lp(lp, warm_basis=bad)
@@ -264,7 +267,7 @@ def test_repeat_solver_restarts_after_failed_update(monkeypatch):
         assert rs.restarts == 1
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(want, rel=1e-12)
-        assert sol.max_bound_violation <= 1e-9
+        assert bound_violation(lp, sol.x) <= 1e-9
         assert len(calls) >= 2  # the rebuilt solve pivoted again
         if row_lower == 12.0:  # the forced failure landed in a dual pivot
             assert in_dual[:2] == [0, 1]
@@ -300,7 +303,7 @@ def test_drifted_optimum_is_re_certified_on_a_fresh_factorization(monkeypatch, d
     sol = rs.solve()
     assert rs.restarts == 0 and passes == ["optimal"] * (drifts + 1)
     assert sol.status == "optimal" and sol.objective == pytest.approx(want, rel=1e-12)
-    assert sol.max_bound_violation <= 1e-9
+    assert bound_violation(lp, sol.x) <= 1e-9
 
 
 def test_repeat_solver_begun_at_an_optimal_basis_needs_no_pivots():
@@ -349,7 +352,7 @@ def test_solves_begun_at_a_kept_start_match_fresh_factorizations():
         assert start.factors.etas == [] and start.factors.eta_nnz == 0
         fresh = RepeatSolver(lp)
         fresh.load(start.basis)
-        assert np.array_equal(start.reduced_costs, fresh._reduced_costs(fresh.cost)[0])
+        assert np.array_equal(start.reduced_costs, fresh._reduced_costs(fresh.cost))
         checked += 1
     assert checked >= 50 and pivoted >= 30
 
@@ -371,10 +374,10 @@ def test_a_solve_after_load_begins_at_the_loaded_basis(monkeypatch):
     for _ in range(200):
         c, A, rlo, rhi, lo, up = random_lp(rng)
         lp = simple_lp(c, A, rlo, rhi, lo, up)
-        first = solve_lp(lp)
-        if first.status != "optimal":
+        first = RepeatSolver(lp)
+        if first.solve().status != "optimal":
             continue
-        basis = first.basis
+        basis = first.basis()
         for _ in range(4):
             shift = rng.normal(size=len(rlo)) * rng.choice([0.1, 1.0, 3.0])
             lp.row_lower, lp.row_upper = rlo + shift, rhi + shift
@@ -455,7 +458,7 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
 
     def optimize(sim):
         if sim.basic is not None and sim.certified_d is not None:
-            assert np.array_equal(sim.certified_d, sim._reduced_costs(sim.cost)[0])
+            assert np.array_equal(sim.certified_d, sim._reduced_costs(sim.cost))
             reused.append(sim.iterations)
         return real_optimize(sim)
 
@@ -487,7 +490,7 @@ def test_bound_sweeps_re_solve_dual_and_match_fresh_solves(monkeypatch):
             seen[fresh.status] += 1
             if fresh.status == "optimal":
                 assert warm.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
-                assert warm.max_bound_violation <= 1e-7
+                assert bound_violation(lp, warm.x) <= 1e-7
     assert seen["optimal"] >= 100 and seen["infeasible"] >= 10
     assert dual_pivots >= 30 and n_fixed >= 5 and n_free >= 5
     assert len(reused) >= 100
@@ -513,7 +516,7 @@ def test_phase2_bound_flip_keeps_exact_reduced_costs(monkeypatch):
 
     def choose(sim, d):
         if getattr(sim, "test_phase2", False) and sim.test_flipped:
-            assert np.array_equal(d, sim._reduced_costs(sim.cost)[0])
+            assert np.array_equal(d, sim._reduced_costs(sim.cost))
             kept.append(sim.iterations)
         return real_choose(sim, d)
 

@@ -1,6 +1,10 @@
 import inspect
 import math
+import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,23 @@ def test_1d_rules_match_table_and_moments():
         assert np.all(weights > 0)
     with pytest.raises(ValueError):
         rule_1d(MAX_LEVEL + 2)
+
+
+def test_gen_quadrature_rules_regenerates_each_rung():
+    """scripts/gen_quadrature_rules.py prints, rule by rule, the decimal
+    constants whose floats every rung of `rule_1d` holds, float for float."""
+    root = Path(__file__).parent.parent
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "gen_quadrature_rules.py")],
+                          capture_output=True, text=True, check=True)
+    printed = [np.array([[float(v) for v in re.findall(r'"([^"]+)"', line)]
+                         for line in block.splitlines() if line.startswith("    (")])
+               for block in proc.stdout.strip().split("\n\n")]
+    assert [len(rule) for rule in printed] == [1, 3, 7, 15]
+    by_size = {len(rule): rule for rule in printed}
+    for level in range(1, MAX_LEVEL + 2):
+        nodes, weights = rule_1d(level)
+        rule = by_size[len(nodes)]
+        assert np.array_equal(nodes, rule[:, 0]) and np.array_equal(weights, rule[:, 1])
 
 
 def test_monomial_exactness_through_2l_minus_1():

@@ -127,6 +127,12 @@ def test_renewable_shape_and_site_checked(case3, spec3):
         build_instance(case3, np.zeros((1, 24)))
     with pytest.raises(DispatchError, match="do not match forecast sites"):
         SedEvaluator(case3, fc.ForecastSpec(spec3.sites[:1]))
+    # the case's sites in another order: the spec's power rows would land
+    # on the wrong buses
+    with pytest.raises(DispatchError, match=re.escape(
+            "case sites ['site_a', 'site_b'] do not match forecast sites "
+            "['site_b', 'site_a']")):
+        SedEvaluator(case3, fc.ForecastSpec(spec3.sites[::-1]))
 
 
 FLAT_T1 = """
@@ -214,7 +220,7 @@ def test_block_assembly_matches_loop_reference(name, segments, request):
     assert np.array_equal(ours.basic, theirs.basic)
     assert np.array_equal(ours.status, theirs.status)
     x = rng.standard_normal(inst.lp.num_cols)
-    sol = _extract(inst, LpSolution("optimal", 0.0, x, None, None, 0))
+    sol = _extract(inst, LpSolution("optimal", 0.0, x, 0))
     want = loop_extract(ref, x)
     for got, expected in zip((sol.generation, sol.flows, sol.angles, sol.shed), want):
         assert got.shape == expected.shape
@@ -274,7 +280,7 @@ def test_every_germ_is_feasible(case3, spec3):
     ev = SedEvaluator(case3, spec3)
     germs = sample_germs(77, 64, spec3.dimension)
     for g in germs:
-        sol = solve_dispatch(case3, spec3.power(g, ev._site_labels))
+        sol = solve_dispatch(case3, spec3.power(g))
         assert ev(g) == pytest.approx(sol.objective, rel=1e-9)
 
 
@@ -297,13 +303,24 @@ def test_batch_matches_pointwise(case3, spec3):
         assert batch[k] == pytest.approx(fresh(germs[k]), rel=1e-9)
 
 
-def test_power_path_matches_generate_scenarios(case3, spec3):
+def test_power_path_matches_generate_scenarios(case3, spec3, monkeypatch):
+    """The power rows an evaluation moves the LP to are the germ's
+    scenario, its sites in the case's order."""
     ev = SedEvaluator(case3, spec3)
     germ = sample_germs(1, 1, spec3.dimension)[0]
     ss = fc.generate_scenarios(spec3, germs=germ[None, :])
     order = [list(ss.site_labels).index(s.site_label)
              for s in case3.renewable_sites]
-    assert np.array_equal(ev._power_for(germ), ss.power[0][order])
+    seen = []
+    set_renewable = DispatchInstance.set_renewable
+
+    def record(inst, renewable):
+        seen.append(np.array(renewable))
+        set_renewable(inst, renewable)
+
+    monkeypatch.setattr(DispatchInstance, "set_renewable", record)
+    ev(germ)
+    assert len(seen) == 1 and np.array_equal(seen[0], ss.power[0][order])
 
 
 def test_solver_failure_names_the_germ(case3, spec3, monkeypatch):
@@ -343,10 +360,9 @@ def test_bad_germs_are_named_before_any_solve(case3, spec3):
 @pytest.mark.parametrize("n", [1, 7, 600])
 def test_batch_power_rows_equal_single_germs_bit_for_bit(spec3, n):
     germs = sample_germs(20 + n, n, spec3.dimension)
-    labels = ["site_b", "site_a"]
-    batch = spec3.power(germs, labels)
+    batch = spec3.power(germs)
     for k in {0, n // 2, n - 1}:
-        assert np.array_equal(batch[k], spec3.power(germs[k], labels))
+        assert np.array_equal(batch[k], spec3.power(germs[k]))
 
 
 def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monkeypatch):
@@ -364,9 +380,9 @@ def test_batch_maps_power_per_block_and_calls_each_germ_once(case3, spec3, monke
         calls.append((args, kwargs))
         return honest_call(self, *args, **kwargs)
 
-    def power(self, g, labels=None):
+    def power(self, g):
         blocks.append(len(np.atleast_2d(g)))
-        return honest_power(self, g, labels)
+        return honest_power(self, g)
 
     monkeypatch.setattr(SedEvaluator, "__call__", call)
     monkeypatch.setattr(fc.ForecastSpec, "power", power)
@@ -389,7 +405,7 @@ def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
     germs = sample_germs(15, 20, spec3.dimension)
     germs[7] = 3.0  # outside every region of the atlas: a simplex solve
     ev = SedEvaluator(case3, spec3)
-    assert np.isnan(ev._screen(spec3.power(germs, ev._site_labels))[0]).sum() == 1
+    assert np.isnan(ev._screen(spec3.power(germs))[0]).sum() == 1
     monkeypatch.setattr(lp_solver.RepeatSolver, "solve_value", fail)
     with pytest.raises(DispatchError, match="singular basis"):
         ev.evaluate_batch(germs)
@@ -401,7 +417,7 @@ def test_failed_batch_leaves_no_power_behind(case3, spec3, monkeypatch):
 
 def _violations(ev: SedEvaluator, germ: np.ndarray) -> np.ndarray:
     """Each atlas region's summed bound violation at the germ (zero inside)."""
-    p = ev.spec.power(germ, ev._site_labels).ravel()
+    p = ev.spec.power(germ).ravel()
     out = []
     for region in ev._atlas:
         slack = region.f + region.m @ (p - region.p0)
@@ -416,7 +432,7 @@ def test_screened_q_matches_the_simplex(case3, spec3):
     germs = sample_germs(16, 2000, spec3.dimension)
     ev = SedEvaluator(case3, spec3)
     batch = ev.evaluate_batch(germs)
-    screened = ~np.isnan(ev._screen(spec3.power(germs, ev._site_labels))[0])
+    screened = ~np.isnan(ev._screen(spec3.power(germs))[0])
     assert screened.mean() > 0.8
     fresh = SedEvaluator(case3, spec3)
     simplex = np.array([fresh(g) for g in germs])
@@ -442,7 +458,7 @@ def test_screened_q_matches_the_simplex_on_a_region_boundary(case3, spec3):
     holds = np.flatnonzero(viol[1:] == 0.0) + 1
     assert len(holds)  # a second basis of the atlas is feasible at the edge
     simplex = SedEvaluator(case3, spec3)(edge)
-    p = spec3.power(edge[None], ev._site_labels).reshape(1, -1)
+    p = spec3.power(edge[None]).reshape(1, -1)
     for k in (0, holds[0]):
         hit, q, _ = ev._atlas[k].screen(p)
         assert hit[0] and q[0] == pytest.approx(simplex, rel=1e-12)
@@ -537,7 +553,7 @@ def test_crash_start_matches_slack_start(case3, spec3):
     ev = SedEvaluator(case3, spec3)
     rng = np.random.default_rng(5)
     for germ in [np.zeros(spec3.dimension), *rng.standard_normal((4, spec3.dimension))]:
-        inst = build_instance(case3, ev._power_for(germ))
+        inst = build_instance(case3, ev.spec.power(germ))
         crash = solve_lp(inst.lp, warm_basis=inst.start_basis())
         slack = solve_lp(inst.lp)
         assert crash.status == slack.status == "optimal"
@@ -595,8 +611,7 @@ def test_crash_and_slack_starts_match_highs_off_a_connected_network(name, reques
 def test_118_zero_germ_matches_highs(case118, spec118):
     """The crash-started cold solve of the 118-bus LP reaches HiGHS's
     optimum in tens of pivots, against the slack start's ~11k."""
-    power = spec118.power(np.zeros(spec118.dimension),
-                          [s.site_label for s in case118.renewable_sites])
+    power = spec118.power(np.zeros(spec118.dimension))
     sol = solve_dispatch(case118, power)  # no warm basis: the crash start
     inst = build_instance(case118, power)
     assert sol.objective - inst.objective_offset == pytest.approx(
@@ -618,7 +633,7 @@ def test_cold_solve_makes_no_bound_flips(name, request, monkeypatch):
         return real(sim, q, sigma, delta, t, pos, leave_bound)
 
     monkeypatch.setattr(lp_solver.RepeatSolver, "_pivot", pivot)
-    power = spec.power(np.zeros(spec.dimension), [s.site_label for s in case.renewable_sites])
+    power = spec.power(np.zeros(spec.dimension))
     sol = solve_dispatch(case, power)
     assert len(flips) == sol.iterations > 0
     assert not any(flips)
@@ -663,7 +678,7 @@ def _spy_starts(monkeypatch) -> list:
 def _crash(ev: SedEvaluator) -> bytes:
     """The statuses of the crash basis of the evaluator's LP, at the zero
     germ, where the evaluator builds its solver."""
-    inst = build_instance(ev.case, ev._power_for(np.zeros(ev.dim)), ev.segments)
+    inst = build_instance(ev.case, ev.spec.power(np.zeros(ev.dim)), ev.segments)
     return inst.start_basis().status.tobytes()
 
 
@@ -708,7 +723,7 @@ def test_a_batch_without_an_atlas_chains_in_ascending_total_power(case3, spec3,
     values = ev.evaluate_batch(germs)
     chain = np.stack(seen)
     assert np.all(np.diff(chain.sum(axis=(1, 2))) >= 0.0)
-    power = spec3.power(germs, ev._site_labels)
+    power = spec3.power(germs)
     assert sorted(row.tobytes() for row in chain) == sorted(row.tobytes() for row in power)
     shuffle = np.random.default_rng(11).permutation(len(germs))
     assert np.array_equal(ev.evaluate_batch(germs[shuffle]), values[shuffle])
@@ -717,7 +732,7 @@ def test_a_batch_without_an_atlas_chains_in_ascending_total_power(case3, spec3,
 
 def _misses(ev: SedEvaluator, germs: np.ndarray) -> np.ndarray:
     """Which germs no region of the atlas holds."""
-    return ev._screen(ev.spec.power(germs, ev._site_labels))[1] >= 0
+    return ev._screen(ev.spec.power(germs))[1] >= 0
 
 
 def test_a_batch_value_is_the_germs_own(case3, spec3):
@@ -765,9 +780,9 @@ def test_a_miss_from_a_kept_factorization_is_a_fresh_solve(case3, spec3):
     fresh = SedEvaluator(case3, spec3)
     assert np.array_equal([fresh.evaluate_batch(g[None])[0] for g in misses[:20]],
                           first[:20])
-    nearest = fresh._screen(spec3.power(misses[:20], fresh._site_labels))[1]
+    nearest = fresh._screen(spec3.power(misses[:20]))[1]
     for g, k, q in zip(misses[:20], nearest, first[:20]):
-        fresh.inst.set_renewable(spec3.power(g, fresh._site_labels))
+        fresh.inst.set_renewable(spec3.power(g))
         assert RepeatSolver(fresh.inst.lp, fresh._atlas[k].start.basis).solve_value() \
             + fresh.inst.objective_offset == q
     for k, (lu_solve, d) in kept.items():
@@ -872,15 +887,15 @@ def test_118_batch_re_solves_take_no_primal_pivots(case118, spec118, monkeypatch
     """From the anchor on, each 118-bus re-solve is a dual simplex; the
     primal phases only certify its optimum, with no pivot of their own.
     Its etas never grow as large as the LU, so only their count triggers
-    refactorization."""
+    refactorization: twelve germs chain enough dual pivots for two."""
     ev = SedEvaluator(case118, spec118)
     seen = _spy_solver(monkeypatch)
     refactors = _spy_refactorizations(monkeypatch)
-    values = ev.evaluate_batch(sample_germs(3, 8, spec118.dimension))
+    values = ev.evaluate_batch(sample_germs(3, 12, spec118.dimension))
     assert ev._atlas == ()  # above REGION_ROWS: every germ takes the simplex
     assert np.all(np.isfinite(values))
     assert sum(seen["primal"]) == 0
-    assert seen["dual"] == ["optimal"] * 8
+    assert seen["dual"] == ["optimal"] * 12
     assert len(refactors) >= 2
     assert all(eta_nnz < lu_nnz for _, eta_nnz, lu_nnz in refactors)
 
@@ -922,7 +937,7 @@ def test_over_generation_fails_naming_the_germ(monkeypatch):
         ev(germ)
     assert seen["dual"][:1] == ["infeasible"]
     with pytest.raises(DispatchError, match="ended infeasible: .* not a surplus, such as wind"):
-        solve_dispatch(case, spec.power(germ, ev._site_labels))
+        solve_dispatch(case, spec.power(germ))
     assert ev(np.zeros(spec.dimension)) == pytest.approx(q0, rel=1e-12)
 
 
