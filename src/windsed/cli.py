@@ -246,12 +246,21 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
         sigma_w = forecast.sigma_w_from_sigma_p(sigma_p, mean_wind, curve)
         sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                         min(truncation, wind_kl.HOURS), curve))
+    dependence = block.get("dependence", ())
+    if not isinstance(dependence, (list, tuple)):
+        raise ConfigError(f"`forecast.dependence` must be a list of groups, "
+                          f"got {dependence!r}")
+    groups = []
+    for k, group in enumerate(dependence, start=1):
+        if not (isinstance(group, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in group)):
+            raise ConfigError(f"`forecast.dependence` group {k} must be a list of "
+                              f"[site, mode] pairs, got {group!r}")
+        groups.append(tuple((str(site), _integer(mode, "forecast.dependence"))
+                            for site, mode in group))
     try:
-        groups = tuple(tuple((str(site), _integer(mode, "forecast.dependence"))
-                             for site, mode in group)
-                       for group in block.get("dependence", ()))
-        return forecast.ForecastSpec(tuple(sites), groups)
-    except (KeyError, TypeError, ValueError) as exc:
+        return forecast.ForecastSpec(tuple(sites), tuple(groups))
+    except ValueError as exc:
         raise ConfigError(f"`forecast.dependence`: {exc}") from None
 
 
@@ -322,12 +331,11 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
     ks_rows = ["site,mode,ks_distance"]
     fit_rows = ["site,length_scale,smoothness"]
     for label in sorted(records):
-        samples = wind_kl.hourly_average(records[label], label)
-        if any(samples.dropped.values()):
-            print(f"kl: site {label}: dropped {sum(samples.dropped.values())} "
-                  f"day(s) {samples.dropped}")
+        samples, dropped = wind_kl.hourly_average(records[label], label)
+        if any(dropped.values()):
+            print(f"kl: site {label}: dropped {sum(dropped.values())} day(s) {dropped}")
         cov = wind_kl.empirical_covariance(samples)
-        basis = wind_kl.kl_decompose(cov, samples.samples.mean(axis=0))
+        basis = wind_kl.kl_decompose(cov, samples.mean(axis=0))
         texts[f"klbasis_{label}.txt"] = basis.to_text()
         if basis.eigenvalues.sum() == 0:
             print(f"kl: site {label}: degenerate field (all eigenvalues zero)")

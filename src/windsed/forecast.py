@@ -37,9 +37,6 @@ class MaternKernel:
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
 
-    def __call__(self, lag):
-        return matern(lag, self)
-
     def covariance_matrix(self) -> np.ndarray:
         lags = np.abs(np.arange(HOURS)[:, None] - np.arange(HOURS)[None, :])
         return matern(lags.astype(float), self)
@@ -198,6 +195,12 @@ class SiteModel:
             object.__setattr__(self, "_kl_cache", cached)
         return cached
 
+    def speeds(self, xi) -> np.ndarray:
+        """Hourly wind speeds, shape (..., 24), of germs xi of shape
+        (..., >= truncation): the exponentiated truncated KL expansion
+        (`wind_kl.reconstruct`) of the site's log-wind field."""
+        return np.exp(reconstruct(self.kl_basis(), xi, self.truncation))
+
 
 @dataclass(frozen=True)
 class ForecastSpec:
@@ -209,16 +212,17 @@ class ForecastSpec:
         if len(truncation) != len(self.sites):
             raise ValueError("duplicate site label")
         seen = set()
-        for group in self.dependence_groups:
+        for k, group in enumerate(self.dependence_groups, start=1):
             for pair in group:
-                if pair in seen:
-                    raise ValueError("dependence groups must be disjoint")
-                seen.add(pair)
                 label, mode = pair
+                if pair in seen:
+                    raise ValueError(f"dependence groups must be disjoint: {label} mode "
+                                     f"{mode} repeats in group {k}")
+                seen.add(pair)
                 if label not in truncation:
-                    raise KeyError(f"unknown site {label}")
+                    raise ValueError(f"unknown site {label} (group {k})")
                 if not 1 <= mode <= truncation[label]:
-                    raise ValueError(f"mode {mode} outside truncation of {label}")
+                    raise ValueError(f"mode {mode} outside truncation of {label} (group {k})")
 
     def germ_layout(self):
         """Germ coordinate index for every (site, mode); shared-group members
@@ -261,18 +265,15 @@ class ForecastSpec:
 
     def power(self, germs) -> np.ndarray:
         """Hourly power per site, shape (..., n_sites, 24), for germs of
-        shape (..., dimension): each site's truncated KL expansion of its
-        germ coordinates (`wind_kl.reconstruct`) is a log-wind field, which
-        is exponentiated and pushed through the site's power curve.  Sites
+        shape (..., dimension): each site's wind speeds of its germ
+        coordinates (`SiteModel.speeds`) pushed through its power curve.  Sites
         come in declaration order, which for a spec that drives a dispatch
         is the case's RENEWABLE order (`sed_model.SedEvaluator` checks it)."""
         germs = np.asarray(germs, dtype=float)
         columns = self.germ_columns()
         out = np.empty(germs.shape[:-1] + (len(self.sites), HOURS))
         for j, site in enumerate(self.sites):
-            w_log = reconstruct(site.kl_basis(), germs[..., columns[site.label]],
-                                site.truncation)
-            out[..., j, :] = site.curve(np.exp(w_log))
+            out[..., j, :] = site.curve(site.speeds(germs[..., columns[site.label]]))
         return out
 
 

@@ -268,20 +268,19 @@ def parse_case(text: str) -> GridCase:
     if periods is None:
         raise CaseFormatError("missing CASE section with T=<periods>")
 
-    buses = []
+    buses, idset = [], set()
     for lineno, row in bus_rows:
         if len(row) != 1 + periods:
             raise CaseFormatError(
                 f"BUS row needs id plus {periods} load values, got {len(row)}", lineno)
+        bus_id = _integer(row[0], "bus id", lineno)
+        if bus_id in idset:
+            raise CaseFormatError(f"duplicate bus id {bus_id}", lineno)
+        idset.add(bus_id)
         try:
-            buses.append(Bus(_integer(row[0], "bus id", lineno), tuple(row[1:])))
+            buses.append(Bus(bus_id, tuple(row[1:])))
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
-    bus_ids = [b.id for b in buses]
-    if len(set(bus_ids)) != len(bus_ids):
-        dup = sorted({i for i in bus_ids if bus_ids.count(i) > 1})
-        raise CaseFormatError(f"duplicate bus id {dup[0]}")
-    idset = set(bus_ids)
 
     lines = []
     for lineno, row in branch_rows:
@@ -324,7 +323,7 @@ def parse_case(text: str) -> GridCase:
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
 
-    sites = []
+    sites, labels = [], set()
     for lineno, row in ren_rows:
         if len(row) != 3:
             raise CaseFormatError("RENEWABLE row needs: bus label nameplate_mw", lineno)
@@ -335,13 +334,13 @@ def parse_case(text: str) -> GridCase:
         bus = _integer(bus, "renewable site bus id", lineno)
         if bus not in idset:
             raise CaseFormatError(f"renewable site references unknown bus {bus}", lineno)
+        if row[1] in labels:
+            raise CaseFormatError(f"duplicate renewable site label {row[1]}", lineno)
+        labels.add(row[1])
         try:
             sites.append(RenewableSite(bus, row[1], nameplate))
         except ValueError as exc:
             raise CaseFormatError(str(exc), lineno) from None
-    labels = [s.site_label for s in sites]
-    if len(set(labels)) != len(labels):
-        raise CaseFormatError("duplicate renewable site label")
 
     return GridCase(tuple(buses), tuple(lines), tuple(gens), tuple(sites),
                     periods, options["SHED_PENALTY"], options["BASE_MVA"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -22,24 +22,6 @@ INTERVALS_PER_DAY = 144  # 10-minute raw cadence
 
 class WindDataError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class WindSampleSet:
-    site_label: str
-    samples: np.ndarray          # (n_days, 24) of log wind speed
-    dropped: dict = field(default_factory=dict)  # reason -> count
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2 or s.shape[1] != HOURS:
-            raise ValueError("samples must be (n_days, 24)")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self):
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -87,14 +69,14 @@ def _mark(ts: str) -> int | None:
     return t.hour * 6 + t.minute // 10
 
 
-def hourly_average(records, site_label: str = "") -> WindSampleSet:
+def hourly_average(records, site_label: str = "") -> tuple[np.ndarray, dict]:
     """Collapse 10-minute (timestamp, speed) records into daily 24-vectors of
-    log hourly-mean speed.
+    log hourly-mean speed: the (n_days, 24) samples, and the count of
+    dropped days by reason.
 
     A day counts only when its 144 records sit on its 144 ten-minute marks;
     a day with a missing, repeated or off-mark interval, or with a
-    nonpositive speed, is dropped and counted in the result's `dropped`
-    mapping rather than raising.  A kept day whose hourly means are not
+    nonpositive speed, is dropped and counted rather than raising.  A kept day whose hourly means are not
     finite (a `nan` or `inf` speed, or speeds whose sum overflows) raises
     WindDataError naming the site and day.
     """
@@ -123,12 +105,12 @@ def hourly_average(records, site_label: str = "") -> WindSampleSet:
         raise WindDataError(
             f"no complete days (dropped: {dropped})" if any(dropped.values())
             else "no records")
-    return WindSampleSet(site_label, np.array(rows), dropped)
+    return np.array(rows), dropped
 
 
-def empirical_covariance(samples: WindSampleSet | np.ndarray) -> np.ndarray:
+def empirical_covariance(samples: np.ndarray) -> np.ndarray:
     """Unbiased (n-1) sample covariance across days; symmetric PSD."""
-    mat = samples.samples if isinstance(samples, WindSampleSet) else np.asarray(samples, dtype=float)
+    mat = np.asarray(samples, dtype=float)
     if len(mat) < 2:
         raise WindDataError("need at least 2 samples for a covariance")
     centered = mat - mat.mean(axis=0)
@@ -171,14 +153,13 @@ def variance_fraction(basis: KLBasis, n_modes: int) -> float:
     return 100.0 * float(basis.eigenvalues[:n_modes].sum()) / total
 
 
-def project_samples(basis: KLBasis, samples: WindSampleSet | np.ndarray):
+def project_samples(basis: KLBasis, samples: np.ndarray):
     """Mode coordinates xi_jk = (sample_j - mean).f_k / sqrt(lambda_k).
 
     Modes with lambda <= 1e-12 are skipped (their xi column is zero) and
     returned in the second element.
     """
-    mat = samples.samples if isinstance(samples, WindSampleSet) else np.asarray(samples, dtype=float)
-    centered = mat - basis.mean
+    centered = np.asarray(samples, dtype=float) - basis.mean
     proj = centered @ basis.eigenvectors
     lam = basis.eigenvalues
     keep = lam > 1e-12
@@ -301,8 +282,8 @@ def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerCurve:
-    """Natural cubic-spline interpolant of top-hat-filtered power vs wind
-    speed, clamped to [0, nameplate] and zero outside [cut_in, cut_out]."""
+    """Natural cubic-spline interpolant of power vs wind speed through its
+    knots, clamped to [0, nameplate] and zero outside [cut_in, cut_out]."""
 
     knot_speeds: np.ndarray
     knot_powers: np.ndarray
@@ -343,33 +324,3 @@ class PowerCurve:
         power = np.clip(self._spline(inside), 0.0, self.nameplate)
         power = np.where((speed < self.cut_in) | (speed > self.cut_out), 0.0, power)
         return power if power.ndim else float(power)
-
-
-def build_power_curve(speeds, powers, bin_width: float = 0.05,
-                      cut_in: float = 3.2, cut_out: float = 26.0,
-                      nameplate: float | None = None) -> PowerCurve:
-    """Top-hat filter of the (speed, power) scatter: per-bin mean power at bin
-    centers, empty interior bins filled by linear interpolation, then a
-    natural cubic spline through the knots."""
-    speeds = np.asarray(speeds, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    if speeds.size == 0 or speeds.size != powers.size:
-        raise ValueError("need a nonempty paired scatter")
-    lo, hi = float(speeds.min()), float(speeds.max())
-    nbins = max(int(math.ceil((hi - lo) / bin_width)), 1)
-    which = np.clip(((speeds - lo) / bin_width).astype(int), 0, nbins - 1)
-    sums = np.bincount(which, weights=powers, minlength=nbins)
-    counts = np.bincount(which, minlength=nbins)
-    centers = lo + (np.arange(nbins) + 0.5) * bin_width
-    filled = counts > 0
-    if filled.sum() < 2:
-        raise WindDataError("scatter collapses to fewer than two bins")
-    means = np.empty(nbins)
-    means[filled] = sums[filled] / counts[filled]
-    means[~filled] = np.interp(centers[~filled], centers[filled], means[filled])
-    if nameplate is None:
-        nameplate = float(powers.max())
-    return PowerCurve(centers, means, cut_in, cut_out, nameplate)
-

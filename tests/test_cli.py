@@ -514,6 +514,18 @@ SYN_A = "wind.synthetic.sites.site_a"
      "config is not valid YAML: day is out of range for month"),
     (["kl"], _wind_csv("timestamp,speed_mps\n2004-01-01T00:00:00,7.5\n", synthetic=True),
      3, "no complete days"),
+    (["dispatch"], _case_edit(b"\n2 10.0", b"\n1 10.0"), 3,
+     "edited_case.txt: line 9: duplicate bus id 1"),
+    (["dispatch"], _case_edit(b"3 site_b", b"3 site_a"), 3,
+     "edited_case.txt: line 23: duplicate renewable site label site_a"),
+    (["dispatch"], _edit("forecast.dependence", [[["site_a"]]]), 2,
+     "`forecast.dependence` group 1 must be a list of [site, mode] pairs, "
+     "got [['site_a']]"),
+    (["dispatch"], _edit("forecast.dependence", [["site_a", 1]]), 2,
+     "`forecast.dependence` group 1 must be a list of [site, mode] pairs, "
+     "got ['site_a', 1]"),
+    (["dispatch"], _edit("forecast.dependence", [[["site_a", 1]], [["site_x", 1]]]), 2,
+     "`forecast.dependence`: unknown site site_x (group 2)"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -545,7 +557,9 @@ SYN_A = "wind.synthetic.sites.site_a"
         "matern_l-inf", "mean_wind-inf", "synthetic-mean_wind-inf",
         "wind-speed-nan", "wind-speed-inf", "synthetic-mean_wind-overflows",
         "case-cost-overflows", "config-date-does-not-exist",
-        "kl-site-fails-beside-a-synthetic-site"])
+        "kl-site-fails-beside-a-synthetic-site", "case-bus-id-repeated",
+        "case-site-label-repeated", "dependence-group-not-pairs",
+        "dependence-pair-not-in-a-group", "dependence-site-unknown"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

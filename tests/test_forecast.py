@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from specs import sample_germs
 from windsed import forecast as fc
 from windsed.datagen import default_power_curve
-from windsed.wind_kl import build_power_curve
+from windsed.wind_kl import PowerCurve
 
 TABLE_KERNELS = [(11.40, 0.56), (11.15, 0.57), (9.79, 0.78)]
 
@@ -116,9 +116,8 @@ def test_sigma_w_zero_for_zero_sigma_p():
 
 
 def test_sigma_w_linear_curve_matches_mc_oracle():
-    sp = np.linspace(0.1, 60.0, 6000)
-    curve = build_power_curve(sp, sp, 0.05, cut_in=0.0, cut_out=1e9,
-                              nameplate=1e9)
+    sp = np.linspace(0.1, 60.0, 1200)
+    curve = PowerCurve(sp, sp, 0.0, 1e9, 1e9)
     sw = fc.sigma_w_from_sigma_p(0.35, np.full(24, 8.0), curve)
     # linear curve: power is lognormal, std/mean = sqrt(exp(s^2) - 1)
     assert sw == pytest.approx(math.sqrt(math.log(1 + 0.35 ** 2)), rel=2e-3)
@@ -138,9 +137,8 @@ def test_sigma_w_default_curve_matches_mc_oracle():
 
 def test_sigma_w_flat_curve_errors():
     # flat output everywhere and no reachable cut-out: zero sensitivity
-    sp = np.linspace(0.1, 30.0, 500)
-    curve = build_power_curve(sp, np.full_like(sp, 80.0), 0.1,
-                              cut_in=0.0, cut_out=1e12, nameplate=80.0)
+    sp = np.linspace(0.1, 30.0, 300)
+    curve = PowerCurve(sp, np.full_like(sp, 80.0), 0.0, 1e12, 80.0)
     with pytest.raises(fc.ForecastError):
         fc.sigma_w_from_sigma_p(0.35, np.full(24, 8.0), curve)
 

@@ -6,10 +6,11 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from power_curve_reference import default_power_curve_filtered
 
 from windsed import wind_kl as wk
 from windsed.cli import main
-from windsed.datagen import read_wind_csv
+from windsed.datagen import default_power_curve, read_wind_csv
 from windsed.forecast import MaternKernel
 
 DATA = Path(__file__).parent.parent / "data"
@@ -24,23 +25,23 @@ def ten_minute_day(date, speeds_by_interval):
 
 def test_constant_day_gives_log_constant():
     recs = ten_minute_day("2004-01-01", lambda h, m: 6.0)
-    ws = wk.hourly_average(recs, "x")
-    assert ws.samples.shape == (1, 24)
-    assert np.allclose(ws.samples, math.log(6.0))
+    samples, _ = wk.hourly_average(recs, "x")
+    assert samples.shape == (1, 24)
+    assert np.allclose(samples, math.log(6.0))
 
 
 def test_alternating_speeds_average_before_log():
     recs = ten_minute_day("2004-01-02", lambda h, m: 4.0 if (m // 10) % 2 == 0 else 8.0)
-    ws = wk.hourly_average(recs)
-    assert np.allclose(ws.samples, math.log(6.0))  # mean of raw, then log
+    samples, _ = wk.hourly_average(recs)
+    assert np.allclose(samples, math.log(6.0))  # mean of raw, then log
 
 
 def test_incomplete_day_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     partial = ten_minute_day("2004-01-02", lambda h, m: 5.0)[:-1]
-    ws = wk.hourly_average(full + partial)
-    assert len(ws) == 1
-    assert ws.dropped["missing"] == 1
+    samples, dropped = wk.hourly_average(full + partial)
+    assert len(samples) == 1
+    assert dropped["missing"] == 1
 
 
 def test_day_with_repeated_timestamp_dropped_and_counted():
@@ -49,9 +50,9 @@ def test_day_with_repeated_timestamp_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     twice = ten_minute_day("2004-01-02", lambda h, m: 5.0)
     twice[5] = (twice[4][0], 9.0)
-    ws = wk.hourly_average(full + twice)
-    assert len(ws) == 1
-    assert ws.dropped["missing"] == 1
+    samples, dropped = wk.hourly_average(full + twice)
+    assert len(samples) == 1
+    assert dropped["missing"] == 1
 
 
 def test_day_with_off_mark_timestamp_dropped_and_counted():
@@ -60,17 +61,17 @@ def test_day_with_off_mark_timestamp_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     off = ten_minute_day("2004-01-02", lambda h, m: 5.0)
     off[5] = ("2004-01-02T00:55:00", 9.0)
-    ws = wk.hourly_average(full + off)
-    assert len(ws) == 1
-    assert ws.dropped["missing"] == 1
+    samples, dropped = wk.hourly_average(full + off)
+    assert len(samples) == 1
+    assert dropped["missing"] == 1
 
 
 def test_nonpositive_speed_rejects_day_with_reason():
     bad = ten_minute_day("2004-01-03", lambda h, m: 0.0 if h == 12 else 5.0)
     good = ten_minute_day("2004-01-04", lambda h, m: 5.0)
-    ws = wk.hourly_average(bad + good)
-    assert len(ws) == 1
-    assert ws.dropped["nonpositive"] == 1
+    samples, dropped = wk.hourly_average(bad + good)
+    assert len(samples) == 1
+    assert dropped["nonpositive"] == 1
     with pytest.raises(wk.WindDataError):
         wk.hourly_average(bad)
 
@@ -303,42 +304,46 @@ def test_dcor_affine_invariant(a, b):
 # -- power curve -----------------------------------------------------------------------
 
 def test_power_zero_outside_cut_in_out():
-    sp = np.linspace(3.2, 26.0, 2000)
-    curve = wk.build_power_curve(sp, sp / 30, 0.05)
+    sp = np.linspace(3.2, 26.0, 457)
+    curve = wk.PowerCurve(sp, sp / 30, 3.2, 26.0, 26.0 / 30)
     assert curve(2.0) == 0.0   # below cut-in
     assert curve(27.0) == 0.0  # beyond cut-out
     assert curve(10.0) > 0.0
 
 
-def test_linear_scatter_reproduced_at_bin_centers():
-    sp = np.linspace(3.2, 26.0, 4000)
-    curve = wk.build_power_curve(sp, sp / 30, 0.05, nameplate=1.0)
-    centers = curve.knot_speeds
-    assert np.max(np.abs(curve(centers) - centers / 30)) < 1e-3
+def test_default_curve_reproduces_its_logistic_at_the_knots():
+    """Between cut-in and cut-out the default curve passes within 1e-3 of
+    the nameplate of the logistic it bins, at each bin center."""
+    curve = default_power_curve(1.0)
+    centers = curve.knot_speeds[(curve.knot_speeds >= 3.2) & (curve.knot_speeds <= 26.0)]
+    logistic = 1.0 / (1.0 + np.exp(-(centers - 9.0) / 1.7))
+    assert np.max(np.abs(curve(centers) - logistic)) < 1e-3
 
 
-def test_empty_interior_bins_interpolated():
-    sp = np.concatenate([np.linspace(4, 8, 300), np.linspace(12, 20, 300)])
-    pw = sp / 30
-    curve = wk.build_power_curve(sp, pw, 0.05)
-    assert curve(10.0) == pytest.approx(10.0 / 30, rel=0.05)
-
-
-def test_all_empty_scatter_rejected():
-    with pytest.raises(ValueError):
-        wk.build_power_curve(np.array([]), np.array([]), 0.05)
-    with pytest.raises(ValueError):
-        wk.build_power_curve(np.array([1.0]), np.array([1.0]), -0.1)
+def _bundled_nameplates():
+    """The nameplate of each renewable site in the bundled cases."""
+    from windsed.grid_model import load_case
+    return [site.nameplate for name in ("case3.txt", "case118.txt")
+            for site in load_case(DATA / name).renewable_sites]
 
 
 def _bundled_site_curves():
     """The power curve of each renewable site in the bundled cases."""
-    from windsed.datagen import default_power_curve
-    from windsed.grid_model import load_case
-    data = Path(__file__).parent.parent / "data"
-    return [default_power_curve(site.nameplate)
-            for name in ("case3.txt", "case118.txt")
-            for site in load_case(data / name).renewable_sites]
+    return [default_power_curve(nameplate) for nameplate in _bundled_nameplates()]
+
+
+@pytest.mark.parametrize("nameplate", [150.0] + _bundled_nameplates())
+def test_default_curve_equals_the_scatter_filter_bit_for_bit(nameplate):
+    """The default curve's knots and spline coefficients equal those the
+    general top-hat scatter filter (`power_curve_reference`) gives for the
+    same logistic samples, at the default nameplate and every bundled one."""
+    want = default_power_curve_filtered(nameplate)
+    got = default_power_curve(nameplate)
+    assert got.knot_speeds.tobytes() == want.knot_speeds.tobytes()
+    assert got.knot_powers.tobytes() == want.knot_powers.tobytes()
+    assert got._coef.tobytes() == want._coef.tobytes()
+    assert (got.cut_in, got.cut_out, got.nameplate) == (want.cut_in, want.cut_out,
+                                                        want.nameplate)
 
 
 def test_natural_spline_matches_scipy_cubic_spline_bit_for_bit():
@@ -367,8 +372,8 @@ def test_power_curve_rejects_unordered_knots():
 
 
 def test_power_clamped_to_nameplate():
-    sp = np.linspace(3.2, 26.0, 2000)
-    curve = wk.build_power_curve(sp, sp, 0.05, nameplate=10.0)
+    sp = np.linspace(3.2, 26.0, 457)
+    curve = wk.PowerCurve(sp, sp, 3.2, 26.0, 10.0)
     speeds = np.linspace(0, 30, 500)
     out = curve(speeds)
     assert out.min() >= 0.0 and out.max() <= 10.0
@@ -398,8 +403,8 @@ def test_kl_basis_text_round_trip(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["kl", "--config", str(path)]) == 0
-    samples = wk.hourly_average(read_wind_csv(tmp_path / "wind_site_a.csv"), "site_a")
-    want = wk.kl_decompose(wk.empirical_covariance(samples), samples.samples.mean(axis=0))
+    samples, _ = wk.hourly_average(read_wind_csv(tmp_path / "wind_site_a.csv"), "site_a")
+    want = wk.kl_decompose(wk.empirical_covariance(samples), samples.mean(axis=0))
     again = kl_basis_from_text((tmp_path / "klbasis_site_a.txt").read_text())
     for got, expected in ((again.mean, want.mean), (again.eigenvalues, want.eigenvalues),
                           (again.eigenvectors, want.eigenvectors)):
