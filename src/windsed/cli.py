@@ -273,8 +273,8 @@ def write_manifest(outdir: Path, cfg: ExperimentConfig, command: str):
         "windsed_version": __version__,
         "numpy_version": np.__version__,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
+    (outdir / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 
 # -- kl -----------------------------------------------------------------------
@@ -433,8 +433,8 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
         "iterations": sol.iterations,
         "germ": [float(v) for v in germ],
     }
-    (outdir / "dispatch_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    (outdir / "dispatch_summary.json").write_text(text + "\n", encoding="utf-8")
     print(f"dispatch: Q = {sol.objective:.2f} $, shed = {sol.total_shed():.3f} MWh")
     return 0
 

@@ -74,7 +74,7 @@ def _pooled_lag_data(cov: np.ndarray):
 
 def fit_matern(cov: np.ndarray) -> MaternKernel:
     """Least-squares (l, nu) fit of the normalized Matern model to pooled
-    lag-decay data; deterministic multi-start over a fixed grid."""
+    lag-decay data: one Nelder-Mead search from the best point of a grid."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape[0] != cov.shape[1] or np.max(np.abs(cov - cov.T)) > 1e-8:
         raise ForecastError("need a symmetric covariance")
@@ -85,27 +85,24 @@ def fit_matern(cov: np.ndarray) -> MaternKernel:
     lags, vals = _pooled_lag_data(cov)
     if float(np.std(vals[lags > 0])) < 1e-12:
         raise ForecastError("covariance shows no lag decay to fit")
+    ulags, inverse = np.unique(lags, return_inverse=True)  # matern is elementwise
 
     def residual(params):
         ell, nu = params
         if ell <= 0 or nu <= 0:
             return 1e12
-        model = matern(lags, MaternKernel(ell, nu, 1.0))
-        return float(np.sum((model - vals) ** 2))
+        model = matern(ulags, MaternKernel(ell, nu, 1.0))[inverse]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum((model - vals) ** 2))
+        return total if math.isfinite(total) else 1e12
 
-    starts = [(ell, nu) for ell in (2.0, 5.0, 11.0, 20.0, 40.0)
-              for nu in (0.3, 0.5, 0.8, 1.5, 3.0)]
-    best = None
-    history = []
-    for start in starts:
-        res = minimize(residual, start, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000})
-        history.append((start, float(res.fun)))
-        if res.x[0] > 0 and res.x[1] > 0 and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise ForecastError(f"Matern fit failed; residual history: {history}")
-    ell, nu = best.x
+    start = min(((ell, nu) for ell in (2.0, 5.0, 11.0, 20.0, 40.0)
+                 for nu in (0.3, 0.5, 0.8, 1.5, 3.0)), key=residual)
+    res = minimize(residual, start, method="Nelder-Mead",
+                   options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000})
+    ell, nu = res.x
+    if ell <= 0 or nu <= 0:
+        raise ForecastError(f"Matern fit from (l, nu) = {start} ended at ({ell!r}, {nu!r})")
     return MaternKernel(float(ell), float(nu), 1.0)
 
 

@@ -250,13 +250,15 @@ def _extract(inst: DispatchInstance, sol: LpSolution) -> DispatchSolution:
 
 def solve_dispatch(case: GridCase, renewable, segments: int = 3) -> DispatchSolution:
     """The dispatch at one renewable injection: one cold solve of its LP
-    from the crash basis (`DispatchInstance.start_basis`)."""
+    from the crash basis (`DispatchInstance.start_basis`); its Q must be finite."""
     inst = build_instance(case, renewable, segments)
     sol = solve_lp(inst.lp, warm_basis=inst.start_basis())
     if sol.status != "optimal":
         raise DispatchError(
             f"dispatch LP ended {sol.status}: shedding covers a shortfall but not "
             "a surplus, such as wind above load less committed minimum output")
+    if not np.isfinite(sol.objective + inst.objective_offset):
+        raise DispatchError("objective overflows: Q is not finite")
     return _extract(inst, sol)
 
 

@@ -461,6 +461,8 @@ SYN_A = "wind.synthetic.sites.site_a"
     (["dispatch", "--germ", "2,0,0,2,0,0"],
      _case_edit(b"site_a 40.0\n3 site_b 30.0", b"site_a 90.0\n3 site_b 90.0"), 4,
      "germ array([2., 0., 0., 2., 0., 0.])"),
+    (["dispatch"], _case_edit(b"\n2 10.0", b"\n2 1e306"), 4,
+     "dispatch at germ array([0., 0., 0., 0., 0., 0.]): objective overflows"),
     (["dispatch"], _case_edit(b"COMMITMENT\n0 1", b"COMMITMENT\n0 0.5"), 3,
      "edited_case.txt: line 25: commitment entries must be 0/1"),
     (["dispatch"], _case_edit(b"\n2 10.0", b"\n2.7 10.0"), 3,
@@ -546,6 +548,7 @@ SYN_A = "wind.synthetic.sites.site_a"
         "forecast-site-label-not-a-string", "config-not-utf8", "case-not-utf8",
         "case-periods-zero", "case-shed-penalty-negative", "case-shed-penalty-inf",
         "case-base-mva-nan", "case-base-mva-negative", "dispatch-over-generation",
+        "dispatch-objective-overflows",
         "case-commitment-fractional", "case-bus-id-fractional",
         "case-branch-bus-fractional", "case-pmax-inf", "case-reactance-nan",
         "case-flow-limit-nan", "case-load-nan", "case-nameplate-nan",

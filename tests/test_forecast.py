@@ -1,13 +1,19 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import matern_fit_reference as ref
 from specs import sample_germs
+from windsed import cli, wind_kl
 from windsed import forecast as fc
-from windsed.datagen import default_power_curve
+from windsed.datagen import default_power_curve, synthetic_wind_table
 from windsed.wind_kl import PowerCurve
+
+DATA = Path(__file__).parent.parent / "data"
 
 TABLE_KERNELS = [(11.40, 0.56), (11.15, 0.57), (9.79, 0.78)]
 
@@ -85,6 +91,45 @@ def test_fit_scale_invariant_to_variance():
 def test_fit_rejects_constant_covariance():
     with pytest.raises(fc.ForecastError, match="decay"):
         fc.fit_matern(np.ones((24, 24)))
+
+
+def _study_small_covariances():
+    """The empirical covariance of each synthetic site of the bundled small
+    study, as `windsed kl` computes it."""
+    records, _ = cli._wind_records(cli.ExperimentConfig.load(str(DATA / "study_small.yaml")))
+    return [wind_kl.empirical_covariance(wind_kl.hourly_average(records[label], label)[0])
+            for label in sorted(records)]
+
+
+@pytest.mark.parametrize("site", [0, 1], ids=["site_a", "site_b"])
+def test_fit_matches_the_multistart_reference(site):
+    """On each bundled site the fit is, bit for bit, the reference's search
+    from the grid start of least residual, and it agrees with the best of
+    the reference's 25 searches."""
+    cov = _study_small_covariances()[site]
+    fit = fc.fit_matern(cov)
+    residual = ref.pooled_residual(cov)
+    start = min(ref.STARTS, key=residual)
+    one = ref.search(cov, start)
+    assert (fit.length_scale, fit.smoothness) == (float(one.x[0]), float(one.x[1]))
+    best = ref.multistart_fit(cov)
+    assert fit.length_scale == pytest.approx(best.x[0], rel=1e-7, abs=0.0)
+    assert fit.smoothness == pytest.approx(best.x[1], rel=1e-7, abs=0.0)
+    assert residual((fit.length_scale, fit.smoothness)) <= best.fun * (1.0 + 1e-12)
+
+
+def test_short_record_fit_emits_no_runtime_warning():
+    """A two-day record, whose fit runs to smoothness where the Matern
+    terms overflow, fits without a numpy warning."""
+    site = fc.SiteModel("site_b", np.full(24, 8.5), fc.MaternKernel(9.79, 0.78), 0.3,
+                        24, default_power_curve())
+    rows = synthetic_wind_table(site, 2, seed=42)
+    samples, _ = wind_kl.hourly_average([row[:2] for row in rows], "site_b")
+    cov = wind_kl.empirical_covariance(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fc.fit_matern(cov)
+    assert fit.length_scale > 0 and fit.smoothness > 0
 
 
 def test_pooled_lag_data_matches_the_pairwise_loop():

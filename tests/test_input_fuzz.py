@@ -2,21 +2,23 @@
 config and of a wind CSV, each run through `windsed`.
 
 Whatever the mutation, a run exits 0, 2, 3 or 4, raises nothing out of
-`cli.main` (the command line would print that as a traceback), writes no
-traceback to stderr, and after a nonzero exit leaves its output directory
-empty.  The examples are derandomized with a fixed budget, so the test is
+`cli.main` (the command line would print that as a traceback), and writes
+no traceback to stderr.  After a nonzero exit it leaves its output
+directory empty; after exit 0 every number it wrote is finite.  The
+examples are derandomized with a fixed budget, so the test is
 deterministic.  The fuzz finds defects; each one it found has its own row
 in `test_cli.test_bad_input_exits_without_traceback`, and those rows are
 the contract.
 """
 import contextlib
 import io
+import json
+import math
 import os
 import random
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,13 +111,32 @@ SOURCES = {"case": (DATA / "case3.txt").read_bytes(), "wind": _wind_csv(),
            "config": _config()}
 
 
-def _fit(cov):
-    """A fixed kernel in place of the Matern fit, a 25-start Nelder-Mead
-    search of about a second per site, for covariances the run has already
-    checked and decomposed."""
-    if not np.all(np.isfinite(cov)):
-        raise AssertionError("the Matern fit got a covariance that is not finite")
-    return forecast.MaternKernel(11.4, 0.56)
+# the CSV columns that hold labels; every other column holds numbers
+TEXT_COLUMNS = {"entity", "method", "site", "site_a", "site_b", "timestamp"}
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON has no {name}")
+
+
+def check_outputs(out: Path):
+    """Every JSON output parses as strict JSON (RFC 8259 has no NaN or
+    Infinity), and every non-empty field of a numeric CSV column is a
+    finite number.  Columns are picked by header, since a site may be
+    labelled `inf`; an empty field is a blank (a failed Matern fit, the
+    finest resolution's error).  The LP dump's infinite bounds are by
+    design."""
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        elif path.suffix == ".csv":
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            numeric = [k for k, name in enumerate(header.split(","))
+                       if name not in TEXT_COLUMNS]
+            for row in rows:
+                fields = row.split(",")
+                assert all(fields[k] == "" or math.isfinite(float(fields[k]))
+                           for k in numeric), (path.name, row)
 
 
 def run_mutated(target: str, command: str, changes) -> tuple[int, str]:
@@ -134,8 +155,7 @@ def run_mutated(target: str, command: str, changes) -> tuple[int, str]:
         here = os.getcwd()
         os.chdir(work)  # the config's relative paths, mutated or not, stay here
         try:
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    mock.patch.object(forecast, "fit_matern", _fit):
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([command, "--config", "config.yaml", "--out", str(out),
                                  "--jobs", "1"])
         finally:
@@ -145,6 +165,8 @@ def run_mutated(target: str, command: str, changes) -> tuple[int, str]:
         assert "Traceback" not in stderr, stderr
         if code:
             assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+        else:
+            check_outputs(out)
         return code, stderr
 
 

@@ -48,7 +48,7 @@ def test_no_module_reaches_into_private_names(path):
 ROOT = SRC.parent.parent
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# Kept for the PCE surrogate's place on the program path (ROADMAP item 7):
+# Kept for the PCE surrogate's place on the program path (ROADMAP item 3):
 # it either calls them or moves them into tests/.
 UNREACHED_ALLOWED = {"pce.project", "pce.MultiIndexSet.total_degree",
                      "estimate.mc_estimate", "estimate.cross_validate"}
