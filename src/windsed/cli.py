@@ -310,9 +310,9 @@ def _wind_records(cfg: ExperimentConfig) -> tuple[dict, dict]:
             mean_wind = np.full(wind_kl.HOURS, _positive(entry, "mean_wind", where, 8.0))
             sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                             wind_kl.HOURS, curve))
-        for k, site in enumerate(sites):
-            tables[site.label] = datagen.synthetic_wind_table(site, days, cfg.seed + k,
-                                                              start=start)
+        for k, site in enumerate(sites):  # seed + k wraps: any uint64 seed is allowed
+            tables[site.label] = datagen.synthetic_wind_table(
+                site, days, (cfg.seed + k) % 2 ** 64, start=start)
     records = {label: datagen.read_wind_csv(path)
                for label, path in sorted(cfg.wind_data.items()) if label not in tables}
     records.update((label, [row[:2] for row in rows]) for label, rows in tables.items())
@@ -408,12 +408,17 @@ def _read_germ(path: str, index: int, dimension: int) -> np.ndarray:
 
 
 def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
-                 scenario_file: str | None, scenario_index: int,
+                 scenario_file: str | None, scenario_index: int | None,
                  dump_lp: bool) -> int:
+    if germ_arg is not None and scenario_file is not None:  # no flag goes unread
+        raise ConfigError("--germ and --scenario-file both give the germ; pass one")
+    if scenario_index is not None and scenario_file is None:
+        raise ConfigError("--scenario-index picks a germ of --scenario-file, "
+                          "which is not given")
     case = load_case(cfg.case_path)
     spec = build_forecast_spec(cfg, case)
     if scenario_file:
-        germ = _read_germ(scenario_file, scenario_index, spec.dimension)
+        germ = _read_germ(scenario_file, scenario_index or 0, spec.dimension)
     elif germ_arg:
         germ = _parse_germ(germ_arg, spec.dimension)
     else:
@@ -493,7 +498,7 @@ def main(argv=None) -> int:
             p.add_argument("--scenario-file", default=None,
                            help="germ list to read a germ from: one germ per "
                                 "line, comma-separated as for --germ")
-            p.add_argument("--scenario-index", type=int, default=0,
+            p.add_argument("--scenario-index", type=int, default=None,
                            help="which germ of --scenario-file (default: 0)")
             p.add_argument("--dump-lp", action="store_true",
                            help="write the assembled LP in text form")

@@ -1,5 +1,7 @@
-"""Expected-cost estimators and the Monte Carlo vs sparse-quadrature PCE
-convergence experiment.
+"""The one model-evaluation map, `parallel_map`, and the Monte Carlo vs
+sparse-quadrature PCE convergence experiment, which estimates E[Q] both
+ways: a realization's sample mean, and a level's c0 from one quadrature
+sum, `SparseGrid.integrate`, of the node values.
 
 The experiment's report is its rows, one `Estimate` per `report.csv` row,
 and one error rule serves both methods: a row's error is its value v
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pce import PCESurrogate, build_sparse_grid
+from .pce import build_sparse_grid
 
 _PHILOX_TAG_MC = 0x3C000000
 
@@ -100,16 +102,6 @@ def parallel_map(model, germs, jobs: int = 1) -> np.ndarray:
                                   initargs=(model,)) as pool:
             parts = pool.map(_eval_chunk, chunks)
     return np.concatenate(parts)
-
-
-def mc_estimate(model, dimension: int, n_samples: int, seed: int,
-                jobs: int = 1):
-    """Sample mean and standard error of the model over iid N(0,1) germs."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = _mc_stream(seed, 0, 0)
-    vals = parallel_map(model, rng.standard_normal((n_samples, dimension)), jobs)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
 @dataclass(frozen=True)
@@ -258,21 +250,3 @@ def _fit(rows, method: str) -> PowerLawFit | None:
         if r.method == method and r.error is not None:
             errors.setdefault((r.resolution, r.n_evals), []).append(r.error)
     return fit_power_law([n for _, n in errors], [float(np.mean(e)) for e in errors.values()])
-
-
-def cross_validate(surrogate: PCESurrogate, model, n_test: int, seed: int,
-                   jobs: int = 1) -> dict:
-    """Relative L1 surrogate error on fresh test germs, normalized by the mean
-    model value over the test set, reported as percentage quantiles."""
-    if n_test < 1:
-        raise ValueError("need at least one test sample")
-    rng = _mc_stream(seed, 0x7E57, 0)
-    germs = rng.standard_normal((n_test, surrogate.dimension))
-    truth = parallel_map(model, germs, jobs)
-    approx = surrogate(germs)
-    ref = float(truth.mean())
-    if ref == 0:
-        raise ZeroDivisionError("relative error undefined: zero mean reference")
-    rel = np.abs(truth - approx) / abs(ref) * 100.0
-    qs = {q: float(np.percentile(rel, q)) for q in (10, 25, 50, 75, 90, 99)}
-    return {"percent_errors": rel, "quantiles": qs, "median": qs[50]}

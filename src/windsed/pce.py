@@ -1,6 +1,7 @@
-"""Hermite polynomial chaos: multi-index bases, nested sparse quadrature for
-the standard normal weight, and Galerkin projection of model values at the
-quadrature nodes.
+"""Nested sparse quadrature for the standard normal weight.  A Hermite
+chaos's zeroth coefficient, the PCE estimate of E[Q], is the grid's
+weighted sum of the model values at its nodes, `SparseGrid.integrate`:
+Psi_0 = 1 has unit norm, so no basis or projection is needed for it.
 
 The 1-D quadrature ladder is the nested family regenerated by
 scripts/gen_quadrature_rules.py (1, 3, 7, 15 points, polynomial exactness
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 
@@ -73,81 +74,6 @@ def rule_1d(level: int):
         raise ValueError(f"no tabulated 1-D rule at level {level}")
     nodes, weights = _LADDER[level - 1]
     return nodes.copy(), weights.copy()
-
-
-# -- Hermite polynomials ------------------------------------------------------
-
-def hermite(k: int, x):
-    """Probabilists' Hermite polynomial He_k via the three-term recurrence.
-
-    Orthogonal under N(0,1) with <He_j He_k> = delta_jk k!.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.zeros_like(x), np.ones_like(x)  # He_{-1} = 0, He_0 = 1
-    for deg in range(k):
-        prev, cur = cur, x * cur - deg * prev
-    return cur if cur.ndim else float(cur)
-
-
-@dataclass(frozen=True)
-class MultiIndexSet:
-    """All n-tuples of total degree <= p in graded-lexicographic order
-    (index 0 is the all-zeros tuple)."""
-
-    dimension: int
-    order: int
-    indices: tuple
-
-    @classmethod
-    def total_degree(cls, dimension: int, order: int) -> "MultiIndexSet":
-        if dimension < 1 or order < 0:
-            raise ValueError("need dimension >= 1 and order >= 0")
-        idx = [(0,) * dimension]
-        for deg in range(1, order + 1):
-            block = set()
-            for combo in combinations_with_replacement(range(dimension), deg):
-                t = [0] * dimension
-                for c in combo:
-                    t[c] += 1
-                block.add(tuple(t))
-            idx.extend(sorted(block, key=lambda t: [-e for e in t]))
-        return cls(dimension, order, tuple(idx))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __post_init__(self):
-        expect = math.comb(self.dimension + self.order, self.order)
-        if len(self.indices) != expect:
-            raise ValueError(
-                f"index count {len(self.indices)} != (n+p)!/(n!p!) = {expect}")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("duplicate multi-index")
-
-    def norms_squared(self) -> np.ndarray:
-        """<Psi_k^2> = prod k_i!, computed exactly."""
-        return np.array(
-            [float(math.prod(math.factorial(e) for e in t)) for t in self.indices]
-        )
-
-
-def eval_basis(idxset: MultiIndexSet, xi) -> np.ndarray:
-    """Values Psi_k(xi) = prod_i He_{k_i}(xi_i), multiplied in dimension
-    order, for every multi-index at one point (d,) or at many (..., d); the
-    last axis of the result runs over the multi-indices."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1:] != (idxset.dimension,):
-        raise ValueError(f"points have shape {xi.shape}, basis needs "
-                         f"(..., {idxset.dimension})")
-    # table[..., i, e] = He_e(xi_i)
-    table = np.stack([hermite(e, xi) for e in range(idxset.order + 1)], axis=-1)
-    exponents = np.array(idxset.indices)
-    out = table[..., 0, exponents[:, 0]]
-    for i in range(1, idxset.dimension):
-        out = out * table[..., i, exponents[:, i]]
-    return out
 
 
 # -- sparse quadrature ---------------------------------------------------------
@@ -227,51 +153,3 @@ def build_sparse_grid(dimension: int, level: int) -> SparseGrid:
     nodes = np.array(keys, dtype=float).reshape(len(keys), dimension)
     weights = np.array([acc[k] for k in keys])
     return SparseGrid(dimension, level, nodes, weights)
-
-
-# -- surrogate ----------------------------------------------------------------
-
-@dataclass
-class PCESurrogate:
-    idxset: MultiIndexSet
-    coefficients: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.idxset.dimension
-
-    def __call__(self, xi):
-        """Value at one point (d,) as a float, or at many (N, d) as an array,
-        each the correctly rounded (fsum) sum of its terms: a BLAS dot rounds
-        by memory alignment, and a gemv wakes threads (`RepeatSolver.objective`)."""
-        terms = eval_basis(self.idxset, xi) * self.coefficients
-        if terms.ndim == 1:
-            return math.fsum(terms)
-        return np.array([math.fsum(row) for row in terms])
-
-    def mean(self) -> float:
-        return float(self.coefficients[0])
-
-    def variance(self) -> float:
-        norms = self.idxset.norms_squared()
-        return float(np.sum(self.coefficients[1:] ** 2 * norms[1:]))
-
-
-def project(grid: SparseGrid, idxset: MultiIndexSet, values) -> PCESurrogate:
-    """Galerkin projection c_k = sum_nodes w * value * Psi_k / <Psi_k^2> of
-    the model values at the grid's nodes, as `estimate.parallel_map(model,
-    grid.nodes, jobs)` returns them; coefficient sums use compensated (fsum)
-    reduction in fixed node order."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(grid),):
-        raise ValueError(f"values have shape {values.shape}, the grid has "
-                         f"{len(grid)} nodes")
-    if grid.dimension != idxset.dimension:
-        raise ValueError("grid and index set dimensions differ")
-    if grid.level < idxset.order + 1:
-        raise ValueError(
-            f"grid level {grid.level} too low for order {idxset.order}: "
-            f"an order-p projection needs level >= p+1")
-    terms = (grid.weights * values)[:, None] * eval_basis(idxset, grid.nodes)
-    sums = np.array([math.fsum(column) for column in terms.T])
-    return PCESurrogate(idxset, sums / idxset.norms_squared())

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from lp_oracle import random_lp, vertex_enumeration
+from pce_oracle import basis, project, total_degree
 from specs import make_spec3
 from windsed import estimate as est
 from windsed import forecast as fc
@@ -20,7 +21,7 @@ from windsed.cli import main as cli_main
 from windsed.datagen import default_power_curve
 from windsed.grid_model import linearize_cost, load_case
 from windsed.lp_solver import LinearProgram, solve_lp
-from windsed.pce import MultiIndexSet, build_sparse_grid, project
+from windsed.pce import build_sparse_grid
 from windsed.sed_model import SedEvaluator, solve_dispatch
 
 DATA = Path(__file__).parent.parent / "data"
@@ -65,7 +66,7 @@ def cached_grid_values(standin, level):
 def test_criterion_01_truncation_counts():
     sw = Stopwatch(1.0)
     for (n, p), want in (((16, 1), 17), ((16, 2), 153), ((2, 3), 10)):
-        assert len(MultiIndexSet.total_degree(n, p)) == want
+        assert len(total_degree(n, p)) == want
     report(1, "multi-index counts equal (n+p)!/(n!p!)", sw.check("criterion 1"))
 
 
@@ -210,9 +211,10 @@ def test_criterion_08_pce_beats_mc(standin):
     sw = Stopwatch(600.0)
     model = standin["model"]
     grid, values = cached_grid_values(standin, level=3)
-    surrogate = project(grid, MultiIndexSet.total_degree(6, 2), values)
-    c0 = surrogate.mean()
-    mc_mean, mc_se = est.mc_estimate(model, 6, 10 ** 6, seed=2024, jobs=2)
+    c0 = grid.integrate(values)  # the order-2 PCE's zeroth coefficient
+    draws = np.random.Generator(np.random.Philox(key=[2024, 0x3C000000]))
+    mc = est.parallel_map(model, draws.standard_normal((10 ** 6, 6)), jobs=2)
+    mc_mean, mc_se = float(mc.mean()), float(mc.std(ddof=1) / math.sqrt(10 ** 6))
     assert abs(c0 - mc_mean) <= 3 * mc_se, (c0, mc_mean, mc_se)
     assert len(grid) * 20 <= 10 ** 6
 
@@ -232,12 +234,17 @@ def test_criterion_08_pce_beats_mc(standin):
 def test_criterion_09_cross_validation_monotone(standin):
     sw = Stopwatch(600.0)
     model = standin["model"]
+    draws = np.random.Generator(np.random.Philox(key=[31, 0x3C000000 + (0x7E57 << 20)]))
+    germs = draws.standard_normal((1500, 6))
+    truth = est.parallel_map(model, germs)
     medians = []
     for order in (1, 2, 3):
         grid, values = cached_grid_values(standin, level=order + 1)
-        surrogate = project(grid, MultiIndexSet.total_degree(6, order), values)
-        cv = est.cross_validate(surrogate, model, 1500, seed=31)
-        medians.append(cv["median"])
+        indices = total_degree(6, order)
+        surrogate = basis(indices, germs) @ project(grid, indices, values)
+        # relative L1 error, in percent of the mean model value over the germs
+        rel = np.abs(truth - surrogate) / abs(truth.mean()) * 100.0
+        medians.append(float(np.median(rel)))
     assert medians[0] > medians[1] > medians[2]
     report(9, "median surrogate error falls with order: "
            + " > ".join(f"{m:.2e}%" for m in medians),

@@ -165,6 +165,20 @@ def test_kl_synthetic_sites_match_their_written_csvs(tmp_path):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_kl_site_seeds_wrap_at_the_largest_seed(tmp_path):
+    """Site k is seeded with (seed + k) mod 2^64: at the largest uint64 seed
+    the second site draws what the first draws at seed 0."""
+    wind = synthetic_wind_block(days=3)
+    sites = wind["synthetic"]["sites"]
+    sites["site_b"] = dict(sites["site_a"])
+    top, zero = tmp_path / "top", tmp_path / "zero"
+    path = write_config(tmp_path, wind=wind)
+    assert main(["kl", "--config", str(path), "--out", str(top),
+                 "--seed", str(2 ** 64 - 1)]) == 0
+    assert main(["kl", "--config", str(path), "--out", str(zero), "--seed", "0"]) == 0
+    assert (top / "wind_site_b.csv").read_bytes() == (zero / "wind_site_a.csv").read_bytes()
+
+
 def test_kl_cloned_sites_have_unit_dcor(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -400,6 +414,10 @@ SYN_A = "wind.synthetic.sites.site_a"
      "other.txt: line 3 needs 6 finite"),
     (["dispatch", "--scenario-file", "{empty}"], None, 3, "empty.txt holds no germs"),
     (["dispatch", "--scenario-file", "{dump}"], None, 3, "dump.bin: not UTF-8 text"),
+    (["dispatch", "--germ", "0,0,0,0,0,0", "--scenario-file", "{good}"], None, 2,
+     "--germ and --scenario-file both give the germ"),
+    (["dispatch", "--scenario-index", "1"], None, 2,
+     "--scenario-index picks a germ of --scenario-file"),
     (["study"], _edit("segments", "abc"), 2, "`segments`"),
     (["study"], _edit("pce.levels", [1, 6]), 2, "`pce.levels`"),
     (["study"], _edit("pce.levels", [0, 1]), 2, "`pce.levels`"),
@@ -531,7 +549,8 @@ SYN_A = "wind.synthetic.sites.site_a"
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
-        "scenario-file-binary-dump", "segments-not-integer",
+        "scenario-file-binary-dump", "germ-beside-scenario-file",
+        "scenario-index-without-file", "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
         "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
         "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",

@@ -48,11 +48,6 @@ def test_no_module_reaches_into_private_names(path):
 ROOT = SRC.parent.parent
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# Kept for the PCE surrogate's place on the program path (ROADMAP item 3):
-# it either calls them or moves them into tests/.
-UNREACHED_ALLOWED = {"pce.project", "pce.MultiIndexSet.total_degree",
-                     "estimate.mc_estimate", "estimate.cross_validate"}
-
 
 def public_definitions(tree: ast.Module, module: str):
     """(qualified name, name, first line, last line) of each public
@@ -126,9 +121,8 @@ def test_the_caller_scan_sees_each_kind_of_reach():
 
 def test_every_public_definition_has_a_caller():
     """Each public function, class and method of `windsed` is reached from
-    src/, scripts/ or perfbench/ outside its own definition.  The allowed
-    exceptions must stay unreached, so the list cannot outlive them."""
+    src/, scripts/ or perfbench/ outside its own definition."""
     sources = {str(path): path.read_text(encoding="utf-8")
                for top in CALLER_DIRS for path in sorted((ROOT / top).rglob("*.py"))
                if "tests" not in path.relative_to(ROOT).parts}
-    assert unreached(sources) == UNREACHED_ALLOWED
+    assert unreached(sources) == set()

@@ -1,4 +1,3 @@
-import inspect
 import math
 import re
 import subprocess
@@ -8,18 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite_e import hermegauss
 
+from pce_oracle import basis, project, total_degree
 from windsed.estimate import ModelEvaluationError, parallel_map
-from windsed.pce import (MAX_LEVEL, MultiIndexSet, PCESurrogate,
-                         build_sparse_grid, eval_basis, hermite, project,
-                         rule_1d)
+from windsed.pce import MAX_LEVEL, build_sparse_grid, rule_1d
 from sparse_grid_reference import build_sparse_grid_dense
 
 
-def fit(model, grid, idx):
-    """Surrogate projected from the model's values at the grid nodes."""
-    return project(grid, idx, parallel_map(model, grid.nodes))
+def fit(model, grid, indices):
+    """The oracle's coefficients of the model's values at the grid nodes,
+    by multi-index."""
+    return dict(zip(indices, project(grid, indices, parallel_map(model, grid.nodes))))
 
 
 def gaussian_moment(alpha):
@@ -32,70 +30,22 @@ def gaussian_moment(alpha):
     return m
 
 
-# -- multi-index sets ---------------------------------------------------------
+# -- the projection oracle ------------------------------------------------------
 
 @pytest.mark.parametrize("n,p,count", [(16, 1, 17), (16, 2, 153), (2, 3, 10)])
 def test_truncation_counts(n, p, count):
-    assert len(MultiIndexSet.total_degree(n, p)) == count
-
-
-def test_index_zero_is_origin_and_order_graded():
-    idx = MultiIndexSet.total_degree(3, 2)
-    assert idx.indices[0] == (0, 0, 0)
-    assert idx.indices[1] == (1, 0, 0)  # first coordinate leads within degree 1
-    degrees = [sum(t) for t in idx.indices]
-    assert degrees == sorted(degrees)
-    assert len(set(idx.indices)) == len(idx.indices)
-
-
-def test_norms_are_factorial_products():
-    idx = MultiIndexSet.total_degree(2, 3)
-    norms = dict(zip(idx.indices, idx.norms_squared()))
-    assert norms[(0, 0)] == 1.0
-    assert norms[(3, 0)] == 6.0
-    assert norms[(1, 2)] == 2.0
-
-
-# -- Hermite polynomials ---------------------------------------------------------
-
-def test_hermite_base_cases():
-    assert hermite(0, 123.4) == 1.0
-    assert hermite(1, 0.7) == 0.7
-    assert hermite(2, 0.0) == -1.0  # He_2 = x^2 - 1
-
-
-def test_hermite_norm_via_quadrature_oracle():
-    xs, ws = hermegauss(10)
-    ws = ws / ws.sum()
-    h3 = hermite(3, xs)
-    assert abs(np.sum(ws * h3 * h3) - 6.0) < 1e-10
-    h2 = hermite(2, xs)
-    assert abs(np.sum(ws * h2 * h3)) < 1e-10  # orthogonality
+    indices = total_degree(n, p)
+    assert len(indices) == count == len(set(indices))
+    assert indices[0] == (0,) * n and max(map(sum, indices)) == p
 
 
 def test_eval_basis_tensor_structure():
-    idx = MultiIndexSet.total_degree(2, 2)
-    vals = dict(zip(idx.indices, eval_basis(idx, np.array([0.3, -1.2]))))
-    assert vals[(0, 0)] == 1.0
-    assert vals[(1, 1)] == pytest.approx(0.3 * -1.2)
-    assert vals[(2, 0)] == pytest.approx(0.3 ** 2 - 1)
-    with pytest.raises(ValueError):
-        eval_basis(idx, np.zeros(3))
-
-
-def test_eval_basis_over_many_points_matches_one_at_a_time():
-    """Rows for an (N, d) array of points are bit-identical to one call per
-    point, and a (2, 3, d) array keeps its leading axes."""
-    idx = MultiIndexSet.total_degree(3, 3)
-    pts = np.random.default_rng(5).standard_normal((6, 3))
-    rows = eval_basis(idx, pts)
-    assert rows.shape == (6, len(idx))
-    for row, pt in zip(rows, pts):
-        assert np.array_equal(row, eval_basis(idx, pt))
-    assert np.array_equal(eval_basis(idx, pts.reshape(2, 3, 3)),
-                          rows.reshape(2, 3, len(idx)))
-    with pytest.raises(ValueError):
-        eval_basis(idx, pts[:, :2])
+    indices = [(0, 0), (1, 1), (2, 0), (0, 3)]
+    vals = basis(indices, np.array([[0.3, -1.2]]))[0]
+    assert vals[0] == 1.0
+    assert vals[1] == pytest.approx(0.3 * -1.2)
+    assert vals[2] == pytest.approx(0.3 ** 2 - 1)  # He_2 = x^2 - 1
+    assert vals[3] == pytest.approx((-1.2) ** 3 - 3 * -1.2)  # He_3 = x^3 - 3x
 
 
 # -- sparse grids ------------------------------------------------------------------
@@ -194,18 +144,15 @@ def test_level_bounds_checked():
 
 def test_project_constant():
     grid = build_sparse_grid(3, 2)
-    idx = MultiIndexSet.total_degree(3, 1)
-    s = fit(lambda x: 7.0, grid, idx)
-    assert s.mean() == pytest.approx(7.0, abs=1e-12)
-    assert np.max(np.abs(s.coefficients[1:])) < 1e-12
-    assert s.variance() == pytest.approx(0.0, abs=1e-12)
+    coeff = fit(lambda x: 7.0, grid, total_degree(3, 1))
+    assert coeff[(0, 0, 0)] == pytest.approx(7.0, abs=1e-12)
+    assert max(abs(v) for k, v in coeff.items() if any(k)) < 1e-12
 
 
 def test_project_polynomial_in_span():
     grid = build_sparse_grid(3, 3)
-    idx = MultiIndexSet.total_degree(3, 2)
-    s = fit(lambda x: 2 + 3 * x[0] + x[0] * x[1], grid, idx)
-    coeff = dict(zip(idx.indices, s.coefficients))
+    coeff = fit(lambda x: 2 + 3 * x[0] + x[0] * x[1], grid, total_degree(3, 2))
+    assert len(coeff) == 10
     assert coeff[(0, 0, 0)] == pytest.approx(2.0, abs=1e-10)
     assert coeff[(1, 0, 0)] == pytest.approx(3.0, abs=1e-10)
     assert coeff[(1, 1, 0)] == pytest.approx(1.0, abs=1e-10)
@@ -215,25 +162,22 @@ def test_project_polynomial_in_span():
 
 
 def test_project_quartic_mean_is_third_moment():
+    """x^4 = He_4 + 6 He_2 + 3: the order-2 projection keeps c_0 = 3, and
+    c_(2,0) = 6 divides by <He_2^2> = 2."""
     grid = build_sparse_grid(2, 4)  # integrates degree 4+2 exactly
-    idx = MultiIndexSet.total_degree(2, 2)
-    s = fit(lambda x: x[0] ** 4, grid, idx)
-    assert s.mean() == pytest.approx(3.0, abs=1e-10)
+    coeff = fit(lambda x: x[0] ** 4, grid, total_degree(2, 2))
+    assert coeff[(0, 0)] == pytest.approx(3.0, abs=1e-10)
+    assert coeff[(2, 0)] == pytest.approx(6.0, abs=1e-10)
+    assert grid.integrate(grid.nodes[:, 0] ** 4) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_projection_idempotent():
     grid = build_sparse_grid(3, 3)
-    idx = MultiIndexSet.total_degree(3, 2)
-    s1 = fit(lambda x: math.exp(0.3 * x[0]) + x[1] * x[2], grid, idx)
-    s2 = project(grid, idx, s1(grid.nodes))
-    assert np.max(np.abs(s1.coefficients - s2.coefficients)) < 1e-10
-
-
-def test_project_requires_sufficient_level():
-    grid = build_sparse_grid(3, 2)
-    idx = MultiIndexSet.total_degree(3, 2)  # order 2 needs level >= 3
-    with pytest.raises(ValueError, match="level"):
-        project(grid, idx, np.ones(len(grid)))
+    indices = total_degree(3, 2)
+    c1 = project(grid, indices, parallel_map(
+        lambda x: math.exp(0.3 * x[0]) + x[1] * x[2], grid.nodes))
+    c2 = project(grid, indices, basis(indices, grid.nodes) @ c1)
+    assert np.max(np.abs(c1 - c2)) < 1e-10
 
 
 def test_model_failure_carries_node():
@@ -266,60 +210,3 @@ def test_model_exception_names_its_node():
         parallel_map(model, grid.nodes)
     assert np.array_equal(info.value.node, bad)
     assert np.array_equal(seen, grid.nodes[:6])
-
-
-def test_project_names_failing_node():
-    """Projection takes values only; the map that produces them names a
-    failing node, and values that do not match the grid are refused."""
-    grid = build_sparse_grid(2, 2)
-    idx = MultiIndexSet.total_degree(2, 1)
-    bad = grid.nodes[-1]
-
-    def model(x):
-        if np.array_equal(x, bad):
-            raise ValueError("no dispatch")
-        return 1.0
-
-    with pytest.raises(ModelEvaluationError, match="no dispatch") as info:
-        fit(model, grid, idx)
-    assert np.array_equal(info.value.node, bad)
-    assert list(inspect.signature(project).parameters) == ["grid", "idxset",
-                                                           "values"]
-    with pytest.raises(ValueError, match="nodes"):
-        project(grid, idx, np.ones(len(grid) - 1))
-
-
-# -- surrogate ---------------------------------------------------------------------
-
-def test_surrogate_moments_and_eval():
-    idx = MultiIndexSet.total_degree(2, 1)
-    coeffs = np.zeros(len(idx))
-    coeffs[list(idx.indices).index((1, 0))] = 3.0
-    s = PCESurrogate(idx, coeffs)
-    assert s.mean() == 0.0
-    assert s.variance() == pytest.approx(9.0)  # <He_1^2> = 1
-    assert s(np.array([2.0, 5.0])) == pytest.approx(6.0)
-
-
-def test_surrogate_reproduces_span_model_at_nodes():
-    grid = build_sparse_grid(2, 3)
-    idx = MultiIndexSet.total_degree(2, 2)
-    model = lambda x: 1 + x[0] - 2 * x[1] + 0.5 * x[0] * x[1] + x[1] ** 2
-    s = fit(model, grid, idx)
-    for node in grid.nodes:
-        assert s(node) == pytest.approx(model(node), abs=1e-9)
-    # one call for many points gives the same correctly rounded sums
-    assert np.array_equal(s(grid.nodes), [s(node) for node in grid.nodes])
-    assert isinstance(s(grid.nodes[0]), float)
-
-
-def test_surrogate_variance_matches_monte_carlo():
-    grid = build_sparse_grid(2, 3)
-    idx = MultiIndexSet.total_degree(2, 2)
-    s = fit(lambda x: x[0] + 0.5 * x[0] * x[1] + 0.2 * (x[1] ** 2 - 1),
-            grid, idx)
-    rng = np.random.default_rng(99)
-    draws = rng.standard_normal((1_000_000, 2))
-    vals = (draws[:, 0] + 0.5 * draws[:, 0] * draws[:, 1]
-            + 0.2 * (draws[:, 1] ** 2 - 1))
-    assert s.variance() == pytest.approx(float(vals.var()), rel=0.01)
