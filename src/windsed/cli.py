@@ -392,6 +392,8 @@ def _parse_germ(text: str, dimension: int, where: str = "--germ",
 def _read_germ(path: str, index: int, dimension: int) -> np.ndarray:
     """The index-th germ of a germ list: one germ per non-blank line, as
     `--germ` takes it (`np.savetxt(path, germs, delimiter=",")` writes one)."""
+    if not path:  # Path("") is the working directory
+        raise DataError("--scenario-file names no file")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -417,9 +419,9 @@ def cmd_dispatch(cfg: ExperimentConfig, outdir: Path, germ_arg: str | None,
                           "which is not given")
     case = load_case(cfg.case_path)
     spec = build_forecast_spec(cfg, case)
-    if scenario_file:
+    if scenario_file is not None:  # an empty value is refused, not ignored
         germ = _read_germ(scenario_file, scenario_index or 0, spec.dimension)
-    elif germ_arg:
+    elif germ_arg is not None:
         germ = _parse_germ(germ_arg, spec.dimension)
     else:
         germ = np.zeros(spec.dimension)

@@ -418,6 +418,10 @@ SYN_A = "wind.synthetic.sites.site_a"
      "--germ and --scenario-file both give the germ"),
     (["dispatch", "--scenario-index", "1"], None, 2,
      "--scenario-index picks a germ of --scenario-file"),
+    (["dispatch", "--germ="], None, 2,
+     "--germ needs 6 finite comma-separated numbers, got ''"),
+    (["dispatch", "--scenario-file=", "--scenario-index", "2"], None, 3,
+     "--scenario-file names no file"),
     (["study"], _edit("segments", "abc"), 2, "`segments`"),
     (["study"], _edit("pce.levels", [1, 6]), 2, "`pce.levels`"),
     (["study"], _edit("pce.levels", [0, 1]), 2, "`pce.levels`"),
@@ -550,7 +554,8 @@ SYN_A = "wind.synthetic.sites.site_a"
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
         "scenario-file-binary-dump", "germ-beside-scenario-file",
-        "scenario-index-without-file", "segments-not-integer",
+        "scenario-index-without-file", "germ-empty", "scenario-file-name-empty",
+        "segments-not-integer",
         "level-too-high", "level-too-low", "one-level", "no-realizations",
         "zero-truncation", "sigma_p-not-numeric", "sigma_p-negative",
         "matern_l-missing", "matern_l-negative", "dependence-beyond-truncation",
