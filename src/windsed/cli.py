@@ -41,10 +41,12 @@ wind:                       # input for `kl`; either block may be omitted
     start: "2004-01-01"
     sites:
       site_a: {matern_l: 11.4, matern_nu: 0.56, sigma_w: 0.30, mean_wind: 8.0}
+                            # mean_wind, here as under forecast: one speed
+                            # (m/s) or a list of 24 hourly speeds
 
 forecast:                   # required by `dispatch` and `study`
   sigma_p: 0.35             # relative day-ahead power uncertainty
-  truncation: 6             # KL modes per site
+  truncation: 6             # KL modes per site, 1..24
   sites:                    # labels must match the case's RENEWABLE block
     site_a: {mean_wind: 8.0, matern_l: 11.4, matern_nu: 0.56}
     site_b: {mean_wind: 8.5, matern_l: 9.79, matern_nu: 0.78}
@@ -178,14 +180,22 @@ def _integers(values, name: str) -> tuple:
     return tuple(_integer(v, name) for v in values)
 
 
+def _number(value) -> float:
+    """value as a float, or nan when it is no number: YAML's `yes` reads as
+    a bool, and an integer too large for a float overflows."""
+    if isinstance(value, bool):
+        return float("nan")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
 def _positive(block: dict, key: str, where: str, default=None) -> float:
     """block[key] (or the default) as a positive finite float, else a
     ConfigError naming where.key."""
     value = block.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
+    number = _number(value)
     if not 0 < number < float("inf"):
         raise ConfigError(f"`{where}.{key}` must be a positive finite number, "
                           f"got {value!r}")
@@ -204,18 +214,18 @@ def _block(raw: dict, name: str, known: set | None = None, where: str = "") -> d
     return block
 
 
-def _mean_profile(entry: dict, where: str) -> np.ndarray:
-    """entry's mean_wind (default 8.0): one positive speed or 24 of them."""
+def _site_shape(entry: dict, where: str) -> tuple[np.ndarray, forecast.MaternKernel]:
+    """A site entry's mean wind profile and Matern kernel: `mean_wind` is one
+    positive speed or 24 of them (default 8.0), `matern_l` and `matern_nu`
+    positive numbers.  Errors name the key as where.key."""
     value = entry.get("mean_wind", 8.0)
-    try:
-        arr = np.full(wind_kl.HOURS, float(value)) if np.isscalar(value) \
-            else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
+    speeds = value if isinstance(value, list) else [value] * wind_kl.HOURS
+    arr = np.array([_number(v) for v in speeds])
     if arr.shape != (wind_kl.HOURS,) or not np.all((arr > 0) & np.isfinite(arr)):
         raise ConfigError(f"`{where}.mean_wind` must be a positive finite number "
                           f"or 24 of them, got {value!r}")
-    return arr
+    return arr, forecast.MaternKernel(_positive(entry, "matern_l", where),
+                                      _positive(entry, "matern_nu", where))
 
 
 def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.ForecastSpec:
@@ -227,8 +237,9 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
     site_block = _block(block, "sites", where="forecast.")
     sigma_p = _positive(block, "sigma_p", "forecast")
     truncation = _integer(block.get("truncation", 6), "forecast.truncation")
-    if truncation < 1:
-        raise ConfigError(f"`forecast.truncation` must be at least 1, got {truncation}")
+    if not 1 <= truncation <= wind_kl.HOURS:
+        raise ConfigError(f"`forecast.truncation` must be in 1..{wind_kl.HOURS}, "
+                          f"got {truncation}")
     case_sites = {s.site_label: s for s in case.renewable_sites}
     if set(site_block) != set(case_sites):
         raise ConfigError(
@@ -238,14 +249,11 @@ def build_forecast_spec(cfg: ExperimentConfig, case: GridCase) -> forecast.Forec
     for label in (s.site_label for s in case.renewable_sites):
         entry = _block(site_block, label, {"mean_wind", "matern_l", "matern_nu"},
                        where="forecast.sites.")
-        where = f"forecast.sites.{label}"
-        mean_wind = _mean_profile(entry, where)
+        mean_wind, kernel = _site_shape(entry, f"forecast.sites.{label}")
         curve = datagen.default_power_curve(case_sites[label].nameplate)
-        kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
-                                       _positive(entry, "matern_nu", where), 1.0)
         sigma_w = forecast.sigma_w_from_sigma_p(sigma_p, mean_wind, curve)
-        sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
-                                        min(truncation, wind_kl.HOURS), curve))
+        sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w, truncation,
+                                        curve))
     dependence = block.get("dependence", ())
     if not isinstance(dependence, (list, tuple)):
         raise ConfigError(f"`forecast.dependence` must be a list of groups, "
@@ -304,10 +312,8 @@ def _wind_records(cfg: ExperimentConfig) -> tuple[dict, dict]:
                            {"matern_l", "matern_nu", "sigma_w", "mean_wind"},
                            where="wind.synthetic.sites.")
             where = f"wind.synthetic.sites.{label}"
-            kernel = forecast.MaternKernel(_positive(entry, "matern_l", where),
-                                           _positive(entry, "matern_nu", where), 1.0)
+            mean_wind, kernel = _site_shape(entry, where)
             sigma_w = _positive(entry, "sigma_w", where, 0.3)
-            mean_wind = np.full(wind_kl.HOURS, _positive(entry, "mean_wind", where, 8.0))
             sites.append(forecast.SiteModel(label, mean_wind, kernel, sigma_w,
                                             wind_kl.HOURS, curve))
         for k, site in enumerate(sites):  # seed + k wraps: any uint64 seed is allowed
@@ -326,12 +332,12 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
     checked and decomposed, so a failure leaves `outdir` as it was."""
     records, tables = _wind_records(cfg)
     texts = {}  # file name -> contents
-    xi_by_site = {}
+    xi_by_day = {}  # site -> date -> mode coordinates of that day
     varfrac_rows = ["site,n_modes,percent"]
     ks_rows = ["site,mode,ks_distance"]
     fit_rows = ["site,length_scale,smoothness"]
     for label in sorted(records):
-        samples, dropped = wind_kl.hourly_average(records[label], label)
+        samples, days, dropped = wind_kl.hourly_average(records[label], label)
         if any(dropped.values()):
             print(f"kl: site {label}: dropped {sum(dropped.values())} day(s) {dropped}")
         cov = wind_kl.empirical_covariance(samples)
@@ -343,7 +349,7 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
             varfrac_rows.append(
                 f"{label},{n},{wind_kl.variance_fraction(basis, n)!r}")
         xi, skipped = wind_kl.project_samples(basis, samples)
-        xi_by_site[label] = xi
+        xi_by_day[label] = dict(zip(days, xi))
         for mode in range(min(15, wind_kl.HOURS)):
             if mode not in skipped:
                 ks_rows.append(
@@ -354,13 +360,18 @@ def cmd_kl(cfg: ExperimentConfig, outdir: Path) -> int:
         except forecast.ForecastError:
             fit_rows.append(f"{label},,")
     dcor_rows = ["site_a,site_b,mode,dcor"]
-    labels = sorted(xi_by_site)
+    labels = sorted(xi_by_day)
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            n = min(len(xi_by_site[a]), len(xi_by_site[b]))
+            shared = sorted(xi_by_day[a].keys() & xi_by_day[b].keys())
+            if len(shared) < 2:
+                print(f"kl: sites {a} and {b} share {len(shared)} day(s); "
+                      "dcor needs 2")
+                dcor_rows += [f"{a},{b},{mode + 1}," for mode in range(4)]
+                continue
+            xa, xb = (np.array([xi_by_day[site][day] for day in shared]) for site in (a, b))
             for mode in range(4):
-                d = wind_kl.distance_correlation(xi_by_site[a][:n, mode],
-                                                 xi_by_site[b][:n, mode])
+                d = wind_kl.distance_correlation(xa[:, mode], xb[:, mode])
                 dcor_rows.append(f"{a},{b},{mode + 1},{d!r}")
     for name, rows in (("variance_fraction", varfrac_rows), ("ks_normal", ks_rows),
                        ("dcor_modes", dcor_rows), ("matern_fit", fit_rows)):

@@ -13,7 +13,7 @@ germs it is given, which the estimators (`estimate`) or the caller draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, kv
@@ -29,13 +29,10 @@ class ForecastError(Exception):
 class MaternKernel:
     length_scale: float  # hours
     smoothness: float    # nu
-    variance: float = 1.0  # sigma_W^2, (log m/s)^2
 
     def __post_init__(self):
         if self.length_scale <= 0 or self.smoothness <= 0:
             raise ValueError("length scale and smoothness must be positive")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
 
     def covariance_matrix(self) -> np.ndarray:
         lags = np.abs(np.arange(HOURS)[:, None] - np.arange(HOURS)[None, :])
@@ -43,10 +40,11 @@ class MaternKernel:
 
 
 def matern(lag, kernel: MaternKernel):
-    """Matern covariance at time lag(s) >= 0 hours.
+    """Matern correlation at time lag(s) >= 0 hours.
 
-    Standard form sigma^2 * 2^(1-nu)/Gamma(nu) * z^nu * K_nu(z) with
-    z = sqrt(2 nu) lag / l; the zero-lag limit is sigma^2.
+    Standard form 2^(1-nu)/Gamma(nu) * z^nu * K_nu(z) with
+    z = sqrt(2 nu) lag / l; the zero-lag limit is 1.  A site scales it by
+    its sigma_W^2 (`SiteModel`).
     """
     lag = np.asarray(lag, dtype=float)
     if np.any(lag < 0):
@@ -57,8 +55,7 @@ def matern(lag, kernel: MaternKernel):
         vals = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * z ** nu * kv(nu, z)
     vals = np.where(z == 0.0, 1.0, vals)
     vals = np.nan_to_num(vals, nan=0.0)  # kv underflow at huge lags
-    out = kernel.variance * vals
-    return out if out.ndim else float(out)
+    return vals if vals.ndim else float(vals)
 
 
 def _pooled_lag_data(cov: np.ndarray):
@@ -91,7 +88,7 @@ def fit_matern(cov: np.ndarray) -> MaternKernel:
         ell, nu = params
         if ell <= 0 or nu <= 0:
             return 1e12
-        model = matern(ulags, MaternKernel(ell, nu, 1.0))[inverse]
+        model = matern(ulags, MaternKernel(ell, nu))[inverse]
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum((model - vals) ** 2))
         return total if math.isfinite(total) else 1e12
@@ -103,7 +100,7 @@ def fit_matern(cov: np.ndarray) -> MaternKernel:
     ell, nu = res.x
     if ell <= 0 or nu <= 0:
         raise ForecastError(f"Matern fit from (l, nu) = {start} ended at ({ell!r}, {nu!r})")
-    return MaternKernel(float(ell), float(nu), 1.0)
+    return MaternKernel(float(ell), float(nu))
 
 
 SIGMA_W_MAX = 3.0  # the largest log-wind sigma_W the bracket scan tries
@@ -167,10 +164,11 @@ def sigma_w_from_sigma_p(sigma_p: float, mean_wind, curve: PowerCurve) -> float:
 class SiteModel:
     label: str
     mean_wind: np.ndarray  # day-ahead forecast profile, m/s, length 24
-    kernel: MaternKernel   # unit-variance shape; sigma_W applied separately
+    kernel: MaternKernel   # correlation shape; sigma_W scales it
     sigma_w: float
     truncation: int
     curve: PowerCurve
+    basis: KLBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mw = np.asarray(self.mean_wind, dtype=float)
@@ -181,28 +179,28 @@ class SiteModel:
         if not 1 <= self.truncation <= HOURS:
             raise ValueError("truncation must be in 1..24")
         object.__setattr__(self, "mean_wind", mw)
+        object.__setattr__(self, "basis", self.kl_basis())
 
     def kl_basis(self) -> KLBasis:
-        # pure function of frozen fields; memoized because scenario loops
-        # call it per evaluation
-        cached = getattr(self, "_kl_cache", None)
-        if cached is None:
-            cov = (self.sigma_w ** 2) * self.kernel.covariance_matrix()
-            cached = kl_decompose(cov, np.log(self.mean_wind))
-            object.__setattr__(self, "_kl_cache", cached)
-        return cached
+        """KL basis of the site's log-wind field: sigma_W^2 times the
+        kernel's correlation, about the log of the mean wind."""
+        cov = (self.sigma_w ** 2) * self.kernel.covariance_matrix()
+        return kl_decompose(cov, np.log(self.mean_wind))
 
     def speeds(self, xi) -> np.ndarray:
         """Hourly wind speeds, shape (..., 24), of germs xi of shape
         (..., >= truncation): the exponentiated truncated KL expansion
         (`wind_kl.reconstruct`) of the site's log-wind field."""
-        return np.exp(reconstruct(self.kl_basis(), xi, self.truncation))
+        return np.exp(reconstruct(self.basis, xi, self.truncation))
 
 
 @dataclass(frozen=True)
 class ForecastSpec:
     sites: tuple  # SiteModel, in declaration order
     dependence_groups: tuple = ()  # each: tuple of (site_label, mode) pairs
+    dimension: int = field(init=False)  # germ coordinates in all
+    # per site, the germ coordinate of each of its modes
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         truncation = {s.label: s.truncation for s in self.sites}
@@ -220,45 +218,25 @@ class ForecastSpec:
                     raise ValueError(f"unknown site {label} (group {k})")
                 if not 1 <= mode <= truncation[label]:
                     raise ValueError(f"mode {mode} outside truncation of {label} (group {k})")
+        layout, dim = self.germ_layout()
+        object.__setattr__(self, "dimension", dim)
+        object.__setattr__(self, "columns", tuple(
+            np.array([layout[(s.label, mode)] for mode in range(1, s.truncation + 1)])
+            for s in self.sites))
 
     def germ_layout(self):
-        """Germ coordinate index for every (site, mode); shared-group members
-        reuse the coordinate of the first member encountered."""
-        group_of = {}
-        for group in self.dependence_groups:
-            for pair in group:
-                group_of[pair] = group
-        assigned: dict = {}
+        """Germ coordinate index for every (site, mode), and the germ
+        dimension; shared-group members reuse the coordinate of the first
+        member encountered."""
+        group_of = {pair: group for group in self.dependence_groups for pair in group}
+        coordinate: dict = {}  # group, or an ungrouped (site, mode) pair -> index
         layout = {}
-        dim = 0
         for site in self.sites:
             for mode in range(1, site.truncation + 1):
                 pair = (site.label, mode)
-                group = group_of.get(pair)
-                if group is not None and group in assigned:
-                    layout[pair] = assigned[group]
-                    continue
-                layout[pair] = dim
-                if group is not None:
-                    assigned[group] = dim
-                dim += 1
-        return layout, dim
-
-    @property
-    def dimension(self) -> int:
-        return self.germ_layout()[1]
-
-    def germ_columns(self) -> dict:
-        """Germ coordinate of each of a site's modes, by site label.
-        Memoized: the power mapping runs once per evaluation."""
-        cached = getattr(self, "_columns_cache", None)
-        if cached is None:
-            layout, _ = self.germ_layout()
-            cached = {s.label: np.array([layout[(s.label, mode)]
-                                         for mode in range(1, s.truncation + 1)])
-                      for s in self.sites}
-            object.__setattr__(self, "_columns_cache", cached)
-        return cached
+                layout[pair] = coordinate.setdefault(group_of.get(pair, pair),
+                                                     len(coordinate))
+        return layout, len(coordinate)
 
     def power(self, germs) -> np.ndarray:
         """Hourly power per site, shape (..., n_sites, 24), for germs of
@@ -267,10 +245,9 @@ class ForecastSpec:
         come in declaration order, which for a spec that drives a dispatch
         is the case's RENEWABLE order (`sed_model.SedEvaluator` checks it)."""
         germs = np.asarray(germs, dtype=float)
-        columns = self.germ_columns()
         out = np.empty(germs.shape[:-1] + (len(self.sites), HOURS))
-        for j, site in enumerate(self.sites):
-            out[..., j, :] = site.curve(site.speeds(germs[..., columns[site.label]]))
+        for j, (site, columns) in enumerate(zip(self.sites, self.columns)):
+            out[..., j, :] = site.curve(site.speeds(germs[..., columns]))
         return out
 
 

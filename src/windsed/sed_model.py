@@ -451,11 +451,10 @@ class SedEvaluator:
         """The regions of the optimal bases the solver reaches on ATLAS_GERMS
         standard-normal germs from a fixed Philox key, chained from the
         anchor along a nearest-neighbour tour of their hourly total wind
-        power (`_tour`), each germ from the previous one's optimal basis
-        (about a third of the pivots an ascending-total chain takes to reach
-        the same bases): one region per distinct basis,
-        the most reached first (ties in the order reached), each taken about
-        the power row of the germ with the smallest squared norm.  A germ
+        power (`_tour`), each germ from the previous one's optimal basis:
+        one region per distinct basis, the most reached first (ties in the
+        order reached), each taken about the power row of the germ with the
+        smallest squared norm.  A germ
         whose LP fails adds no region, and the solver starts again from the
         anchor.  The germs go to the solver directly, not through
         `__call__`, so they are not evaluations."""
@@ -522,10 +521,9 @@ class SedEvaluator:
         basis.  The periods of the LP are coupled only by its ramp rows, so
         germs close hour by hour end in close bases and warm starts need
         few pivots: 669 on the 141 germs of the benchmark's 118-bus study
-        at seed 1, against 1,059 in ascending total power.  A duplicate
-        germ follows its twin at distance zero, so unless two distinct
-        germs tie, the tour, and each value, does not depend on the
-        batch's order.  Each germ, screened or not, still goes once
+        at seed 1.  A duplicate germ follows its twin at distance zero, so
+        unless two distinct germs tie, the tour, and each value, does not
+        depend on the batch's order.  Each germ, screened or not, still goes once
         through `self(germ)`."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
         self._check(germs)

@@ -69,10 +69,10 @@ def _mark(ts: str) -> int | None:
     return t.hour * 6 + t.minute // 10
 
 
-def hourly_average(records, site_label: str = "") -> tuple[np.ndarray, dict]:
+def hourly_average(records, site_label: str = "") -> tuple[np.ndarray, list, dict]:
     """Collapse 10-minute (timestamp, speed) records into daily 24-vectors of
-    log hourly-mean speed: the (n_days, 24) samples, and the count of
-    dropped days by reason.
+    log hourly-mean speed: the (n_days, 24) samples, the date (YYYY-MM-DD)
+    of each, and the count of dropped days by reason.
 
     A day counts only when its 144 records sit on its 144 ten-minute marks;
     a day with a missing, repeated or off-mark interval, or with a
@@ -84,7 +84,7 @@ def hourly_average(records, site_label: str = "") -> tuple[np.ndarray, dict]:
     for ts, speed in records:
         day = str(ts)[:10]
         by_day.setdefault(day, []).append((_mark(str(ts)), float(speed)))
-    rows = []
+    rows, days = [], []
     dropped = {"missing": 0, "nonpositive": 0}
     for day in sorted(by_day):
         recs = by_day[day]
@@ -101,11 +101,12 @@ def hourly_average(records, site_label: str = "") -> tuple[np.ndarray, dict]:
             raise WindDataError(f"site {site_label}: day {day}: an hourly mean speed "
                                 "is not finite")
         rows.append(row)
+        days.append(day)
     if not rows:
         raise WindDataError(
             f"no complete days (dropped: {dropped})" if any(dropped.values())
             else "no records")
-    return np.array(rows), dropped
+    return np.array(rows), days, dropped
 
 
 def empirical_covariance(samples: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ def pooled_residual(cov):
         ell, nu = params
         if ell <= 0 or nu <= 0:
             return 1e12
-        model = matern(lags, MaternKernel(ell, nu, 1.0))
+        model = matern(lags, MaternKernel(ell, nu))
         return float(np.sum((model - vals) ** 2))
     return residual
 

@@ -9,8 +9,8 @@ def make_spec3(case, truncation: int = 3, sigma_p: float = 0.35):
     """Forecast spec for the 3-bus fixture: two independent sites."""
     curves = {s.site_label: default_power_curve(s.nameplate)
               for s in case.renewable_sites}
-    kernels = {"site_a": fc.MaternKernel(11.40, 0.56, 1.0),
-               "site_b": fc.MaternKernel(9.79, 0.78, 1.0)}
+    kernels = {"site_a": fc.MaternKernel(11.40, 0.56),
+               "site_b": fc.MaternKernel(9.79, 0.78)}
     sites = []
     for label in ("site_a", "site_b"):
         mean_wind = np.full(24, 8.0)
@@ -33,7 +33,7 @@ def make_spec118(case):
         mean_wind = np.full(24, 8.0)
         sw = fc.sigma_w_from_sigma_p(0.35, mean_wind, curves[label])
         l, nu = params[label]
-        sites.append(fc.SiteModel(label, mean_wind, fc.MaternKernel(l, nu, 1.0),
+        sites.append(fc.SiteModel(label, mean_wind, fc.MaternKernel(l, nu),
                                   sw, 6, curves[label]))
     groups = ((("site_15414", 1), ("site_16238", 1)),
               (("site_15414", 2), ("site_16238", 2)))

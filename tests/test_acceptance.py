@@ -103,8 +103,8 @@ def test_criterion_03_quadrature_exactness():
 
 def test_criterion_04_kl_identities():
     sw = Stopwatch(5.0)
-    kernel = fc.MaternKernel(11.0, 0.56, 0.09)
-    exact = wk.kl_decompose(kernel.covariance_matrix(), np.zeros(24))
+    kernel = fc.MaternKernel(11.0, 0.56)
+    exact = wk.kl_decompose(0.09 * kernel.covariance_matrix(), np.zeros(24))
     rng = np.random.default_rng(4242)
     samples = wk.reconstruct(exact, rng.standard_normal((200, 24)), 24)
     cov = wk.empirical_covariance(samples)
@@ -122,10 +122,10 @@ def test_criterion_04_kl_identities():
 
 def test_criterion_05_matern_special_cases():
     sw = Stopwatch(30.0)
-    k_exp = fc.MaternKernel(10.0, 0.5, 1.3)
+    k_exp = fc.MaternKernel(10.0, 0.5)
     lags = np.arange(24.0)
     want = 1.3 * np.exp(-lags / 10.0)
-    assert np.max(np.abs(fc.matern(lags, k_exp) - want)) < 1e-8
+    assert np.max(np.abs(1.3 * fc.matern(lags, k_exp) - want)) < 1e-8
 
     def bessel_k(nu, x):
         val, _ = quad(lambda t: math.exp(-x * math.cosh(t)) * math.cosh(nu * t),
@@ -133,7 +133,7 @@ def test_criterion_05_matern_special_cases():
         return val
 
     ell, nu = 11.40, 0.56
-    k_tab = fc.MaternKernel(ell, nu, 1.0)
+    k_tab = fc.MaternKernel(ell, nu)
     for lag in range(1, 24):
         z = math.sqrt(2 * nu) * lag / ell
         oracle = (2 ** (1 - nu) / math.gamma(nu)) * z ** nu * bessel_k(nu, z)

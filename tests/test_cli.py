@@ -185,7 +185,7 @@ def test_kl_cloned_sites_have_unit_dcor(tmp_path):
     from windsed.datagen import (default_power_curve, synthetic_wind_table,
                                  write_wind_csv)
     from windsed.forecast import MaternKernel, SiteModel
-    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56, 1.0), 0.3, 24,
+    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56), 0.3, 24,
                      default_power_curve())
     rows = synthetic_wind_table(site, 40, seed=5)
     write_wind_csv(out / "a.csv", rows)
@@ -196,6 +196,52 @@ def test_kl_cloned_sites_have_unit_dcor(tmp_path):
     dcor = (out / "dcor_modes.csv").read_text().splitlines()[1:]
     first = dict((int(r.split(",")[2]), float(r.split(",")[3])) for r in dcor)
     assert first[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _mode_coordinates(rows):
+    """A site's KL mode coordinates per kept day, as `kl` computes them,
+    and the date of each."""
+    from windsed import wind_kl as wk
+    samples, days, _ = wk.hourly_average([row[:2] for row in rows])
+    basis = wk.kl_decompose(wk.empirical_covariance(samples), samples.mean(axis=0))
+    return wk.project_samples(basis, samples)[0], days
+
+
+def test_kl_pairs_two_sites_days_by_date(tmp_path, capsys):
+    """dcor_modes.csv pairs the days both sites kept by date: a record cut
+    from the first day of one site drops that day from the pairs alone.
+    Sites that share fewer than 2 days get empty dcor fields and a line
+    naming the pair."""
+    out = tmp_path / "out"
+    out.mkdir()
+    from windsed.datagen import (default_power_curve, synthetic_wind_table,
+                                 write_wind_csv)
+    from windsed.forecast import MaternKernel, SiteModel
+    from windsed.wind_kl import distance_correlation
+    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56), 0.3, 24,
+                     default_power_curve())
+    rows_a = synthetic_wind_table(site, 40, seed=5)
+    rows_b = synthetic_wind_table(site, 40, seed=6)
+    del rows_b[7]  # the first day of site_b misses 01:10
+    write_wind_csv(out / "a.csv", rows_a)
+    write_wind_csv(out / "b.csv", rows_b)
+    path = write_config(tmp_path, wind={
+        "data": {"site_a": str(out / "a.csv"), "site_b": str(out / "b.csv")}})
+    assert main(["kl", "--config", str(path)]) == 0
+    (xi_a, days_a), (xi_b, days_b) = _mode_coordinates(rows_a), _mode_coordinates(rows_b)
+    assert days_b == days_a[1:]
+    want = [f"site_a,site_b,{mode + 1},"
+            f"{distance_correlation(xi_a[1:, mode], xi_b[:, mode])!r}" for mode in range(4)]
+    assert (out / "dcor_modes.csv").read_text().splitlines()[1:] == want
+
+    last_day = rows_a[-1][0][:10]
+    write_wind_csv(out / "b.csv", synthetic_wind_table(site, 40, seed=6, start=last_day))
+    capsys.readouterr()
+    assert main(["kl", "--config", str(path)]) == 0
+    assert "kl: sites site_a and site_b share 1 day(s); dcor needs 2" in \
+        capsys.readouterr().out
+    assert (out / "dcor_modes.csv").read_text().splitlines()[1:] == [
+        f"site_a,site_b,{mode + 1}," for mode in range(4)]
 
 
 def test_kl_constant_wind_reports_degenerate(tmp_path, capsys):
@@ -218,7 +264,7 @@ def test_kl_reports_dropped_days(tmp_path, capsys):
     from windsed.datagen import (default_power_curve, synthetic_wind_table,
                                  write_wind_csv)
     from windsed.forecast import MaternKernel, SiteModel
-    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56, 1.0), 0.3, 24,
+    site = SiteModel("x", np.full(24, 8.0), MaternKernel(11.4, 0.56), 0.3, 24,
                      default_power_curve())
     rows = synthetic_wind_table(site, 40, seed=5)
     write_wind_csv(out / "b.csv", rows)
@@ -550,6 +596,20 @@ SYN_A = "wind.synthetic.sites.site_a"
      "got ['site_a', 1]"),
     (["dispatch"], _edit("forecast.dependence", [[["site_a", 1]], [["site_x", 1]]]), 2,
      "`forecast.dependence`: unknown site site_x (group 2)"),
+    (["study"], _edit("forecast.truncation", 40), 2,
+     "`forecast.truncation` must be in 1..24, got 40"),
+    (["study"], _edit("forecast.sigma_p", True), 2,
+     "`forecast.sigma_p` must be a positive finite number, got True"),
+    (["study"], _edit(f"{SITE_A}.mean_wind", True), 2,
+     f"`{SITE_A}.mean_wind` must be a positive finite number or 24 of them, got True"),
+    (["kl"], _synthetic("sites.site_a.mean_wind", True), 2,
+     f"`{SYN_A}.mean_wind` must be a positive finite number or 24 of them, got True"),
+    (["kl"], _synthetic("sites.site_a.sigma_w", True), 2,
+     f"`{SYN_A}.sigma_w` must be a positive finite number, got True"),
+    (["study"], _edit("forecast.sigma_p", 10 ** 400), 2,
+     "`forecast.sigma_p` must be a positive finite number, got 1000"),
+    (["study"], _edit(f"{SITE_A}.mean_wind", [10 ** 400] * 24), 2,
+     f"`{SITE_A}.mean_wind` must be a positive finite number or 24 of them"),
 ], ids=["germ-too-short", "germ-not-numeric", "germ-not-finite",
         "scenario-index-out-of-range", "scenario-file-corrupt",
         "scenario-file-other-spec", "scenario-file-empty",
@@ -586,7 +646,9 @@ SYN_A = "wind.synthetic.sites.site_a"
         "case-cost-overflows", "config-date-does-not-exist",
         "kl-site-fails-beside-a-synthetic-site", "case-bus-id-repeated",
         "case-site-label-repeated", "dependence-group-not-pairs",
-        "dependence-pair-not-in-a-group", "dependence-site-unknown"])
+        "dependence-pair-not-in-a-group", "dependence-site-unknown",
+        "truncation-above-24", "sigma_p-yes", "mean_wind-yes", "synthetic-mean_wind-yes",
+        "synthetic-sigma_w-yes", "sigma_p-int-overflows", "mean_wind-int-overflows"])
 def test_bad_input_exits_without_traceback(tmp_path, capsys, spec3, args, edit,
                                            code, needle):
     """Every bad argument or config value exits with its documented code and

@@ -28,20 +28,21 @@ def bessel_k_oracle(nu, x):
 # -- kernel ------------------------------------------------------------------
 
 def test_matern_zero_lag_is_variance():
-    k = fc.MaternKernel(10.0, 0.7, 2.5)
-    assert fc.matern(0.0, k) == 2.5
-    assert fc.matern(np.array([0.0, 0.0]), k).tolist() == [2.5, 2.5]
+    """The kernel is a correlation: its value at zero lag is 1."""
+    k = fc.MaternKernel(10.0, 0.7)
+    assert fc.matern(0.0, k) == 1.0
+    assert fc.matern(np.array([0.0, 0.0]), k).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("lag", [1.0, 5.0, 12.0])
 def test_matern_half_smoothness_is_exponential(lag):
-    k = fc.MaternKernel(10.0, 0.5, 1.7)
-    assert fc.matern(lag, k) == pytest.approx(1.7 * math.exp(-lag / 10.0), abs=1e-8)
+    k = fc.MaternKernel(10.0, 0.5)
+    assert 1.7 * fc.matern(lag, k) == pytest.approx(1.7 * math.exp(-lag / 10.0), abs=1e-8)
 
 
 def test_matern_matches_bessel_oracle_at_table_parameters():
     ell, nu = 11.40, 0.56
-    k = fc.MaternKernel(ell, nu, 1.0)
+    k = fc.MaternKernel(ell, nu)
     for lag in range(1, 24):
         z = math.sqrt(2 * nu) * lag / ell
         want = (2 ** (1 - nu) / math.gamma(nu)) * z ** nu * bessel_k_oracle(nu, z)
@@ -50,7 +51,7 @@ def test_matern_matches_bessel_oracle_at_table_parameters():
 
 @pytest.mark.parametrize("ell,nu", TABLE_KERNELS)
 def test_matern_normalized_decay_on_day_grid(ell, nu):
-    k = fc.MaternKernel(ell, nu, 1.0)
+    k = fc.MaternKernel(ell, nu)
     vals = fc.matern(np.arange(24.0), k)
     ratios = vals[1:] / vals[0]
     assert np.all(ratios > 0.0) and np.all(ratios <= 1.0)
@@ -59,31 +60,31 @@ def test_matern_normalized_decay_on_day_grid(ell, nu):
 
 def test_matern_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        fc.MaternKernel(-1.0, 0.5, 1.0)
+        fc.MaternKernel(-1.0, 0.5)
     with pytest.raises(ValueError):
-        fc.MaternKernel(1.0, 0.0, 1.0)
+        fc.MaternKernel(1.0, 0.0)
     with pytest.raises(ValueError):
-        fc.matern(-1.0, fc.MaternKernel(1.0, 0.5, 1.0))
+        fc.matern(-1.0, fc.MaternKernel(1.0, 0.5))
 
 
 # -- fitting ------------------------------------------------------------------
 
 def test_fit_recovers_exponential_kernel():
-    cov = fc.MaternKernel(10.0, 0.5, 1.0).covariance_matrix()
+    cov = fc.MaternKernel(10.0, 0.5).covariance_matrix()
     fit = fc.fit_matern(cov)
     assert 9.0 <= fit.length_scale <= 11.0
     assert 0.45 <= fit.smoothness <= 0.55
 
 
 def test_fit_recovers_table_row():
-    cov = fc.MaternKernel(11.15, 0.57, 1.0).covariance_matrix()
+    cov = fc.MaternKernel(11.15, 0.57).covariance_matrix()
     fit = fc.fit_matern(cov)
     assert fit.length_scale == pytest.approx(11.15, rel=0.10)
     assert fit.smoothness == pytest.approx(0.57, rel=0.10)
 
 
 def test_fit_scale_invariant_to_variance():
-    cov = fc.MaternKernel(11.15, 0.57, 1.0).covariance_matrix() * 0.09
+    cov = fc.MaternKernel(11.15, 0.57).covariance_matrix() * 0.09
     fit = fc.fit_matern(cov)
     assert fit.length_scale == pytest.approx(11.15, rel=0.10)
 
@@ -124,7 +125,7 @@ def test_short_record_fit_emits_no_runtime_warning():
     site = fc.SiteModel("site_b", np.full(24, 8.5), fc.MaternKernel(9.79, 0.78), 0.3,
                         24, default_power_curve())
     rows = synthetic_wind_table(site, 2, seed=42)
-    samples, _ = wind_kl.hourly_average([row[:2] for row in rows], "site_b")
+    samples, _, _ = wind_kl.hourly_average([row[:2] for row in rows], "site_b")
     cov = wind_kl.empirical_covariance(samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -195,7 +196,7 @@ def three_site_spec():
     sites = []
     for label, (ell, nu) in zip(("a", "b", "c"), TABLE_KERNELS):
         sites.append(fc.SiteModel(label, np.full(24, 8.0),
-                                  fc.MaternKernel(ell, nu, 1.0), 0.12, 6, curve))
+                                  fc.MaternKernel(ell, nu), 0.12, 6, curve))
     groups = ((("a", 1), ("b", 1)), (("a", 2), ("b", 2)))
     return fc.ForecastSpec(tuple(sites), groups)
 

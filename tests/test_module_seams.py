@@ -43,6 +43,46 @@ def test_no_module_reaches_into_private_names(path):
     assert private_reaches(path.read_text(encoding="utf-8")) == []
 
 
+
+# -- frozen fields are written only while an object is built ----------------------
+
+def frozen_writes(source: str) -> list[str]:
+    """Each `line: function` where `source` calls `object.__setattr__`
+    outside a `__post_init__`: a frozen dataclass sets its derived fields
+    once, as it is built, and never memoizes into itself later."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"
+                    and function != "__post_init__"):
+                found.append(f"{child.lineno}: {function}")
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_frozen_write_scan_finds_each_kind_of_write():
+    source = ("class C:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'a', 1)\n"
+              "    def memo(self):\n"
+              "        object.__setattr__(self, '_cache', 2)\n"
+              "        self.__setattr__('b', 3)\n"
+              "object.__setattr__(C, 'c', 4)\n")
+    assert frozen_writes(source) == ["5: memo", "7: None"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_frozen_fields_are_set_only_in_post_init(path):
+    assert frozen_writes(path.read_text(encoding="utf-8")) == []
+
+
 # -- every public name has a caller ----------------------------------------------
 
 ROOT = SRC.parent.parent

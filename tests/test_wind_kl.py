@@ -25,22 +25,22 @@ def ten_minute_day(date, speeds_by_interval):
 
 def test_constant_day_gives_log_constant():
     recs = ten_minute_day("2004-01-01", lambda h, m: 6.0)
-    samples, _ = wk.hourly_average(recs, "x")
+    samples, _, _ = wk.hourly_average(recs, "x")
     assert samples.shape == (1, 24)
     assert np.allclose(samples, math.log(6.0))
 
 
 def test_alternating_speeds_average_before_log():
     recs = ten_minute_day("2004-01-02", lambda h, m: 4.0 if (m // 10) % 2 == 0 else 8.0)
-    samples, _ = wk.hourly_average(recs)
+    samples, _, _ = wk.hourly_average(recs)
     assert np.allclose(samples, math.log(6.0))  # mean of raw, then log
 
 
 def test_incomplete_day_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     partial = ten_minute_day("2004-01-02", lambda h, m: 5.0)[:-1]
-    samples, dropped = wk.hourly_average(full + partial)
-    assert len(samples) == 1
+    samples, days, dropped = wk.hourly_average(full + partial)
+    assert len(samples) == 1 and days == ["2004-01-01"]
     assert dropped["missing"] == 1
 
 
@@ -50,7 +50,7 @@ def test_day_with_repeated_timestamp_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     twice = ten_minute_day("2004-01-02", lambda h, m: 5.0)
     twice[5] = (twice[4][0], 9.0)
-    samples, dropped = wk.hourly_average(full + twice)
+    samples, _, dropped = wk.hourly_average(full + twice)
     assert len(samples) == 1
     assert dropped["missing"] == 1
 
@@ -61,7 +61,7 @@ def test_day_with_off_mark_timestamp_dropped_and_counted():
     full = ten_minute_day("2004-01-01", lambda h, m: 5.0)
     off = ten_minute_day("2004-01-02", lambda h, m: 5.0)
     off[5] = ("2004-01-02T00:55:00", 9.0)
-    samples, dropped = wk.hourly_average(full + off)
+    samples, _, dropped = wk.hourly_average(full + off)
     assert len(samples) == 1
     assert dropped["missing"] == 1
 
@@ -69,8 +69,8 @@ def test_day_with_off_mark_timestamp_dropped_and_counted():
 def test_nonpositive_speed_rejects_day_with_reason():
     bad = ten_minute_day("2004-01-03", lambda h, m: 0.0 if h == 12 else 5.0)
     good = ten_minute_day("2004-01-04", lambda h, m: 5.0)
-    samples, dropped = wk.hourly_average(bad + good)
-    assert len(samples) == 1
+    samples, days, dropped = wk.hourly_average(bad + good)
+    assert len(samples) == 1 and days == ["2004-01-04"]
     assert dropped["nonpositive"] == 1
     with pytest.raises(wk.WindDataError):
         wk.hourly_average(bad)
@@ -151,7 +151,7 @@ def test_variance_fraction_cases():
 
 @pytest.fixture(scope="module")
 def gaussian_basis():
-    cov = MaternKernel(11.0, 0.6, 0.25).covariance_matrix()
+    cov = 0.25 * MaternKernel(11.0, 0.6).covariance_matrix()
     return wk.kl_decompose(cov, np.linspace(1.5, 2.5, 24))
 
 
@@ -403,7 +403,7 @@ def test_kl_basis_text_round_trip(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["kl", "--config", str(path)]) == 0
-    samples, _ = wk.hourly_average(read_wind_csv(tmp_path / "wind_site_a.csv"), "site_a")
+    samples, _, _ = wk.hourly_average(read_wind_csv(tmp_path / "wind_site_a.csv"), "site_a")
     want = wk.kl_decompose(wk.empirical_covariance(samples), samples.mean(axis=0))
     again = kl_basis_from_text((tmp_path / "klbasis_site_a.txt").read_text())
     for got, expected in ((again.mean, want.mean), (again.eigenvalues, want.eigenvalues),
