@@ -165,6 +165,22 @@ def test_kl_synthetic_sites_match_their_written_csvs(tmp_path):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_kl_synthetic_mean_wind_takes_24_speeds(tmp_path):
+    """A synthetic site's mean_wind takes the forms a forecast site's does:
+    24 equal hourly speeds write the same files as the one speed."""
+    wind = synthetic_wind_block(days=3)
+    one, hourly = tmp_path / "one", tmp_path / "hourly"
+    assert main(["kl", "--config", str(write_config(tmp_path, wind=wind)),
+                 "--out", str(one)]) == 0
+    wind["synthetic"]["sites"]["site_a"]["mean_wind"] = [8.0] * 24
+    assert main(["kl", "--config", str(write_config(tmp_path, wind=wind)),
+                 "--out", str(hourly)]) == 0
+    names = sorted(p.name for p in one.iterdir() if p.name != "manifest.json")
+    assert len(names) == 8
+    for name in names:
+        assert (hourly / name).read_bytes() == (one / name).read_bytes(), name
+
+
 def test_kl_site_seeds_wrap_at_the_largest_seed(tmp_path):
     """Site k is seeded with (seed + k) mod 2^64: at the largest uint64 seed
     the second site draws what the first draws at seed 0."""
